@@ -26,9 +26,11 @@ from .energy import (
     random_weight,
     rayleigh,
     rayleigh_gradient,
+    rayleigh_numerator,
     read_field,
     read_weight,
     recover_flux,
+    weak_residual,
     write_field,
     write_weight,
 )
@@ -39,7 +41,7 @@ from .errors import (
     MathRefusalError,
     RobinoptError,
 )
-from .maximizer import AuxSolution, F_eval, MaxReport, dirichlet_ceiling, invert_F, sigma_max, solve_aux
+from .maximizer import AuxSolution, F_eval, FSolver, MaxReport, dirichlet_ceiling, invert_F, sigma_max, solve_aux
 from .mesh import Mesh, build_disk, build_interval, build_polygon, build_square, read_mesh, refine, write_mesh
 from .minimizer import (
     ConcentrationRun,
@@ -52,5 +54,11 @@ from .minimizer import (
     track_xm,
 )
 from .oracle import brute_force_1d, disk_robin_p2_const, interval_dirichlet_p, interval_robin_p2
+
+# everything imported above from the package's modules, and nothing else
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and getattr(obj, "__module__", "").startswith(__name__ + ".")
+)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .energy import SolverParams
 from .errors import ConfigError
-from .maximizer import _FCache, dirichlet_ceiling, sigma_max
+from .maximizer import FSolver, sigma_max
 from .mesh import Mesh
 from .minimizer import lambda_inf, scan_point_eigen
 
@@ -122,29 +122,32 @@ class BoundsReport:
         return lines
 
 
-def check_all(mesh: Mesh, p: float, m_list, params: SolverParams | None = None) -> BoundsReport:
+def check_all(
+    mesh: Mesh, p: float, m_list, params: SolverParams | None = None, workers: int = 1,
+) -> BoundsReport:
     """Run the maximizer (and minimizer when p > dim) over a mass grid and
-    verify both closed-form sandwiches at 1e-3 relative slack."""
+    verify both closed-form sandwiches at 1e-3 relative slack. One FSolver
+    serves every mass; `workers` goes to the minimizer's boundary scans."""
     params = params or SolverParams(p=p)
     if params.p != p:
         raise ConfigError("params.p disagrees with the requested exponent")
-    lam_d = dirichlet_ceiling(mesh, params)
+    solver = FSolver(mesh, params)
+    lam_d = solver.lam_dirichlet
     scan = None
     lam1 = None
     if p > mesh.dim:
-        scan = scan_point_eigen(mesh, params)
+        scan = scan_point_eigen(mesh, params, workers=workers)
         lam1 = scan.lambda1_omega
     note = None if p > mesh.dim else (
         "p <= dim: the infimum side is exactly 0 and not attained; "
         "only the maximizer sandwich is checked"
     )
 
-    cache = _FCache(mesh, params, lam_d)
     rows = []
     all_ok = True
     for m in m_list:
         m = float(m)
-        rep = sigma_max(mesh, m, params, lam_dirichlet=lam_d, _cache=cache)
+        rep = sigma_max(mesh, m, params, solver=solver)
         big = rep.Lambda
         bel = belsup(m, lam_d, mesh.volume, p)
         upper = min(lam_d, m / mesh.volume)
@@ -157,7 +160,7 @@ def check_all(mesh: Mesh, p: float, m_list, params: SolverParams | None = None) 
             ok = ok and (rb <= big * (1.0 + _SLACK))
         low = lam = up2 = None
         if p > mesh.dim:
-            mrep = lambda_inf(mesh, m, params, scan=scan)
+            mrep = lambda_inf(mesh, m, params, scan=scan, workers=workers)
             lam = mrep.lambda_inf
             low = inflow(m, lam1, mesh.volume, p, dim=mesh.dim)
             up2 = min(lam1, m / mesh.volume)

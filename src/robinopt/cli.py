@@ -155,7 +155,7 @@ def _boundary_csv(mesh, flux, scale=1.0):
     for a, n in zip(arc, loop):
         d = float(np.mean(share.get(int(n), [0.0])))
         coord = ",".join(repr(float(c)) for c in mesh.nodes[n])
-        lines.append(f"{int(n)},{coord},{a!r},{nodal[n]!r},{d!r}")
+        lines.append(f"{int(n)},{coord},{float(a)!r},{float(nodal[n])!r},{d!r}")
     return lines
 
 
@@ -203,7 +203,7 @@ def _cmd_minimize(args):
         xy = mesh.nodes[n]
         x = repr(float(xy[0]))
         y = repr(float(xy[1])) if mesh.dim == 2 else ""
-        lines.append(f"{int(n)},{x},{y},{lx!r},{ld!r}")
+        lines.append(f"{int(n)},{x},{y},{float(lx)!r},{float(ld)!r}")
     _emit(args, rep.to_dict(), {"minimize.csv": lines})
     return EXIT_OK
 
@@ -223,39 +223,23 @@ def _cmd_scan(args):
     return EXIT_OK
 
 
-def _cmd_bounds(args):
+def _mass_sweep(args):
     mesh = _parse_domain(args.domain)
-    rep = bnd.check_all(mesh, args.p, _parse_list(args.m_list), _params(args))
+    return bnd.check_all(mesh, args.p, _parse_list(args.m_list), _params(args), workers=_workers(args))
+
+
+def _cmd_bounds(args):
+    rep = _mass_sweep(args)
     _emit(args, rep.to_dict(), {"bounds.csv": rep.csv_lines()})
     return EXIT_OK if rep.all_pass else EXIT_INVARIANT
 
 
 def _cmd_sweep(args):
-    mesh = _parse_domain(args.domain)
-    params = _params(args)
-    lam_d = mx.dirichlet_ceiling(mesh, params)
-    scan = None
-    if args.p > mesh.dim:
-        scan = mn.scan_point_eigen(mesh, params, workers=_workers(args))
-    cache = mx._FCache(mesh, params, lam_d)
-    header = "m,Lambda,lambda,belsup,inflow,upper_Lambda,upper_lambda"
-    lines = [header]
-    rows = []
-    for m in _parse_list(args.m_list):
-        rep = mx.sigma_max(mesh, m, params, lam_dirichlet=lam_d, _cache=cache)
-        lam = low = up2 = None
-        if scan is not None:
-            mrep = mn.lambda_inf(mesh, m, params, scan=scan, workers=_workers(args))
-            lam = mrep.lambda_inf
-            low = bnd.inflow(m, scan.lambda1_omega, mesh.volume, args.p, dim=mesh.dim)
-            up2 = min(scan.lambda1_omega, m / mesh.volume)
-        bel = bnd.belsup(m, lam_d, mesh.volume, args.p)
-        upper = min(lam_d, m / mesh.volume)
-        row = [m, rep.Lambda, lam, bel, low, upper, up2]
-        rows.append({"m": m, "Lambda": rep.Lambda, "lambda": lam, "belsup": bel,
-                     "inflow": low, "upper_Lambda": upper, "upper_lambda": up2})
-        lines.append(",".join("" if v is None else repr(float(v)) for v in row))
-    _emit(args, {"p": args.p, "rows": rows}, {"sweep.csv": lines})
+    cols = ["m", "Lambda", "lambda", "belsup", "inflow", "upper_Lambda", "upper_lambda"]
+    table = [[r.m, r.Lambda, r.lam, r.belsup, r.inflow, r.upper, r.upper2] for r in _mass_sweep(args).rows]
+    lines = [",".join(cols)]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in table]
+    _emit(args, {"p": args.p, "rows": [dict(zip(cols, row)) for row in table]}, {"sweep.csv": lines})
     return EXIT_OK
 
 

@@ -49,6 +49,7 @@ class EigenResult:
     mode: str
     outer_iters: int
     residual: float
+    p: float
     rq_history: list = field(default_factory=list)
     weight: BoundaryWeight | None = None
     warning: str | None = None
@@ -59,13 +60,9 @@ class EigenResult:
             raise InvariantViolationError(f"negative eigenvalue {self.lam}")
         if np.min(vals) < -1e-12:
             raise InvariantViolationError("eigenfunction has negative nodal values")
-        if abs(en.lp_norm_p(self.u, _mode_p(self)) - 1.0) > 1e-12:
+        if abs(en.lp_norm_p(self.u, self.p) - 1.0) > 1e-12:
             raise InvariantViolationError("eigenfunction is not p-normalized")
         return self
-
-
-def _mode_p(result):
-    return result._p
 
 
 def _fixed_nodes(mesh, mode):
@@ -74,20 +71,6 @@ def _fixed_nodes(mesh, mode):
     if mode.startswith("point:"):
         return [int(mode.split(":")[1])]
     return []
-
-
-def _quotient(u, weight, p):
-    num = en.grad_energy(u, p)
-    if weight is not None:
-        num += en.boundary_term(u, weight, p)
-    return num / en.lp_norm_p(u, p)
-
-
-def _residual_vector(u, weight, p, q, eps):
-    r = en.p_stiffness_action(u.mesh, u, p, eps) - q * en.mass_action(u.mesh, u, p)
-    if weight is not None:
-        r += en.boundary_action(weight, u, p, eps)
-    return r
 
 
 def _normalize(mesh, vals, p):
@@ -121,16 +104,14 @@ def _minimize(mesh, weight, mode, params, u0=None):
     )
 
     def residual_of(vals, qv):
-        r = _residual_vector(NodalField(mesh, vals), weight, p, qv, params.eps_reg)
+        r = en.weak_residual(NodalField(mesh, vals), weight, p, qv, params.eps_reg)
         return p * float(np.max(np.abs(r[free])))
 
     def result(vals, qv, it, resid, history):
-        res = EigenResult(
+        return EigenResult(
             lam=qv, u=NodalField(mesh, vals), mode=mode, outer_iters=it,
-            residual=resid, rq_history=history, weight=weight,
+            residual=resid, p=p, rq_history=history, weight=weight,
         )
-        res._p = p
-        return res
 
     def failure(msg, vals, qv, it, resid, history):
         hint = (
@@ -139,7 +120,7 @@ def _minimize(mesh, weight, mode, params, u0=None):
         )
         return ConvergenceError(msg + hint, best=result(vals, qv, it, resid, history))
 
-    q = _quotient(NodalField(mesh, u), weight, p)
+    q = en.rayleigh(NodalField(mesh, u), weight, p)
     history = [q]
     resid = residual_of(u, q)
     for it in range(1, params.max_outer + 1):
@@ -157,7 +138,7 @@ def _minimize(mesh, weight, mode, params, u0=None):
                 diagnostics={"mode": mode, "outer_iter": it},
             )
         u_new = _normalize(mesh, w, p)
-        q_new = _quotient(NodalField(mesh, u_new), weight, p)
+        q_new = en.rayleigh(NodalField(mesh, u_new), weight, p)
         if q_new > q + _MONOTONE_SLACK:
             # the quotient cannot be decreased further at the attainable inner
             # accuracy: the step is not recorded and the current iterate is
@@ -244,7 +225,7 @@ def verify_weak_residual(result: EigenResult, w: BoundaryWeight | None, params: 
     mesh = result.u.mesh
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[np.asarray(_fixed_nodes(mesh, result.mode), dtype=int)] = False
-    r = _residual_vector(result.u, w, params.p, result.lam, params.eps_reg)
+    r = en.weak_residual(result.u, w, params.p, result.lam, params.eps_reg)
     worst = params.p * float(np.max(np.abs(r[free])))
     return {
         "max_residual": worst,

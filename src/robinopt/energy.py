@@ -33,7 +33,9 @@ __all__ = [
     "grad_energy",
     "boundary_term",
     "lp_norm_p",
+    "rayleigh_numerator",
     "rayleigh",
+    "weak_residual",
     "rayleigh_gradient",
     "recover_flux",
     "random_weight",
@@ -108,21 +110,17 @@ class SolverParams:
 class BoundaryWeight:
     """A nonnegative boundary weight of fixed total mass.
 
-    kind is one of 'facet_density' (per-facet constant density),
-    'dirac' (point masses at boundary nodes) or 'mixed'.
-    Dirac atoms live at boundary nodes; off-node requests snap to the nearest
+    Per-facet constant densities, point masses (atoms) at boundary nodes, or
+    both; `kind` names which. Off-node Dirac requests snap to the nearest
     boundary node and record the snap distance.
     """
 
     mesh: Mesh
-    kind: str
     facet_density: np.ndarray | None = None
     atoms: list = field(default_factory=list)
     snap_distance: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("facet_density", "dirac", "mixed"):
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
         if self.facet_density is not None:
             self.facet_density = np.asarray(self.facet_density, dtype=float).reshape(-1)
             if self.facet_density.shape[0] != len(self.mesh.boundary_facets):
@@ -137,6 +135,13 @@ class BoundaryWeight:
                 raise ConfigError(f"atom node {n} is not a boundary node")
 
     @property
+    def kind(self):
+        """'facet_density', 'dirac' (atoms only) or 'mixed'."""
+        if self.atoms:
+            return "dirac" if self.facet_density is None else "mixed"
+        return "facet_density"
+
+    @property
     def total_mass(self):
         m = 0.0
         if self.facet_density is not None:
@@ -146,12 +151,12 @@ class BoundaryWeight:
 
     @classmethod
     def from_facet_density(cls, mesh, density):
-        return cls(mesh, "facet_density", facet_density=density)
+        return cls(mesh, facet_density=density)
 
     @classmethod
     def constant(cls, mesh, total_mass):
         dens = np.full(len(mesh.boundary_facets), total_mass / mesh.boundary_measure)
-        return cls(mesh, "facet_density", facet_density=dens)
+        return cls(mesh, facet_density=dens)
 
     @classmethod
     def dirac(cls, mesh, where, mass):
@@ -163,11 +168,11 @@ class BoundaryWeight:
                 raise ConfigError(f"node {node} is not a boundary node")
         else:
             node, snap = mesh.nearest_boundary_node(where)
-        return cls(mesh, "dirac", atoms=[(node, float(mass))], snap_distance=snap)
+        return cls(mesh, atoms=[(node, float(mass))], snap_distance=snap)
 
     @classmethod
     def from_nodal_masses(cls, mesh, nodes, masses):
-        return cls(mesh, "dirac", atoms=list(zip(nodes, masses)))
+        return cls(mesh, atoms=list(zip(nodes, masses)))
 
 
 def random_weight(mesh, mass, rng):
@@ -277,7 +282,7 @@ def _facet_values(mesh, u):
     return _values(u)[mesh.boundary_facets] @ phi.T
 
 
-def boundary_action(w: BoundaryWeight, u, p, eps=0.0):
+def boundary_action(w: BoundaryWeight, u, p):
     """Nodal assembly of phi_i -> integral_bdry sigma |u|^{p-2} u phi_i."""
     mesh = w.mesh
     out = np.zeros(mesh.n_nodes)
@@ -355,33 +360,48 @@ def lp_norm_p(u, p) -> float:
     return integrate_gauss(u.mesh, np.abs(gauss_values(u.mesh, u)) ** p)
 
 
-def rayleigh(u, w: BoundaryWeight, p) -> float:
-    """Q[sigma, u] = (grad_energy + boundary_term) / lp_norm_p."""
+def rayleigh_numerator(u, w: BoundaryWeight | None, p) -> float:
+    """grad_energy + boundary_term; w=None drops the boundary term."""
+    num = grad_energy(u, p)
+    if w is not None:
+        num += boundary_term(u, w, p)
+    return num
+
+
+def rayleigh(u, w: BoundaryWeight | None, p) -> float:
+    """Q[sigma, u] = rayleigh_numerator / lp_norm_p."""
     den = lp_norm_p(u, p)
     if den <= 0.0:
         raise ConfigError("Rayleigh quotient undefined for u == 0")
-    return (grad_energy(u, p) + boundary_term(u, w, p)) / den
+    return rayleigh_numerator(u, w, p) / den
 
 
-def rayleigh_gradient(u, w: BoundaryWeight, p, eps_reg=1e-10) -> NodalField:
-    """Nodal gradient of the Rayleigh quotient at u.
+def weak_residual(u, w: BoundaryWeight | None, p, q, eps_reg) -> np.ndarray:
+    """Nodal weak-form residual p_stiffness_action - q mass_action + boundary_action.
 
-    Component i equals p/||u||_p^p times the weak-form residual
-    A_i(u) + B_i(u) - Q * M_i(u); it vanishes exactly at discrete
-    eigenfunctions. For p < 2 the singular derivative factors are smoothed
-    by eps_reg; energy values are not.
+    With q = 0 it is the derivative of rayleigh_numerator / p.
     """
     mesh = u.mesh
+    r = p_stiffness_action(mesh, u, p, eps_reg)
+    if q:
+        r = r - q * mass_action(mesh, u, p)
+    if w is not None:
+        r += boundary_action(w, u, p)
+    return r
+
+
+def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg=1e-10) -> NodalField:
+    """Nodal gradient of the Rayleigh quotient at u.
+
+    Equals p/||u||_p^p times weak_residual at q = Q[sigma, u]; it vanishes
+    exactly at discrete eigenfunctions. For p < 2 the singular derivative
+    factors are smoothed by eps_reg; energy values are not.
+    """
     den = lp_norm_p(u, p)
     if den <= 0.0:
         raise ConfigError("Rayleigh gradient undefined for u == 0")
-    q = (grad_energy(u, p) + boundary_term(u, w, p)) / den
-    r = (
-        p_stiffness_action(mesh, u, p, eps_reg)
-        + boundary_action(w, u, p, eps_reg)
-        - q * mass_action(mesh, u, p)
-    )
-    return NodalField(mesh, (p / den) * r)
+    q = rayleigh_numerator(u, w, p) / den
+    return NodalField(u.mesh, (p / den) * weak_residual(u, w, p, q, eps_reg))
 
 
 @dataclass
@@ -473,8 +493,7 @@ def read_weight(mesh, path) -> BoundaryWeight:
             atoms.append((int(ln[1]), float(ln[2])))
         else:
             raise ConfigError(f"unknown record {ln[0]!r} in {path}")
-    kind = "mixed" if (dens is not None and atoms) else ("dirac" if atoms else "facet_density")
-    w = BoundaryWeight(mesh, kind, facet_density=dens, atoms=atoms)
+    w = BoundaryWeight(mesh, facet_density=dens, atoms=atoms)
     if abs(w.total_mass - declared) > 1e-12 * max(1.0, abs(declared)):
         raise ConfigError("declared mass does not match record sum")
     return w

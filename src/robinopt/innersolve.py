@@ -46,21 +46,13 @@ class ConvexPEnergyProblem:
 
     # -- functional pieces -------------------------------------------------
 
-    def energy(self, w):
-        u = en.NodalField(self.mesh, w)
-        r = en.grad_energy(u, self.p)
-        if self.weight is not None:
-            r += en.boundary_term(u, self.weight, self.p)
-        return r
-
     def objective(self, w, b):
-        return self.energy(w) / self.p - float(np.dot(b, w))
+        u = en.NodalField(self.mesh, w)
+        return en.rayleigh_numerator(u, self.weight, self.p) / self.p - float(np.dot(b, w))
 
     def gradient(self, w, b):
-        g = en.p_stiffness_action(self.mesh, w, self.p, self.eps)
-        if self.weight is not None:
-            g += en.boundary_action(self.weight, w, self.p, self.eps)
-        return g - b
+        u = en.NodalField(self.mesh, w)
+        return en.weak_residual(u, self.weight, self.p, 0.0, self.eps) - b
 
     def hessian(self, w):
         h = en.p_stiffness_hessian(self.mesh, w, self.p, self.eps)

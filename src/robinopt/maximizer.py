@@ -21,7 +21,9 @@ the eigenvalue; a mismatch beyond 1e-3 relative flags the report.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "solve_aux",
     "F_eval",
     "invert_F",
+    "FSolver",
     "sigma_max",
     "dirichlet_ceiling",
 ]
@@ -120,7 +123,7 @@ def solve_aux(
     params: SolverParams,
     lam_dirichlet: float | None = None,
     v0: np.ndarray | None = None,
-    _problem: ConvexPEnergyProblem | None = None,
+    problem: ConvexPEnergyProblem | None = None,
 ) -> AuxSolution:
     """Monotone Picard iteration for the auxiliary problem at parameter xi.
 
@@ -130,6 +133,9 @@ def solve_aux(
     which is asserted at runtime. The returned solution and dual load form a
     consistent pair: the interior residual is at inner-solver level, so the
     recovered boundary flux reproduces F(xi) exactly.
+
+    `problem` is the Dirichlet-pinned convex problem each step solves, built
+    here when None; FSolver passes its own to reuse it across calls.
     """
     p = params.p
     if lam_dirichlet is None:
@@ -139,10 +145,11 @@ def solve_aux(
             f"xi={xi} rejected: the auxiliary iteration requires 0 < xi < "
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
-    problem = _problem or ConvexPEnergyProblem(
-        mesh, p, weight=None, fixed_nodes=mesh.boundary_nodes(),
-        eps_reg=params.eps_reg, max_iter=params.max_inner,
-    )
+    if problem is None:
+        problem = ConvexPEnergyProblem(
+            mesh, p, weight=None, fixed_nodes=mesh.boundary_nodes(),
+            eps_reg=params.eps_reg, max_iter=params.max_inner,
+        )
     v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
     load = None
     for it in range(1, params.max_picard + 1):
@@ -181,13 +188,21 @@ def F_eval(
     return solve_aux(mesh, xi, params, lam_dirichlet=lam_dirichlet).F_value
 
 
-class _FCache:
-    """Warm-started F evaluations: reuse the largest known subsolution."""
+class FSolver:
+    """F evaluations and their inversion on one mesh, shared across masses.
 
-    def __init__(self, mesh, params, lam_dirichlet):
+    Owns the Dirichlet ceiling, the Dirichlet-pinned convex problem every
+    Picard step reuses (at p = 2 its LU factorization is computed once) and
+    the computed auxiliary solutions, sorted by xi: each evaluation starts
+    from the largest known subsolution below its xi.
+    """
+
+    def __init__(self, mesh: Mesh, params: SolverParams, lam_dirichlet: float | None = None):
         self.mesh = mesh
         self.params = params
-        self.lam = lam_dirichlet
+        if lam_dirichlet is None:
+            lam_dirichlet = dirichlet_ceiling(mesh, params)
+        self.lam_dirichlet = lam_dirichlet
         self.problem = ConvexPEnergyProblem(
             mesh, params.p, weight=None, fixed_nodes=mesh.boundary_nodes(),
             eps_reg=params.eps_reg, max_iter=params.max_inner,
@@ -195,21 +210,91 @@ class _FCache:
         self.solutions = []  # (xi, values) sorted by xi
         self.evals = 0
 
-    def __call__(self, xi) -> AuxSolution:
-        v0 = None
-        for x_known, vals in self.solutions:
-            if x_known <= xi:
-                v0 = vals
-            else:
-                break
+    def __call__(self, xi: float) -> AuxSolution:
+        """The auxiliary solution at xi (one F evaluation)."""
+        k = bisect.bisect_right(self.solutions, xi, key=itemgetter(0))
         sol = solve_aux(
-            self.mesh, xi, self.params, lam_dirichlet=self.lam, v0=v0,
-            _problem=self.problem,
+            self.mesh, xi, self.params, lam_dirichlet=self.lam_dirichlet,
+            v0=self.solutions[k - 1][1] if k else None, problem=self.problem,
         )
         self.evals += 1
-        self.solutions.append((xi, sol.u_xi.values))
-        self.solutions.sort(key=lambda t: t[0])
+        bisect.insort_right(self.solutions, (xi, sol.u_xi.values), key=itemgetter(0))
         return sol
+
+    def invert(self, m: float) -> AuxSolution:
+        """The auxiliary solution at the root xi(m) of F(xi) = m in (0, lam_dirichlet).
+
+        Bisection on the open interval with three safeguards: the lower end
+        is shrunk geometrically until F(lo) < m, the upper end expands
+        geometrically toward the Dirichlet ceiling when the mass is not
+        reachable inside the default bracket, and once the relative bracket
+        is below 1e-8 a secant polish drives |F(xi) - m| under 1e-10
+        relative so downstream mass identities hold at their stated
+        tolerances.
+        """
+        if m <= 0:
+            raise ConfigError("mass must be positive")
+        lam_dirichlet = self.lam_dirichlet
+        eps = 1e-6
+        lo = eps * lam_dirichlet
+        hi = (1.0 - eps) * lam_dirichlet
+
+        sol_lo = self(lo)
+        while sol_lo.F_value >= m:
+            lo /= 16.0
+            if lo < 1e-280:
+                raise ConfigError("mass too small to bracket")
+            sol_lo = self(lo)
+        f_lo, best_lo = sol_lo.F_value, sol_lo
+
+        best_hi = None  # smallest evaluated xi with F >= m
+        f_hi = None
+        for expansion in range(60):
+            while (hi - lo) > 1e-8 * max(lo, 1e-300):
+                mid = 0.5 * (lo + hi)
+                try:
+                    sol = self(mid)
+                    fm = sol.F_value
+                except (OverflowError, FloatingPointError):
+                    fm = np.inf
+                    sol = None
+                if not np.isfinite(fm) or fm >= m:
+                    hi = mid
+                    if sol is not None and np.isfinite(fm):
+                        best_hi, f_hi = sol, fm
+                else:
+                    lo, f_lo, best_lo = mid, fm, sol
+            if best_hi is not None:
+                break
+            # root may sit above the default ceiling offset: expand toward it
+            hi = lam_dirichlet - (lam_dirichlet - hi) / 8.0
+            if lam_dirichlet - hi < 1e-15 * lam_dirichlet:
+                raise ConvergenceError(
+                    f"mass m={m} unreachable within the bracket cap; F near the "
+                    "singular end exceeds float range -- refine the mesh",
+                    diagnostics={"lam_dirichlet": lam_dirichlet},
+                )
+
+        # secant polish between the best straddling evaluations
+        a, fa, sol_a = best_lo.xi, f_lo, best_lo
+        b, fb, sol_b = best_hi.xi, f_hi, best_hi
+        best = sol_b if abs(fb - m) < abs(fa - m) else sol_a
+        for _ in range(60):
+            if abs(best.F_value - m) <= 1e-10 * m:
+                break
+            if not (b > a) or fb <= fa:
+                break
+            x = a + (m - fa) * (b - a) / (fb - fa)
+            x = min(max(x, np.nextafter(a, b)), np.nextafter(b, a))
+            if x in (a, b):
+                break
+            sol = self(x)
+            if sol.F_value >= m:
+                b, fb, sol_b = x, sol.F_value, sol
+            else:
+                a, fa, sol_a = x, sol.F_value, sol
+            best = sol_b if abs(sol_b.F_value - m) < abs(sol_a.F_value - m) else sol_a
+        return best
 
 
 def invert_F(
@@ -217,88 +302,9 @@ def invert_F(
     m: float,
     params: SolverParams,
     lam_dirichlet: float | None = None,
-    _cache: _FCache | None = None,
-    return_aux: bool = False,
-):
-    """Solve F(xi) = m for xi in (0, lam_dirichlet).
-
-    Bisection on the open interval with three safeguards: the lower end is
-    shrunk geometrically until F(lo) < m, the upper end expands geometrically
-    toward the Dirichlet ceiling when the mass is not reachable inside the
-    default bracket, and once the relative bracket is below 1e-8 a secant
-    polish drives |F(xi) - m| under 1e-10 relative so downstream mass
-    identities hold at their stated tolerances.
-    """
-    if m <= 0:
-        raise ConfigError("mass must be positive")
-    p = params.p
-    if lam_dirichlet is None:
-        lam_dirichlet = dirichlet_ceiling(mesh, params)
-    cache = _cache or _FCache(mesh, params, lam_dirichlet)
-
-    eps = 1e-6
-    lo = eps * lam_dirichlet
-    hi = (1.0 - eps) * lam_dirichlet
-
-    sol_lo = cache(lo)
-    while sol_lo.F_value >= m:
-        lo /= 16.0
-        if lo < 1e-280:
-            raise ConfigError("mass too small to bracket")
-        sol_lo = cache(lo)
-    f_lo, best_lo = sol_lo.F_value, sol_lo
-
-    best_hi = None  # smallest evaluated xi with F >= m
-    f_hi = None
-    for expansion in range(60):
-        while (hi - lo) > 1e-8 * max(lo, 1e-300):
-            mid = 0.5 * (lo + hi)
-            try:
-                sol = cache(mid)
-                fm = sol.F_value
-            except (OverflowError, FloatingPointError):
-                fm = np.inf
-                sol = None
-            if not np.isfinite(fm) or fm >= m:
-                hi = mid
-                if sol is not None and np.isfinite(fm):
-                    best_hi, f_hi = sol, fm
-            else:
-                lo, f_lo, best_lo = mid, fm, sol
-        if best_hi is not None:
-            break
-        # root may sit above the default ceiling offset: expand toward it
-        hi = lam_dirichlet - (lam_dirichlet - hi) / 8.0
-        if lam_dirichlet - hi < 1e-15 * lam_dirichlet:
-            raise ConvergenceError(
-                f"mass m={m} unreachable within the bracket cap; F near the "
-                "singular end exceeds float range -- refine the mesh",
-                diagnostics={"lam_dirichlet": lam_dirichlet},
-            )
-
-    # secant polish between the best straddling evaluations
-    a, fa, sol_a = best_lo.xi, f_lo, best_lo
-    b, fb, sol_b = best_hi.xi, f_hi, best_hi
-    best = sol_b if abs(fb - m) < abs(fa - m) else sol_a
-    for _ in range(60):
-        if abs(best.F_value - m) <= 1e-10 * m:
-            break
-        if not (b > a) or fb <= fa:
-            break
-        x = a + (m - fa) * (b - a) / (fb - fa)
-        x = min(max(x, np.nextafter(a, b)), np.nextafter(b, a))
-        if x in (a, b):
-            break
-        sol = cache(x)
-        if sol.F_value >= m:
-            b, fb, sol_b = x, sol.F_value, sol
-        else:
-            a, fa, sol_a = x, sol.F_value, sol
-        best = sol_b if abs(sol_b.F_value - m) < abs(sol_a.F_value - m) else sol_a
-
-    if return_aux:
-        return best.xi, best, cache
-    return best.xi
+) -> float:
+    """Solve F(xi) = m for xi in (0, lam_dirichlet); see FSolver.invert."""
+    return FSolver(mesh, params, lam_dirichlet).invert(m).xi
 
 
 def sigma_max(
@@ -306,7 +312,7 @@ def sigma_max(
     m: float,
     params: SolverParams,
     lam_dirichlet: float | None = None,
-    _cache: _FCache | None = None,
+    solver: FSolver | None = None,
 ) -> MaxReport:
     """Full pipeline: invert F, recover the maximizing weight, cross-check.
 
@@ -314,14 +320,18 @@ def sigma_max(
     scaled by xi(m): nodal boundary masses whose total equals F(xi(m)) up to
     the inner-solver residual. The report also carries the eigenfunction
     candidate xi^{1/(p-1)} u_xi + 1 (identically 1 on the boundary) and an
-    independent Robin solve of the recovered weight.
+    independent Robin solve of the recovered weight. A `solver` shared across
+    masses reuses its ceiling and warm starts; `lam_dirichlet` is then unused.
     """
     p = params.p
-    if lam_dirichlet is None:
-        lam_dirichlet = dirichlet_ceiling(mesh, params)
-    xi_m, aux, cache = invert_F(
-        mesh, m, params, lam_dirichlet=lam_dirichlet, _cache=_cache, return_aux=True
-    )
+    if solver is None:
+        solver = FSolver(mesh, params, lam_dirichlet)
+    elif solver.mesh is not mesh or solver.params != params:
+        raise ConfigError("solver was built for another mesh or other params")
+    lam_dirichlet = solver.lam_dirichlet
+    evals_before = solver.evals
+    aux = solver.invert(m)
+    xi_m = aux.xi
 
     flux = en.recover_flux(
         aux.u_xi, aux.u_xi, p, load=aux.load, eps_reg=params.eps_reg,
@@ -354,6 +364,6 @@ def sigma_max(
         m=float(m), p=p, xi_m=xi_m, Lambda=xi_m, sigma_m=sigma_m,
         sigma_mass=sigma_m.total_mass, crosscheck_lambda=cross.lam,
         crosscheck_ok=bool(ok), u_m=u_m, lam_dirichlet=lam_dirichlet,
-        F_residual=abs(aux.F_value - m) / m, bisect_evals=cache.evals,
+        F_residual=abs(aux.F_value - m) / m, bisect_evals=solver.evals - evals_before,
         aux=aux, crosscheck_result=cross,
     )

@@ -39,7 +39,7 @@ from robinopt import (
     solve_robin,
 )
 from robinopt.innersolve import ConvexPEnergyProblem
-from robinopt.maximizer import _FCache
+from robinopt.maximizer import FSolver
 from robinopt.oracle import bisect_root
 
 
@@ -90,10 +90,10 @@ def test_criterion_3_maximizer_pipeline_interval():
     params = SolverParams(p=2.0)
     with criterion(3, "constructive maximizer pipeline", 30.0):
         lam_d = dirichlet_ceiling(mesh, params)
-        cache = _FCache(mesh, params, lam_d)
+        cache = FSolver(mesh, params, lam_d)
         last = mesh.n_nodes - 1
         for m in (0.5, 1.0, 2.0, 8.0):
-            rep = sigma_max(mesh, m, params, lam_dirichlet=lam_d, _cache=cache)
+            rep = sigma_max(mesh, m, params, lam_dirichlet=lam_d, solver=cache)
             root = bisect_root(
                 lambda xi: 2 * np.sqrt(xi) * np.tan(np.sqrt(xi) / 2) - m,
                 1e-12, np.pi**2 - 1e-9, rtol=1e-14,
@@ -239,11 +239,11 @@ def test_criterion_9_bounds_suite():
         assert abs(spot - 1.6630) < 5e-5
         params = SolverParams(p=2.0)
         lam_d = dirichlet_ceiling(interval, params)
-        cache = _FCache(interval, params, lam_d)
-        small = sigma_max(interval, 1e-3, params, lam_dirichlet=lam_d, _cache=cache)
-        assert spot <= sigma_max(interval, 2.0, params, lam_dirichlet=lam_d, _cache=cache).Lambda
+        cache = FSolver(interval, params, lam_d)
+        small = sigma_max(interval, 1e-3, params, lam_dirichlet=lam_d, solver=cache)
+        assert spot <= sigma_max(interval, 2.0, params, lam_dirichlet=lam_d, solver=cache).Lambda
         assert small.Lambda < 1e-3 * (1 + 1e-3) / interval.volume
-        big = sigma_max(interval, 1e4, params, lam_dirichlet=lam_d, _cache=cache)
+        big = sigma_max(interval, 1e4, params, lam_dirichlet=lam_d, solver=cache)
         assert big.Lambda / lam_d > 0.9
 
 

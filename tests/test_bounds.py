@@ -106,14 +106,14 @@ def test_check_all_csv_layout(interval200):
 
 def test_lower_bound_gap_shrinks_for_large_mass(interval200):
     from robinopt import SolverParams, dirichlet_ceiling, sigma_max
-    from robinopt.maximizer import _FCache
+    from robinopt.maximizer import FSolver
 
     params = SolverParams(p=2.0)
     lam_d = dirichlet_ceiling(interval200, params)
-    cache = _FCache(interval200, params, lam_d)
+    cache = FSolver(interval200, params, lam_d)
     gaps = []
     for m in (10.0, 100.0, 1000.0):
-        rep = sigma_max(interval200, m, params, lam_dirichlet=lam_d, _cache=cache)
+        rep = sigma_max(interval200, m, params, lam_dirichlet=lam_d, solver=cache)
         bel = belsup(m, lam_d, interval200.volume, 2.0)
         assert bel <= rep.Lambda * (1 + 1e-3)
         gaps.append((rep.Lambda - bel) / rep.Lambda)

@@ -73,6 +73,20 @@ def test_minimize_csv_columns(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_cells_are_plain_floats(tmp_path):
+    # numpy scalars must be written as plain float reprs, not np.float64(...)
+    out = tmp_path / "run"
+    assert run(["maximize", "--domain", "builtin:interval:50", "--m", "2", "--out", str(out)]) == 0
+    assert run(["minimize", "--domain", "builtin:interval:50", "--p", "2", "--m", "1",
+                "--out", str(out), "--serial"]) == 0
+    for name in ("sigma_m.csv", "minimize.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert rows
+        for cell in (c for row in rows for c in row.split(",") if c):
+            assert not cell.startswith("np.")
+            float(cell)
+
+
 def test_sweep_lambda_column_nondecreasing(tmp_path):
     out = tmp_path / "run"
     code = run([

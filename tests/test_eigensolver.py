@@ -4,6 +4,7 @@ import pytest
 from robinopt import (
     BoundaryWeight,
     ConfigError,
+    EigenResult,
     MathRefusalError,
     SolverParams,
     build_interval,
@@ -15,7 +16,7 @@ from robinopt import (
     verify_weak_residual,
 )
 from robinopt.energy import NodalField, lp_norm_p
-from robinopt.eigensolver import _residual_vector
+from robinopt.energy import weak_residual
 from tests.conftest import (
     LAM_POINT_INTERVAL,
     LAM_ROBIN_ONESIDED,
@@ -44,6 +45,12 @@ def test_eigenvalue_below_mass_over_volume(interval200, p2, mass):
     w = BoundaryWeight.constant(interval200, mass)
     res = solve_robin(interval200, w, p2)
     assert res.lam <= mass / interval200.volume + 1e-12
+
+
+def test_eigen_result_built_directly_validates(interval200):
+    u = NodalField(interval200, np.ones(interval200.n_nodes))
+    res = EigenResult(lam=1.0, u=u, mode="robin", outer_iters=0, residual=0.0, p=3.0)
+    assert res.validate() is res
 
 
 def test_dirichlet_p2(interval400, p2):
@@ -101,7 +108,7 @@ def test_point_rejects_interior_node(interval200, p2):
 
 
 def test_zero_mass_weight_refused(interval200, p2):
-    w = BoundaryWeight(interval200, "dirac", atoms=[])
+    w = BoundaryWeight(interval200, atoms=[])
     with pytest.raises(MathRefusalError) as exc:
         solve_robin(interval200, w, p2)
     assert exc.value.exact_value == 0.0
@@ -175,7 +182,7 @@ def test_weak_residual_excludes_constraint_rows(interval400, p2):
 def test_residual_vector_definition(robin11, p2, interval200):
     # the reported residual is the weak form tested against every hat function
     res, w = robin11
-    r = _residual_vector(res.u, w, 2.0, res.lam, p2.eps_reg)
+    r = weak_residual(res.u, w, 2.0, res.lam, p2.eps_reg)
     assert 2.0 * np.max(np.abs(r)) == pytest.approx(res.residual, rel=1e-6, abs=1e-12)
 
 

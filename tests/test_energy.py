@@ -100,7 +100,7 @@ def test_rayleigh_rejects_zero_field(mesh, sigma11):
 def test_gradient_vanishes_at_eigenfunction(interval200, p2):
     res = solve_dirichlet(interval200, p2)
     # free (interior) components of the quotient gradient are the residual
-    g = rayleigh_gradient(res.u, BoundaryWeight(interval200, "dirac"), 2.0).values
+    g = rayleigh_gradient(res.u, BoundaryWeight(interval200), 2.0).values
     assert np.max(np.abs(g[1:-1])) < p2.tol_res
 
 
@@ -204,7 +204,7 @@ def test_random_weight_mass(mesh):
 
 def test_weight_file_round_trip(tmp_path, mesh):
     w = BoundaryWeight(
-        mesh, "mixed", facet_density=np.array([0.25, 1.75]),
+        mesh, facet_density=np.array([0.25, 1.75]),
         atoms=[(0, 0.5)],
     )
     path = tmp_path / "w.bw"

@@ -4,6 +4,7 @@ import pytest
 from robinopt import (
     ConfigError,
     F_eval,
+    FSolver,
     SolverParams,
     dirichlet_ceiling,
     interval_robin_p2,
@@ -14,7 +15,7 @@ from robinopt import (
     solve_aux,
     solve_robin,
 )
-from robinopt.eigensolver import _residual_vector
+from robinopt.energy import weak_residual
 from robinopt.oracle import bisect_root
 
 
@@ -100,6 +101,20 @@ def test_pipeline_interval_symmetric(interval200, p2, lam_d):
     assert abs(rep.Lambda - interval_robin_p2(1.0, 1.0)) / rep.Lambda < 0.005
 
 
+def test_bisect_evals_counted_per_mass(interval200, p2, lam_d):
+    solver = FSolver(interval200, p2, lam_d)
+    first = sigma_max(interval200, 1.0, p2, solver=solver)
+    second = sigma_max(interval200, 2.0, p2, solver=solver)
+    assert 0 < first.bisect_evals < solver.evals
+    assert 0 < second.bisect_evals < solver.evals
+    assert first.bisect_evals + second.bisect_evals == solver.evals
+
+
+def test_sigma_max_rejects_foreign_solver(interval200, p2, p3, lam_d):
+    with pytest.raises(ConfigError):
+        sigma_max(interval200, 1.0, p3, solver=FSolver(interval200, p2, lam_d))
+
+
 def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2, lam_d):
     rep = sigma_max(interval200, 3.0, p2, lam_dirichlet=lam_d)
     bvals = rep.u_m.values[interval200.node_is_boundary]
@@ -108,7 +123,7 @@ def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2, lam_d):
 
 def test_pipeline_candidate_satisfies_weak_form(interval200, p2, lam_d):
     rep = sigma_max(interval200, 2.0, p2, lam_dirichlet=lam_d)
-    r = _residual_vector(rep.u_m, rep.sigma_m, 2.0, rep.xi_m, p2.eps_reg)
+    r = weak_residual(rep.u_m, rep.sigma_m, 2.0, rep.xi_m, p2.eps_reg)
     assert 2.0 * np.max(np.abs(r)) < p2.tol_res
 
 
