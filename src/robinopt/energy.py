@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, RobinoptError
 from .mesh import Mesh
@@ -252,7 +251,8 @@ def p_stiffness_action(mesh, u, p, eps=0.0):
 
 
 def p_stiffness_hessian(mesh, u, p, eps=0.0):
-    """Sparse Hessian of w -> (1/p) integral |grad w|^p at w = u (smoothed)."""
+    """Cell blocks (C, nv, nv) of the Hessian of w -> (1/p) integral |grad w|^p
+    at w = u (smoothed); block c couples the nodes mesh.cells[c]."""
     g = cell_gradients(mesh, u)
     s2 = np.einsum("cd,cd->c", g, g)
     coef = _pm2_coef(s2, p, eps)
@@ -269,12 +269,7 @@ def p_stiffness_hessian(mesh, u, p, eps=0.0):
     )
     blocks = np.einsum("cdv,cde,cew->cvw", mesh.cell_grads, jac, mesh.cell_grads)
     blocks *= mesh.cell_measures[:, None, None]
-    nv = dim + 1
-    rows = np.repeat(mesh.cells, nv, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nv)).ravel()
-    return sp.csr_matrix(
-        (blocks.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    )
+    return blocks
 
 
 def _facet_values(mesh, u):
@@ -301,10 +296,14 @@ def boundary_action(w: BoundaryWeight, u, p):
 
 
 def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
-    """Sparse Hessian of v -> (1/p) integral_bdry sigma |v|^p at v = u."""
+    """Hessian of v -> (1/p) integral_bdry sigma |v|^p at v = u, as element parts.
+
+    Returns facet blocks (B, nvf, nvf) coupling mesh.boundary_facets (B = 0
+    without a facet density) and one diagonal entry per atom of w.atoms.
+    """
     mesh = w.mesh
-    n = mesh.n_nodes
-    mats = []
+    nv = mesh.boundary_facets.shape[1]
+    blocks = np.zeros((0, nv, nv))
     if w.facet_density is not None:
         phi, wq = _facet_rule(mesh)
         vals = _facet_values(mesh, u)
@@ -312,19 +311,9 @@ def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
         scale = (w.facet_density * mesh.facet_measures)[:, None]
         d = coef * wq * scale  # (B, nq)
         blocks = np.einsum("bq,qv,qw->bvw", d, phi, phi)
-        nv = mesh.boundary_facets.shape[1]
-        rows = np.repeat(mesh.boundary_facets, nv, axis=1).ravel()
-        cols = np.tile(mesh.boundary_facets, (1, nv)).ravel()
-        mats.append(sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)))
-    if w.atoms:
-        uv = _values(u)
-        idx = np.array([a[0] for a in w.atoms])
-        ms = np.array([a[1] for a in w.atoms])
-        d = (p - 1.0) * ms * _pm2_coef(uv[idx] ** 2, p, eps)
-        mats.append(sp.csr_matrix((d, (idx, idx)), shape=(n, n)))
-    if not mats:
-        return sp.csr_matrix((n, n))
-    return sum(mats[1:], start=mats[0])
+    uv = _values(u)[[a[0] for a in w.atoms]]
+    ms = np.array([a[1] for a in w.atoms], dtype=float)
+    return blocks, (p - 1.0) * ms * _pm2_coef(uv**2, p, eps)
 
 
 # ---------------------------------------------------------------------------
