@@ -37,48 +37,70 @@ EXIT_NOCONV = 4
 EXIT_INVARIANT = 5
 
 
+def _fields(spec, n):
+    """The n ':'-separated fields after the keyword of spec."""
+    parts = spec.split(":")
+    if len(parts) != n + 1:
+        raise ConfigError(f"malformed spec {spec!r}: {parts[0]!r} takes {n} field(s)")
+    return parts[1:]
+
+
+def _num(conv, text, spec):
+    """conv(text), as a ConfigError naming spec when text is not a number."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise ConfigError(f"malformed spec {spec!r}: {text!r} is not a number") from None
+
+
 def _parse_domain(spec):
     if spec is None:
         raise ConfigError("--domain is required for this command")
-    parts = spec.split(":")
-    if parts[0] == "builtin":
-        kind = parts[1]
-        if kind == "interval":
-            return build_interval(int(parts[2]))
-        if kind == "disk":
-            return build_disk(float(parts[2]))
-        if kind == "square":
-            return build_square(float(parts[2]))
-        raise ConfigError(f"unknown builtin domain {kind!r}")
-    if parts[0] == "file":
-        return read_mesh(":".join(parts[1:]))
-    raise ConfigError(f"bad domain spec {spec!r}")
+    kind, _, path = spec.partition(":")
+    if kind == "file":
+        return read_mesh(path)
+    if kind != "builtin":
+        raise ConfigError(f"bad domain spec {spec!r}")
+    name, size = _fields(spec, 2)
+    if name == "interval":
+        return build_interval(_num(int, size, spec))
+    if name == "disk":
+        return build_disk(_num(float, size, spec))
+    if name == "square":
+        return build_square(_num(float, size, spec))
+    raise ConfigError(f"unknown builtin domain {name!r}")
 
 
 def _parse_list(spec):
     """Sweep spec: 'log:a:b:k', 'lin:a:b:k' or comma-separated values."""
-    if spec.startswith("log:"):
-        _, a, b, k = spec.split(":")
-        vals = list(np.geomspace(float(a), float(b), int(k)))
-    elif spec.startswith("lin:"):
-        _, a, b, k = spec.split(":")
-        vals = list(np.linspace(float(a), float(b), int(k)))
+    kind = spec.partition(":")[0]
+    if kind in ("log", "lin"):
+        a, b, k = _fields(spec, 3)
+        a, b, k = _num(float, a, spec), _num(float, b, spec), _num(int, k, spec)
+        if k < 1 or (kind == "log" and not (a > 0 and b > 0)):
+            raise ConfigError(f"malformed spec {spec!r}: needs K >= 1, and A, B > 0 for log")
+        vals = list(np.geomspace(a, b, k) if kind == "log" else np.linspace(a, b, k))
     else:
-        vals = [float(v) for v in spec.split(",")]
+        vals = [_num(float, v, spec) for v in spec.split(",")]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep values must be strictly increasing")
     return vals
 
 
 def _parse_sigma(mesh, spec):
-    parts = spec.split(":")
-    if parts[0] == "const":
-        return BoundaryWeight.constant(mesh, float(parts[1]) * mesh.boundary_measure)
-    if parts[0] == "file":
-        return en.read_weight(mesh, ":".join(parts[1:]))
-    if parts[0] == "dirac":
-        point = [float(v) for v in parts[1].split(",")]
-        return BoundaryWeight.dirac(mesh, point if len(point) > 1 else point[0] * np.ones(mesh.dim), float(parts[2]))
+    kind, _, path = spec.partition(":")
+    if kind == "file":
+        return en.read_weight(mesh, path)
+    if kind == "const":
+        (density,) = _fields(spec, 1)
+        return BoundaryWeight.constant(mesh, _num(float, density, spec) * mesh.boundary_measure)
+    if kind == "dirac":
+        where, mass = _fields(spec, 2)
+        point = [_num(float, v, spec) for v in where.split(",")]
+        if len(point) not in (1, mesh.dim):
+            raise ConfigError(f"malformed spec {spec!r}: the point needs 1 or {mesh.dim} coordinates")
+        return BoundaryWeight.dirac(mesh, point if len(point) > 1 else point[0] * np.ones(mesh.dim),
+                                    _num(float, mass, spec))
     raise ConfigError(f"bad sigma spec {spec!r}")
 
 

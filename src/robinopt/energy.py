@@ -130,7 +130,7 @@ class BoundaryWeight:
         for n, m in self.atoms:
             if m < 0:
                 raise ConfigError("atom masses must be nonnegative")
-            if not self.mesh.node_is_boundary[n]:
+            if not (0 <= n < self.mesh.n_nodes and self.mesh.node_is_boundary[n]):
                 raise ConfigError(f"atom node {n} is not a boundary node")
 
     @property
@@ -160,11 +160,8 @@ class BoundaryWeight:
     @classmethod
     def dirac(cls, mesh, where, mass):
         """Dirac mass at a boundary node; `where` is a node index or a point."""
-        snap = 0.0
         if np.ndim(where) == 0:
-            node = int(where)
-            if not mesh.node_is_boundary[node]:
-                raise ConfigError(f"node {node} is not a boundary node")
+            node, snap = int(where), 0.0
         else:
             node, snap = mesh.nearest_boundary_node(where)
         return cls(mesh, atoms=[(node, float(mass))], snap_distance=snap)
@@ -468,20 +465,26 @@ def write_weight(w: BoundaryWeight, path):
 def read_weight(mesh, path) -> BoundaryWeight:
     with open(path) as fh:
         lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "bw" or lines[0][1] != "1":
+    if not lines or lines[0][:2] != ["bw", "1"] or len(lines[0]) != 3:
         raise ConfigError(f"not a bw-1 file: {path}")
-    declared = float(lines[0][2])
     dens = None
     atoms = []
-    for ln in lines[1:]:
-        if ln[0] == "facet":
-            if dens is None:
-                dens = np.zeros(len(mesh.boundary_facets))
-            dens[int(ln[1])] = float(ln[2])
-        elif ln[0] == "atom":
-            atoms.append((int(ln[1]), float(ln[2])))
-        else:
-            raise ConfigError(f"unknown record {ln[0]!r} in {path}")
+    try:
+        declared = float(lines[0][2])
+        for ln in lines[1:]:
+            if ln[0] == "facet" and len(ln) == 3:
+                if dens is None:
+                    dens = np.zeros(len(mesh.boundary_facets))
+                k = int(ln[1])
+                if not 0 <= k < len(dens):
+                    raise ConfigError(f"facet {k} out of range in {path}")
+                dens[k] = float(ln[2])
+            elif ln[0] == "atom" and len(ln) == 3:
+                atoms.append((int(ln[1]), float(ln[2])))
+            else:
+                raise ConfigError(f"bad record {' '.join(ln)!r} in {path}")
+    except ValueError as exc:
+        raise ConfigError(f"bad number in {path}: {exc}") from None
     w = BoundaryWeight(mesh, facet_density=dens, atoms=atoms)
     if abs(w.total_mass - declared) > 1e-12 * max(1.0, abs(declared)):
         raise ConfigError("declared mass does not match record sum")

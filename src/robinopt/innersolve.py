@@ -236,16 +236,20 @@ class ConvexPEnergyProblem:
         h, solve = self._quadratic
         bf = b[self.free_idx]
         wf = solve(bf)
-        # iterative refinement keeps the residual near machine level
+        g = h.dot(wf) - bf
+        gn = float(np.max(np.abs(g)))
+        # iterative refinement keeps the residual near machine level; a
+        # correction that does not halve it has hit the roundoff floor
         for _ in range(3):
-            g = h.dot(wf) - bf
-            gn = float(np.max(np.abs(g)))
             if gn <= gtol:
                 break
             wf -= solve(g)
-        else:
-            log.debug("quadratic solve used all 3 refinement steps; |grad| was %.3e "
-                      "before the last (target %.1e)", gn, gtol)
+            g = h.dot(wf) - bf
+            gn, gn_prev = float(np.max(np.abs(g))), gn
+            if gn > 0.5 * gn_prev:
+                break
+        if gn > gtol:
+            log.debug("quadratic solve stopped refining at |grad|=%.3e (target %.1e)", gn, gtol)
         out = np.zeros(self.mesh.n_nodes)
         out[self.free_idx] = wf
         return out

@@ -8,7 +8,8 @@ are produced constructively:
    strictly convex minimization with zero boundary values),
 2. evaluate the strictly increasing function
    F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1},
-3. invert F(xi) = m by safeguarded bisection with a secant polish,
+3. invert F(xi) = m by Illinois steps on the bracket [0, m/|Omega|] (or
+   one walked up toward the Dirichlet eigenvalue when m/|Omega| exceeds it),
 4. recover the optimal weight as the variational boundary flux of the
    auxiliary solution, scaled by xi(m).
 
@@ -107,7 +108,7 @@ class MaxReport:
 
 
 def dirichlet_ceiling(mesh: Mesh, params: SolverParams) -> float:
-    """Discrete Dirichlet eigenvalue used as the bisection ceiling for F."""
+    """Discrete Dirichlet eigenvalue, the ceiling of the F inversion's bracket."""
     return solve_dirichlet(mesh, params).lam
 
 
@@ -224,77 +225,63 @@ class FSolver:
     def invert(self, m: float) -> AuxSolution:
         """The auxiliary solution at the root xi(m) of F(xi) = m in (0, lam_dirichlet).
 
-        Bisection on the open interval with three safeguards: the lower end
-        is shrunk geometrically until F(lo) < m, the upper end expands
-        geometrically toward the Dirichlet ceiling when the mass is not
-        reachable inside the default bracket, and once the relative bracket
-        is below 1e-8 a secant polish drives |F(xi) - m| under 1e-10
-        relative so downstream mass identities hold at their stated
-        tolerances.
+        F is strictly increasing with F(0) = 0 and F(xi) >= xi |Omega|, so
+        [0, m/|Omega|] brackets the root when m/|Omega| is below the
+        Dirichlet ceiling; otherwise the upper end approaches the ceiling
+        geometrically, each end with F < m becoming the lower end. Illinois
+        steps (regula falsi that halves the value kept at an end retained
+        twice) then shrink the bracket until |F(xi) - m| <= 1e-10 m or its
+        ends are adjacent floats; a non-finite F counts as above m and is
+        followed by a bisection step. Returns the better of the two
+        bracketing solutions.
         """
         if m <= 0:
             raise ConfigError("mass must be positive")
-        lam_dirichlet = self.lam_dirichlet
-        eps = 1e-6
-        lo = eps * lam_dirichlet
-        hi = (1.0 - eps) * lam_dirichlet
+        lam = self.lam_dirichlet
 
-        sol_lo = self(lo)
-        while sol_lo.F_value >= m:
-            lo /= 16.0
-            if lo < 1e-280:
-                raise ConfigError("mass too small to bracket")
-            sol_lo = self(lo)
-        f_lo, best_lo = sol_lo.F_value, sol_lo
+        def excess(xi):
+            try:
+                sol = self(xi)
+            except (OverflowError, FloatingPointError):
+                return None, np.inf
+            f = sol.F_value - m
+            return (sol, f) if np.isfinite(f) else (None, np.inf)
 
-        best_hi = None  # smallest evaluated xi with F >= m
-        f_hi = None
-        for expansion in range(60):
-            while (hi - lo) > 1e-8 * max(lo, 1e-300):
-                mid = 0.5 * (lo + hi)
-                try:
-                    sol = self(mid)
-                    fm = sol.F_value
-                except (OverflowError, FloatingPointError):
-                    fm = np.inf
-                    sol = None
-                if not np.isfinite(fm) or fm >= m:
-                    hi = mid
-                    if sol is not None and np.isfinite(fm):
-                        best_hi, f_hi = sol, fm
-                else:
-                    lo, f_lo, best_lo = mid, fm, sol
-            if best_hi is not None:
-                break
-            # root may sit above the default ceiling offset: expand toward it
-            hi = lam_dirichlet - (lam_dirichlet - hi) / 8.0
-            if lam_dirichlet - hi < 1e-15 * lam_dirichlet:
+        a, fa, sol_a = 0.0, -m, None  # F(0) = 0 needs no evaluation
+        b = m / self.mesh.volume if m / self.mesh.volume < lam else 0.5 * lam
+        sol_b, fb = excess(b)
+        while fb < 0.0:
+            a, fa, sol_a = b, fb, sol_b
+            b = lam - 0.5 * (lam - b)
+            if lam - b < 1e-15 * lam:
                 raise ConvergenceError(
                     f"mass m={m} unreachable within the bracket cap; F near the "
                     "singular end exceeds float range -- refine the mesh",
-                    diagnostics={"lam_dirichlet": lam_dirichlet},
+                    diagnostics={"lam_dirichlet": lam},
                 )
+            sol_b, fb = excess(b)
 
-        # secant polish between the best straddling evaluations
-        a, fa, sol_a = best_lo.xi, f_lo, best_lo
-        b, fb, sol_b = best_hi.xi, f_hi, best_hi
-        best = sol_b if abs(fb - m) < abs(fa - m) else sol_a
-        for _ in range(60):
-            if abs(best.F_value - m) <= 1e-10 * m:
-                break
-            if not (b > a) or fb <= fa:
-                break
-            x = a + (m - fa) * (b - a) / (fb - fa)
+        side = 0  # which end the last step moved: +1 for b, -1 for a
+        while True:
+            best = min((s for s in (sol_a, sol_b) if s is not None),
+                       key=lambda s: abs(s.F_value - m), default=None)
+            if best is not None and abs(best.F_value - m) <= 1e-10 * m:
+                return best
+            x = a - fa * (b - a) / (fb - fa) if np.isfinite(fb) else 0.5 * (a + b)
             x = min(max(x, np.nextafter(a, b)), np.nextafter(b, a))
-            if x in (a, b):
-                break
-            sol = self(x)
-            if sol.F_value >= m:
-                b, fb, sol_b = x, sol.F_value, sol
+            if not a < x < b:
+                return best
+            sol, fx = excess(x)
+            if fx >= 0.0:
+                if side > 0:
+                    fa *= 0.5
+                b, fb, side = x, fx, 1
+                if sol is not None:
+                    sol_b = sol
             else:
-                a, fa, sol_a = x, sol.F_value, sol
-            best = sol_b if abs(sol_b.F_value - m) < abs(sol_a.F_value - m) else sol_a
-        return best
+                if side < 0:
+                    fb *= 0.5
+                a, fa, sol_a, side = x, fx, sol, -1
 
 
 def invert_F(

@@ -68,20 +68,30 @@ def _pmap(worker, jobs, workers):
         return list(ex.map(worker, jobs))
 
 
-def _point_job(args):
-    mesh, node, params = args
+def _node_job(args):
+    mesh, node, params, mass = args
     try:
-        return node, solve_point(mesh, node, params).lam, None
+        if mass is None:
+            return solve_point(mesh, node, params).lam, None
+        return solve_dirac(mesh, node, mass, params).lam, None
     except ConvergenceError as exc:
-        return node, math.nan, str(exc)
+        return math.nan, str(exc)
 
 
-def _dirac_job(args):
-    mesh, node, mass, params = args
-    try:
-        return node, solve_dirac(mesh, node, mass, params).lam, None
-    except ConvergenceError as exc:
-        return node, math.nan, str(exc)
+def _scan(mesh, params, workers, mass=None):
+    """Point (mass None) or Dirac eigenvalue per boundary node, and the failures.
+
+    A failed node solve is recorded and the scan goes on; only a scan in
+    which every node failed raises.
+    """
+    nodes = mesh.boundary_nodes()
+    out = _pmap(_node_job, [(mesh, int(n), params, mass) for n in nodes], workers)
+    values = np.array([v for v, _ in out])
+    failures = {int(n): msg for n, (_, msg) in zip(nodes, out) if msg is not None}
+    if not np.isfinite(values).any():
+        what = "point" if mass is None else "Dirac"
+        raise ConvergenceError(f"every {what} solve failed", diagnostics=failures)
+    return nodes, values, failures
 
 
 @dataclass
@@ -138,14 +148,8 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
     """
     if params.p <= mesh.dim:
         _refuse_p_le_n(params.p, mesh.dim, "scan_point_eigen")
-    nodes = mesh.boundary_nodes()
-    out = _pmap(_point_job, [(mesh, int(n), params) for n in nodes], workers)
-    values = np.array([v for _, v, _ in out])
-    failures = {n: msg for n, _, msg in out if msg is not None}
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ConvergenceError("every point solve failed", diagnostics=failures)
-    vmin = float(np.min(values[finite]))
+    nodes, values, failures = _scan(mesh, params, workers)
+    vmin = float(np.nanmin(values))
     ties = [int(n) for n, v in zip(nodes, values) if np.isfinite(v) and v <= vmin * (1 + _TIE_RTOL)]
     return PointScan(
         p=params.p, nodes=nodes, values=values, lambda1_omega=vmin,
@@ -167,14 +171,8 @@ def lambda_inf(
         raise ConfigError("mass must be positive")
     if scan is None:
         scan = scan_point_eigen(mesh, params, workers=workers)
-    nodes = mesh.boundary_nodes()
-    out = _pmap(_dirac_job, [(mesh, int(n), float(m), params) for n in nodes], workers)
-    values = np.array([v for _, v, _ in out])
-    failures = {n: msg for n, _, msg in out if msg is not None}
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ConvergenceError("every Dirac solve failed", diagnostics=failures)
-    k = int(np.nanargmin(np.where(finite, values, np.inf)))
+    nodes, values, failures = _scan(mesh, params, workers, float(m))
+    k = int(np.nanargmin(values))
     return MinReport(
         m=float(m), p=params.p, nodes=nodes, lambda_dirac=values,
         lambda_inf=float(values[k]), x_m_node=int(nodes[k]), x_m=mesh.nodes[nodes[k]],

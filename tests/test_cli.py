@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from robinopt.cli import main
 
@@ -36,6 +37,25 @@ def test_minimize_refused_exit_code(capsys):
 
 def test_bad_domain_exit_code(capsys):
     assert run(["dirichlet", "--domain", "builtin:torus:3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirichlet", "--domain", "builtin:disk"],
+    ["dirichlet", "--domain", "builtin:disk:abc"],
+    ["robin", "--domain", "builtin:interval:10", "--sigma", "const:"],
+    ["robin", "--domain", "builtin:interval:10", "--sigma", "dirac:"],
+    ["sweep", "--domain", "builtin:interval:10", "--m-list", "log:1:2"],
+])
+def test_malformed_spec_exit_code(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
+    path = tmp_path / "w.bw"
+    path.write_text("bw 1 0.5\natom -1 0.5\n")
+    assert run(["robin", "--domain", "builtin:interval:10", "--sigma", f"file:{path}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_oracle_exit_code(capsys):

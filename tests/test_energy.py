@@ -188,6 +188,25 @@ def test_weight_validation(mesh):
         BoundaryWeight.dirac(mesh, 3, 1.0)  # interior node
 
 
+@pytest.mark.parametrize("node", [-1, 99])
+def test_atom_node_outside_mesh_rejected(node):
+    mesh = build_interval(10)  # 11 nodes
+    with pytest.raises(ConfigError):
+        BoundaryWeight(mesh, atoms=[(node, 0.5)])
+    with pytest.raises(ConfigError):
+        BoundaryWeight.dirac(mesh, node, 0.5)
+
+
+@pytest.mark.parametrize("record", [
+    "atom -1 0.5", "atom 99 0.5", "facet -1 0.5", "facet 2 0.5", "atom 0", "atom x 0.5",
+])
+def test_read_weight_rejects_bad_records(tmp_path, record):
+    path = tmp_path / "w.bw"
+    path.write_text(f"bw 1 0.5\n{record}\n")
+    with pytest.raises(ConfigError):
+        read_weight(build_interval(10), path)  # 11 nodes, 2 boundary facets
+
+
 def test_dirac_snaps_to_nearest_boundary_node():
     s = build_square(0.25)
     w = BoundaryWeight.dirac(s, [0.51, 0.0], 1.0)

@@ -110,6 +110,15 @@ def test_bisect_evals_counted_per_mass(interval200, p2, lam_d):
     assert first.bisect_evals + second.bisect_evals == solver.evals
 
 
+def test_inversion_evals_and_residual(interval200, p2, lam_d):
+    solver = FSolver(interval200, p2, lam_d)
+    assert 50.0 / interval200.volume > lam_d  # m = 50 walks the bracket up to the ceiling
+    for m in (0.01, 0.5, 2.0, 8.0, 50.0):
+        rep = sigma_max(interval200, m, p2, solver=solver)
+        assert rep.bisect_evals <= 20
+        assert rep.F_residual <= 1e-9
+
+
 def test_sigma_max_rejects_foreign_solver(interval200, p2, p3, lam_d):
     with pytest.raises(ConfigError):
         sigma_max(interval200, 1.0, p3, solver=FSolver(interval200, p2, lam_d))
