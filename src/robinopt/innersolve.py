@@ -239,13 +239,17 @@ class ConvexPEnergyProblem:
         g = h.dot(wf) - bf
         gn = float(np.max(np.abs(g)))
         # iterative refinement keeps the residual near machine level; a
-        # correction that does not halve it has hit the roundoff floor
+        # correction that does not halve it has hit the roundoff floor, and
+        # one that raises it is undone
         for _ in range(3):
             if gn <= gtol:
                 break
-            wf -= solve(g)
+            wf_prev, gn_prev = wf, gn
+            wf = wf - solve(g)
             g = h.dot(wf) - bf
-            gn, gn_prev = float(np.max(np.abs(g))), gn
+            gn = float(np.max(np.abs(g)))
+            if gn > gn_prev:
+                wf, gn = wf_prev, gn_prev
             if gn > 0.5 * gn_prev:
                 break
         if gn > gtol:

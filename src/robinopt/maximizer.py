@@ -8,8 +8,9 @@ are produced constructively:
    strictly convex minimization with zero boundary values),
 2. evaluate the strictly increasing function
    F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1},
-3. invert F(xi) = m by Illinois steps on the bracket [0, m/|Omega|] (or
-   one walked up toward the Dirichlet eigenvalue when m/|Omega| exceeds it),
+3. invert F(xi) = m by Illinois steps on the bracket [0, b], where b starts
+   at min(m/|Omega|, lam_D/2) and walks halfway up to the Dirichlet
+   eigenvalue lam_D while F(b) < m,
 4. recover the optimal weight as the variational boundary flux of the
    auxiliary solution, scaled by xi(m).
 
@@ -226,9 +227,11 @@ class FSolver:
         """The auxiliary solution at the root xi(m) of F(xi) = m in (0, lam_dirichlet).
 
         F is strictly increasing with F(0) = 0 and F(xi) >= xi |Omega|, so
-        [0, m/|Omega|] brackets the root when m/|Omega| is below the
-        Dirichlet ceiling; otherwise the upper end approaches the ceiling
-        geometrically, each end with F < m becoming the lower end. Illinois
+        the upper end starts at min(m/|Omega|, lam_dirichlet/2) and, while F
+        stays below m there, approaches the ceiling geometrically, each end
+        with F < m becoming the lower end; no evaluation lands nearer the
+        ceiling than half the root's distance from it, where the Picard
+        iteration contracts slowly. Illinois
         steps (regula falsi that halves the value kept at an end retained
         twice) then shrink the bracket until |F(xi) - m| <= 1e-10 m or its
         ends are adjacent floats; a non-finite F counts as above m and is
@@ -248,7 +251,7 @@ class FSolver:
             return (sol, f) if np.isfinite(f) else (None, np.inf)
 
         a, fa, sol_a = 0.0, -m, None  # F(0) = 0 needs no evaluation
-        b = m / self.mesh.volume if m / self.mesh.volume < lam else 0.5 * lam
+        b = min(m / self.mesh.volume, 0.5 * lam)
         sol_b, fb = excess(b)
         while fb < 0.0:
             a, fa, sol_a = b, fb, sol_b

@@ -154,7 +154,7 @@ def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch, 
         w = problem.solve(b, w0=v, gtol=gtol)
     g = problem.gradient(w, b)[problem.free]
     assert np.max(np.abs(g)) > gtol  # the step does stagnate
-    assert len(solves) == 2  # one solve and one correction that failed to halve
+    assert len(solves) <= 2  # at most one correction once the residual stops halving
     messages = [r.getMessage() for r in caplog.records if r.name == "robinopt"]
     assert any("stopped refining" in m for m in messages)
     h = problem.hessian(w).toarray()

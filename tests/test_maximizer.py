@@ -15,6 +15,7 @@ from robinopt import (
     solve_aux,
     solve_robin,
 )
+import robinopt.maximizer as mx
 from robinopt.energy import weak_residual
 from robinopt.oracle import bisect_root
 
@@ -117,6 +118,25 @@ def test_inversion_evals_and_residual(interval200, p2, lam_d):
         rep = sigma_max(interval200, m, p2, solver=solver)
         assert rep.bisect_evals <= 20
         assert rep.F_residual <= 1e-9
+
+
+def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, lam_d, monkeypatch):
+    # m just below lam_D |Omega|: the root (xi ~ 5.2) lies far below lam_D,
+    # where Picard contracts at about xi/lam_D; no evaluation may land there
+    picard = []
+    solve = mx.solve_aux
+
+    def counting_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        picard.append(sol.picard_iters)
+        return sol
+
+    monkeypatch.setattr(mx, "solve_aux", counting_solve)
+    m = 0.9999 * lam_d * interval200.volume
+    rep = sigma_max(interval200, m, p2, solver=FSolver(interval200, p2, lam_d))
+    assert sum(picard) <= 2000
+    assert rep.F_residual <= 1e-9
+    assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
 
 
 def test_sigma_max_rejects_foreign_solver(interval200, p2, p3, lam_d):
