@@ -194,7 +194,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenRe
     since the discrete value is then a mesh artifact.
     """
     node = int(node)
-    if not mesh.node_is_boundary[node]:
+    if not (0 <= node < mesh.n_nodes and mesh.node_is_boundary[node]):
         raise ConfigError(f"node {node} is not a boundary node")
     note = None
     if params.p <= mesh.dim:

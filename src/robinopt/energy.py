@@ -1,23 +1,19 @@
 """Discrete p-Dirichlet energy, boundary terms, Rayleigh quotient and flux recovery.
 
-All functionals act on piecewise-linear (P1) nodal fields:
-
-* the gradient term  integral |grad u|^p  is quadrature-exact (cell gradients
-  are constant),
-* interior p-mass integrals use a fixed low-order Gauss rule on the P1
-  interpolant (2-point per cell in 1D, 3-point edge-midpoint rule in 2D),
-* boundary densities are integrated facet-wise with the same 2-point rule on
-  the P1 trace; Dirac atoms contribute mass * |u(node)|^p.
-
-The derivative assemblies are the exact derivatives of these discrete
-functionals, except that for p < 2 the singular factors |.|^{p-2} are
-smoothed as (|.|^2 + eps_reg^2)^{(p-2)/2} inside derivatives only: energy and
-Rayleigh values are never regularized.
+Every functional of a P1 nodal field is a sum of terms sum_e sum_q c_eq |z_eq|^p
+(PowerTerm), z_eq linear in element e's nodal values: the stiffness (cells,
+constant cell gradients, so exact), the interior mass (cells, a fixed Gauss
+rule: 2-point per cell in 1D, 3-point edge-midpoint in 2D), a facet density
+(boundary facets, the point value in 1D, 2-point Gauss on the trace in 2D) and
+point masses (one-node elements). One kernel gives every term's value, nodal
+action and Hessian blocks; for p < 2 one rule smooths |z|^{p-2} as
+(|z|^2 + eps^2)^{(p-2)/2} in every derivative given eps, never in a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,19 +46,9 @@ _PHI_CELL_1D = np.array([[0.5 + _G1, 0.5 - _G1], [0.5 - _G1, 0.5 + _G1]])
 _W_CELL_1D = np.array([0.5, 0.5])
 _PHI_CELL_2D = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _W_CELL_2D = np.array([1.0, 1.0, 1.0]) / 3.0
-# facet rules: point evaluation in 1D, 2-point Gauss on the trace in 2D
-_PHI_FACET_1D = np.array([[1.0]])
-_W_FACET_1D = np.array([1.0])
-_PHI_FACET_2D = _PHI_CELL_1D
-_W_FACET_2D = _W_CELL_1D
-
-
-def _cell_rule(mesh):
-    return (_PHI_CELL_1D, _W_CELL_1D) if mesh.dim == 1 else (_PHI_CELL_2D, _W_CELL_2D)
-
-
-def _facet_rule(mesh):
-    return (_PHI_FACET_1D, _W_FACET_1D) if mesh.dim == 1 else (_PHI_FACET_2D, _W_FACET_2D)
+# one-point rule: a point value (1D facets, atoms) or a cell's constant gradient
+_POINT = np.array([[1.0]])
+_ONE = np.array([1.0])
 
 
 @dataclass
@@ -179,40 +165,115 @@ def random_weight(mesh, mass, rng):
 
 
 # ---------------------------------------------------------------------------
-# primitive assemblies
+# power terms
 # ---------------------------------------------------------------------------
 
 def _values(u):
     return u.values if isinstance(u, NodalField) else np.asarray(u, dtype=float)
 
 
-def _signed_power(v, q):
-    """sign(v) * |v|^q, safe at v = 0 for q > 0."""
-    return np.sign(v) * np.abs(v) ** q
-
-
-def _pm2_coef(s2, p, eps):
-    """(s2 [+ eps^2])^{(p-2)/2}; smoothing active only for p < 2."""
+def _power_coefs(s2, p, eps, hessian=False):
+    """coef, or (coef, fac) if hessian: at |z|^2 = s2 the derivative of |z|^p / p
+    is coef z and its Hessian coef I + fac z z^T, coef = t^{(p-2)/2} and
+    fac = (p-2) t^{(p-4)/2} (0 at t = 0), t = s2 + eps^2 for p < 2, else s2.
+    Unsmoothed p < 2 takes t = 1 at z = 0, where the action's limit is 0."""
     if p < 2.0:
-        return (s2 + eps * eps) ** ((p - 2.0) / 2.0)
-    return s2 ** ((p - 2.0) / 2.0)
+        t = s2 + eps * eps if eps else np.where(s2 > 0, s2, 1.0)
+    else:
+        t = s2
+    coef = t ** ((p - 2.0) / 2.0)
+    if not hessian:
+        return coef
+    return coef, np.divide((p - 2.0) * coef, t, out=np.zeros_like(t), where=t > 0)
 
 
-def cell_gradients(mesh, u):
-    """Constant gradient of the P1 field on every cell, shape (C, dim)."""
-    return np.einsum("cdv,cv->cd", mesh.cell_grads, _values(u)[mesh.cells])
+class PowerTerm:
+    """One term sum_e sum_q c_eq |z_eq|^p, c_eq = scale_e * w_q, of a P1 field u.
+
+    z_eq is a D-vector at one point (Q = 1) or a scalar at each of Q points
+    (D = 1); z_e = L u[elems[e]] stacks them, with L of shape (Q*D, k), or
+    (E, Q*D, k) when it differs per element.
+    """
+
+    def __init__(self, n_nodes, elems, L, w, scale):
+        self.n_nodes, self.elems, self.L, self.w, self.scale = n_nodes, elems, L, w, scale
+        self.ncomp = L.shape[-2] // len(w)  # D
+        self._L4 = L.reshape(L.shape[:-2] + (len(w), self.ncomp, L.shape[-1]))
+
+    @cached_property
+    def c(self):
+        return self.scale[:, None] * self.w
+
+    def args(self, u):
+        """The stacked arguments z, shape (E, Q*D)."""
+        ue = _values(u)[self.elems]
+        return ue @ self.L.T if self.L.ndim == 2 else np.einsum("erk,ek->er", self.L, ue)
+
+    def _s2(self, z):
+        """|z_eq|^2, shape (E, Q)."""
+        return z * z if self.ncomp == 1 else np.einsum("er,er->e", z, z)[:, None]
+
+    def scatter(self, f):
+        """Nodal vector sum_e f_e . L phi_i for f of shape (E, Q*D)."""
+        contrib = f @ self.L if self.L.ndim == 2 else np.einsum("er,erk->ek", f, self.L)
+        return np.bincount(self.elems.ravel(), weights=contrib.ravel(), minlength=self.n_nodes)
+
+    def value(self, u, p):
+        return float(np.vdot(self.c, self._s2(self.args(u)) ** (p / 2.0)))
+
+    def action(self, u, p, eps=0.0):
+        """Nodal derivative of value / p."""
+        z = self.args(u)
+        return self.scatter(self.c * _power_coefs(self._s2(z), p, eps) * z)
+
+    def stiffness(self):
+        """c_eq L_q^T L_q, shape (E, Q, k, k): the fixed part of the Hessian blocks."""
+        return self.c[:, :, None, None] * np.matmul(np.swapaxes(self._L4, -1, -2), self._L4)
+
+    def blocks(self, u, p, eps=0.0, k0=None):
+        """Element blocks (E, k, k) of the Hessian of value / p at u:
+        sum_q coef_eq K0_eq + fac_eq c_eq (L_q^T z_eq)(L_q^T z_eq)^T, K0 = stiffness()."""
+        k0 = self.stiffness() if k0 is None else k0
+        z = self.args(u)
+        coef, fac = _power_coefs(self._s2(z), p, eps, hessian=True)
+        e, q, k = k0.shape[:2] + k0.shape[-1:]
+        g = np.einsum("eqd,qdk->eqk" if self.L.ndim == 2 else "eqd,eqdk->eqk",
+                      z.reshape(e, q, self.ncomp), self._L4)
+        out = np.einsum("eq,eqm->em", coef, k0.reshape(e, q, k * k)).reshape(e, k, k)
+        out += np.einsum("eqk,eql->ekl", (fac * self.c)[:, :, None] * g, g)
+        return out
+
+
+def stiffness_term(mesh):
+    """integral |grad u|^p: cells, cell gradients, cell measures."""
+    return PowerTerm(mesh.n_nodes, mesh.cells, mesh.cell_grads, _ONE, mesh.cell_measures)
+
+
+def mass_term(mesh):
+    """integral |u|^p: cells, the cell Gauss rule, cell measures."""
+    phi, w = (_PHI_CELL_1D, _W_CELL_1D) if mesh.dim == 1 else (_PHI_CELL_2D, _W_CELL_2D)
+    return PowerTerm(mesh.n_nodes, mesh.cells, phi, w, mesh.cell_measures)
+
+
+def boundary_terms(w: BoundaryWeight):
+    """The facet-density and atom terms of w; a part w lacks has no elements."""
+    mesh = w.mesh
+    phi, wq = (_POINT, _ONE) if mesh.dim == 1 else (_PHI_CELL_1D, _W_CELL_1D)
+    dens = np.zeros(0) if w.facet_density is None else w.facet_density
+    facets = PowerTerm(mesh.n_nodes, mesh.boundary_facets[: len(dens)], phi, wq,
+                       dens * mesh.facet_measures[: len(dens)])
+    nodes, masses = np.array(w.atoms, dtype=float).reshape(-1, 2).T
+    return facets, PowerTerm(mesh.n_nodes, nodes.astype(int)[:, None], _POINT, _ONE, masses)
 
 
 def gauss_values(mesh, u):
     """Field values at the cell Gauss points, shape (C, nq)."""
-    phi, _ = _cell_rule(mesh)
-    return _values(u)[mesh.cells] @ phi.T
+    return mass_term(mesh).args(u)
 
 
 def integrate_gauss(mesh, vals):
     """Integral of per-Gauss-point values over the mesh."""
-    _, w = _cell_rule(mesh)
-    return float(np.dot(mesh.cell_measures, vals @ w))
+    return float(np.vdot(mass_term(mesh).c, vals))
 
 
 def assemble_load(mesh, vals):
@@ -221,75 +282,30 @@ def assemble_load(mesh, vals):
     For vals sampled from a P1 field this equals the exact consistent-mass
     product (the rules integrate P1 x P1 products exactly).
     """
-    phi, w = _cell_rule(mesh)
-    contrib = (vals * w) @ phi * mesh.cell_measures[:, None]
-    return np.bincount(
-        mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes
-    )
+    term = mass_term(mesh)
+    return term.scatter(term.c * vals)
 
 
 def mass_action(mesh, u, p):
     """Nodal assembly of phi_i -> integral |u|^{p-2} u phi_i (Gauss rule)."""
-    return assemble_load(mesh, _signed_power(gauss_values(mesh, u), p - 1.0))
+    return mass_term(mesh).action(u, p)
 
 
 def p_stiffness_action(mesh, u, p, eps=0.0):
     """Nodal assembly of phi_i -> integral |grad u|^{p-2} grad u . grad phi_i."""
-    g = cell_gradients(mesh, u)
-    s2 = np.einsum("cd,cd->c", g, g)
-    # overflow in rejected line-search trial points is expected; the nan
-    # propagates to the caller, which discards the trial
-    with np.errstate(over="ignore", invalid="ignore"):
-        flux = _pm2_coef(s2, p, eps)[:, None] * g
-        contrib = np.einsum("cd,cdv->cv", flux, mesh.cell_grads) * mesh.cell_measures[:, None]
-    return np.bincount(
-        mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes
-    )
+    return stiffness_term(mesh).action(u, p, eps)
 
 
 def p_stiffness_hessian(mesh, u, p, eps=0.0):
     """Cell blocks (C, nv, nv) of the Hessian of w -> (1/p) integral |grad w|^p
     at w = u (smoothed); block c couples the nodes mesh.cells[c]."""
-    g = cell_gradients(mesh, u)
-    s2 = np.einsum("cd,cd->c", g, g)
-    coef = _pm2_coef(s2, p, eps)
-    if p == 2.0:
-        fac = np.zeros_like(s2)
-    elif p < 2.0:
-        fac = (p - 2.0) * (s2 + eps * eps) ** ((p - 4.0) / 2.0)
-    else:
-        safe = np.where(s2 > 0, s2, 1.0)
-        fac = np.where(s2 > 0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
-    dim = mesh.dim
-    jac = coef[:, None, None] * np.eye(dim)[None, :, :] + fac[:, None, None] * (
-        g[:, :, None] * g[:, None, :]
-    )
-    blocks = np.einsum("cdv,cde,cew->cvw", mesh.cell_grads, jac, mesh.cell_grads)
-    blocks *= mesh.cell_measures[:, None, None]
-    return blocks
-
-
-def _facet_values(mesh, u):
-    phi, _ = _facet_rule(mesh)
-    return _values(u)[mesh.boundary_facets] @ phi.T
+    return stiffness_term(mesh).blocks(u, p, eps)
 
 
 def boundary_action(w: BoundaryWeight, u, p):
     """Nodal assembly of phi_i -> integral_bdry sigma |u|^{p-2} u phi_i."""
-    mesh = w.mesh
-    out = np.zeros(mesh.n_nodes)
-    if w.facet_density is not None:
-        phi, wq = _facet_rule(mesh)
-        vals = _signed_power(_facet_values(mesh, u), p - 1.0)
-        scale = (w.facet_density * mesh.facet_measures)[:, None]
-        contrib = (vals * wq) @ phi * scale
-        out += np.bincount(
-            mesh.boundary_facets.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes
-        )
-    uv = _values(u)
-    for n, m in w.atoms:
-        out[n] += m * _signed_power(uv[n], p - 1.0)
-    return out
+    facets, atoms = boundary_terms(w)
+    return facets.action(u, p) + atoms.action(u, p)
 
 
 def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
@@ -298,19 +314,8 @@ def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
     Returns facet blocks (B, nvf, nvf) coupling mesh.boundary_facets (B = 0
     without a facet density) and one diagonal entry per atom of w.atoms.
     """
-    mesh = w.mesh
-    nv = mesh.boundary_facets.shape[1]
-    blocks = np.zeros((0, nv, nv))
-    if w.facet_density is not None:
-        phi, wq = _facet_rule(mesh)
-        vals = _facet_values(mesh, u)
-        coef = (p - 1.0) * _pm2_coef(vals * vals, p, eps)
-        scale = (w.facet_density * mesh.facet_measures)[:, None]
-        d = coef * wq * scale  # (B, nq)
-        blocks = np.einsum("bq,qv,qw->bvw", d, phi, phi)
-    uv = _values(u)[[a[0] for a in w.atoms]]
-    ms = np.array([a[1] for a in w.atoms], dtype=float)
-    return blocks, (p - 1.0) * ms * _pm2_coef(uv**2, p, eps)
+    facets, atoms = boundary_terms(w)
+    return facets.blocks(u, p, eps), atoms.blocks(u, p, eps).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +324,20 @@ def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
 
 def grad_energy(u, p) -> float:
     """integral_Omega |grad u|^p, exact for P1 fields."""
-    mesh = u.mesh
-    g = cell_gradients(mesh, u)
-    s = np.sqrt(np.einsum("cd,cd->c", g, g))
-    with np.errstate(over="ignore"):
-        return float(np.dot(mesh.cell_measures, s**p))
+    return stiffness_term(u.mesh).value(u, p)
 
 
 def boundary_term(u, w: BoundaryWeight, p) -> float:
     """integral_bdry sigma |u|^p (facet Gauss rule) plus sum of atom masses * |u(node)|^p."""
-    mesh = u.mesh
-    if mesh is not w.mesh:
+    if u.mesh is not w.mesh:
         raise ConfigError("field and weight live on different meshes")
-    total = 0.0
-    if w.facet_density is not None:
-        _, wq = _facet_rule(mesh)
-        vals = np.abs(_facet_values(mesh, u)) ** p
-        total += float(np.dot(w.facet_density * mesh.facet_measures, vals @ wq))
-    for n, m in w.atoms:
-        total += m * abs(u.values[n]) ** p
-    return total
+    facets, atoms = boundary_terms(w)
+    return facets.value(u, p) + atoms.value(u, p)
 
 
 def lp_norm_p(u, p) -> float:
     """integral_Omega |u|^p via the fixed cell Gauss rule (p-th power, not the norm)."""
-    return integrate_gauss(u.mesh, np.abs(gauss_values(u.mesh, u)) ** p)
+    return mass_term(u.mesh).value(u, p)
 
 
 def rayleigh_numerator(u, w: BoundaryWeight | None, p) -> float:
@@ -413,15 +407,11 @@ class NodalFlux:
         """Equivalent per-facet density, splitting each nodal mass equally
         among its adjacent facets; conserves the total mass exactly."""
         mesh = self.mesh
-        degree = np.zeros(mesh.n_nodes)
-        for f in mesh.boundary_facets:
-            degree[f] += 1.0
+        degree = np.bincount(mesh.boundary_facets.ravel(), minlength=mesh.n_nodes)
         nodal = np.zeros(mesh.n_nodes)
         nodal[self.nodes] = scale * self.masses
-        dens = np.zeros(len(mesh.boundary_facets))
-        for k, (f, fm) in enumerate(zip(mesh.boundary_facets, mesh.facet_measures)):
-            dens[k] = sum(nodal[i] / degree[i] for i in f) / fm
-        return dens
+        share = nodal / np.maximum(degree, 1)
+        return share[mesh.boundary_facets].sum(axis=1) / mesh.facet_measures
 
 
 def recover_flux(u, rhs_coeffs, p, *, load=None, eps_reg=1e-10, tol_res=1e-8) -> NodalFlux:
@@ -463,13 +453,13 @@ def write_weight(w: BoundaryWeight, path):
 
 
 def read_weight(mesh, path) -> BoundaryWeight:
-    with open(path) as fh:
-        lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0][:2] != ["bw", "1"] or len(lines[0]) != 3:
-        raise ConfigError(f"not a bw-1 file: {path}")
     dens = None
     atoms = []
     try:
+        with open(path) as fh:
+            lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
+        if not lines or lines[0][:2] != ["bw", "1"] or len(lines[0]) != 3:
+            raise ConfigError(f"not a bw-1 file: {path}")
         declared = float(lines[0][2])
         for ln in lines[1:]:
             if ln[0] == "facet" and len(ln) == 3:
@@ -483,8 +473,8 @@ def read_weight(mesh, path) -> BoundaryWeight:
                 atoms.append((int(ln[1]), float(ln[2])))
             else:
                 raise ConfigError(f"bad record {' '.join(ln)!r} in {path}")
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     w = BoundaryWeight(mesh, facet_density=dens, atoms=atoms)
     if abs(w.total_mass - declared) > 1e-12 * max(1.0, abs(declared)):
         raise ConfigError("declared mass does not match record sum")

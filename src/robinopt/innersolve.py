@@ -14,8 +14,9 @@ Armijo backtracking (factor 0.5, slope 1e-4), and a plain gradient-descent
 fallback when the Newton direction fails the descent test. For p = 2 the
 problem is quadratic and one factorization, computed once, solves it.
 
-The free-free Hessian is assembled into a sparsity pattern built once per
-problem: each Hessian is one scatter of the element blocks into it. For
+J's energy is a sum of energy.PowerTerm terms, built once per problem with
+their c L^T L blocks and a free-free Hessian pattern laid out from their
+element arrays: each Hessian is one scatter of the element blocks into it. For
 p != 2 and up to _DENSE_MAX_FREE free nodes it is a dense array factored by
 Cholesky, otherwise a CSC matrix factored by splu: per factorization the
 dense path wins on small meshes, where sparse bookkeeping costs more than
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spl
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import energy as en
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
@@ -50,25 +51,19 @@ class _Pattern:
     """Free-free Hessian layout of one problem and the scatter into it.
 
     Element entries are ordered as ConvexPEnergyProblem.hessian concatenates
-    them: cell blocks, facet blocks, atom diagonals. `slot[k]` is the storage
+    them: each term's element blocks, term by term. `slot[k]` is the storage
     position of entry k (the row-major cell of a dense array, or the CSC data
     index); entries touching a pinned node go to the extra slot `size`.
     `slot` is kept in np.bincount's own index type, so assembly casts
     nothing. `diag` holds the positions of the diagonal.
     """
 
-    def __init__(self, mesh, weight, free_idx, dense):
+    def __init__(self, n_nodes, elems, free_idx, dense):
         n = len(free_idx)
-        pos = np.full(mesh.n_nodes, -1, dtype=np.int32)
+        pos = np.full(n_nodes, -1, dtype=np.int32)
         pos[free_idx] = np.arange(n, dtype=np.int32)
-        elems = [mesh.cells]
-        if weight is not None and weight.facet_density is not None:
-            elems.append(mesh.boundary_facets)
-        atoms = np.array([a[0] for a in weight.atoms] if weight is not None else [], dtype=int)
-        rows = np.concatenate([pos[np.repeat(e, e.shape[1], axis=1)].ravel() for e in elems]
-                              + [pos[atoms]])
-        cols = np.concatenate([pos[np.tile(e, (1, e.shape[1]))].ravel() for e in elems]
-                              + [pos[atoms]])
+        rows = np.concatenate([pos[np.repeat(e, e.shape[1], axis=1)].ravel() for e in elems])
+        cols = np.concatenate([pos[np.tile(e, (1, e.shape[1]))].ravel() for e in elems])
         keep = (rows >= 0) & (cols >= 0)
         self.n = n
         self.dense = dense
@@ -124,6 +119,8 @@ class ConvexPEnergyProblem:
     """min_w (1/p) R(w) - <b, w> with optional boundary weight and pinned nodes."""
 
     def __init__(self, mesh, p, weight=None, fixed_nodes=None, eps_reg=1e-10, max_iter=200):
+        if weight is not None and weight.mesh is not mesh:
+            raise ConfigError("problem and weight live on different meshes")
         self.mesh = mesh
         self.p = float(p)
         self.weight = weight
@@ -134,6 +131,10 @@ class ConvexPEnergyProblem:
             fixed[np.asarray(fixed_nodes, dtype=int)] = True
         self.free = ~fixed
         self.free_idx = np.flatnonzero(self.free)
+        self._terms = [en.stiffness_term(mesh)]
+        if weight is not None:
+            self._terms += [t for t in en.boundary_terms(weight) if len(t.elems)]
+        self._stiffness = [t.stiffness() for t in self._terms]
         self._quadratic = None  # (free-free matrix, its solve), p == 2 only
 
     @cached_property
@@ -142,26 +143,24 @@ class ConvexPEnergyProblem:
         # solves beat the O(n^2) dense ones there (26 vs 45 us at 199 free
         # nodes on an interval, 36 vs 85 us at 271 on a disk)
         dense = self.p != 2.0 and len(self.free_idx) <= _DENSE_MAX_FREE
-        return _Pattern(self.mesh, self.weight, self.free_idx, dense)
+        return _Pattern(self.mesh.n_nodes, [t.elems for t in self._terms], self.free_idx, dense)
 
     # -- functional pieces -------------------------------------------------
 
     def objective(self, w, b):
-        u = en.NodalField(self.mesh, w)
-        return en.rayleigh_numerator(u, self.weight, self.p) / self.p - float(np.dot(b, w))
+        with np.errstate(over="ignore", invalid="ignore"):  # at rejected line-search trials
+            return sum(t.value(w, self.p) for t in self._terms) / self.p - float(np.dot(b, w))
 
     def gradient(self, w, b):
-        u = en.NodalField(self.mesh, w)
-        return en.weak_residual(u, self.weight, self.p, 0.0, self.eps) - b
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(t.action(w, self.p, self.eps) for t in self._terms) - b
 
     def hessian(self, w):
         """Free-free Hessian of J at w: a dense array up to _DENSE_MAX_FREE
         free nodes when p != 2, a CSC matrix otherwise."""
-        vals = en.p_stiffness_hessian(self.mesh, w, self.p, self.eps).ravel()
-        if self.weight is not None:
-            facets, atoms = en.boundary_hessian(self.weight, w, self.p, self.eps)
-            vals = np.concatenate([vals, facets.ravel(), atoms])
-        return self._pattern.assemble(vals)
+        vals = [t.blocks(w, self.p, self.eps, k0).ravel()
+                for t, k0 in zip(self._terms, self._stiffness)]
+        return self._pattern.assemble(np.concatenate(vals))
 
     # -- solve --------------------------------------------------------------
 

@@ -567,27 +567,29 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read the text format written by write_mesh."""
-    with open(path) as fh:
-        toks = fh.read().split("\n")
-    toks = [t for t in toks if t.strip()]
-    head = toks[0].split()
-    if len(head) != 3 or head[0] != "pmesh" or head[1] != "1":
-        raise ConfigError(f"not a pmesh-1 file: {path}")
-    dim = int(head[2])
-    pos = 1
+    """Read the text format written by write_mesh; ConfigError if missing or malformed."""
+    try:
+        with open(path) as fh:
+            toks = [t for t in fh.read().split("\n") if t.strip()]
+        head = toks[0].split()
+        if len(head) != 3 or head[0] != "pmesh" or head[1] != "1":
+            raise ConfigError(f"not a pmesh-1 file: {path}")
+        dim = int(head[2])
+        pos = 1
 
-    def section(name):
-        nonlocal pos
-        tag = toks[pos].split()
-        if tag[0] != name:
-            raise ConfigError(f"expected section {name!r} in {path}")
-        count = int(tag[1])
-        rows = [toks[pos + 1 + k].split() for k in range(count)]
-        pos += 1 + count
-        return rows
+        def section(name):
+            nonlocal pos
+            tag = toks[pos].split()
+            if tag[0] != name:
+                raise ConfigError(f"expected section {name!r} in {path}")
+            count = int(tag[1])
+            rows = [toks[pos + 1 + k].split() for k in range(count)]
+            pos += 1 + count
+            return rows
 
-    nodes = np.asarray([[float(v) for v in r] for r in section("nodes")])
-    cells = np.asarray([[int(v) for v in r] for r in section("cells")], dtype=np.int64)
-    bfacets = np.asarray([[int(v) for v in r] for r in section("bfacets")], dtype=np.int64)
-    return _build_mesh(dim, nodes, cells, bfacets=bfacets)
+        nodes = np.asarray([[float(v) for v in r] for r in section("nodes")])
+        cells = np.asarray([[int(v) for v in r] for r in section("cells")], dtype=np.int64)
+        bfacets = np.asarray([[int(v) for v in r] for r in section("bfacets")], dtype=np.int64)
+        return _build_mesh(dim, nodes, cells, bfacets=bfacets)
+    except (OSError, IndexError, ValueError) as exc:
+        raise ConfigError(f"cannot read pmesh file {path}: {exc}") from None

@@ -94,6 +94,12 @@ def _scan(mesh, params, workers, mass=None):
     return nodes, values, failures
 
 
+def _ties(nodes, values):
+    """The minimum and its ties, lowest node first: the argmin whatever roundoff."""
+    vmin = float(np.nanmin(values))
+    return vmin, sorted(int(n) for n, v in zip(nodes, values) if v <= vmin * (1 + _TIE_RTOL))
+
+
 @dataclass
 class PointScan:
     """Point-constrained eigenvalue per boundary node plus its minimum."""
@@ -149,8 +155,7 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
     if params.p <= mesh.dim:
         _refuse_p_le_n(params.p, mesh.dim, "scan_point_eigen")
     nodes, values, failures = _scan(mesh, params, workers)
-    vmin = float(np.nanmin(values))
-    ties = [int(n) for n, v in zip(nodes, values) if np.isfinite(v) and v <= vmin * (1 + _TIE_RTOL)]
+    vmin, ties = _ties(nodes, values)
     return PointScan(
         p=params.p, nodes=nodes, values=values, lambda1_omega=vmin,
         argmin_node=ties[0], tie_set=ties, failures=failures,
@@ -172,10 +177,10 @@ def lambda_inf(
     if scan is None:
         scan = scan_point_eigen(mesh, params, workers=workers)
     nodes, values, failures = _scan(mesh, params, workers, float(m))
-    k = int(np.nanargmin(values))
+    lam, ties = _ties(nodes, values)
     return MinReport(
         m=float(m), p=params.p, nodes=nodes, lambda_dirac=values,
-        lambda_inf=float(values[k]), x_m_node=int(nodes[k]), x_m=mesh.nodes[nodes[k]],
+        lambda_inf=lam, x_m_node=ties[0], x_m=mesh.nodes[ties[0]],
         lambda1_x=scan.values, lambda1_omega=scan.lambda1_omega,
         lambda1_argmin=scan.argmin_node, lambda1_ties=scan.tie_set,
         failures=failures,

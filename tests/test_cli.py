@@ -58,6 +58,32 @@ def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _mesh_file(tmp_path, damage):
+    from robinopt import build_interval, write_mesh
+
+    path = tmp_path / "m.pmesh"
+    write_mesh(build_interval(4), path)
+    lines = path.read_text().splitlines()
+    if damage == "truncated":
+        lines = lines[:-2]
+    elif damage == "non-numeric":
+        lines[2] = "0.0x"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing", "missing-sigma"])
+def test_bad_input_file_exit_code(tmp_path, damage, capsys):
+    mesh = _mesh_file(tmp_path, damage)
+    argv = ["robin", "--domain", f"file:{mesh}", "--sigma", "const:1"]
+    if damage == "missing":
+        argv[2] = f"file:{tmp_path / 'absent.pmesh'}"
+    elif damage == "missing-sigma":
+        argv[4] = f"file:{tmp_path / 'absent.bw'}"
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_oracle_exit_code(capsys):
     assert run(["oracle", "nope"]) == 2
 

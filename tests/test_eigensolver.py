@@ -107,6 +107,13 @@ def test_point_rejects_interior_node(interval200, p2):
         solve_point(interval200, interior, p2)
 
 
+@pytest.mark.parametrize("node", [-1, 99])
+def test_point_rejects_node_outside_mesh(node):
+    # 11 nodes: -1 used to wrap to the last node, 99 raised IndexError
+    with pytest.raises(ConfigError):
+        solve_point(build_interval(10), node, SolverParams(p=3.0))
+
+
 def test_zero_mass_weight_refused(interval200, p2):
     w = BoundaryWeight(interval200, atoms=[])
     with pytest.raises(MathRefusalError) as exc:

@@ -23,6 +23,7 @@ from robinopt import (
 import robinopt.energy as en
 from robinopt.eigensolver import solve_dirichlet
 from robinopt.errors import RobinoptError
+from tests.test_innersolve import MESHES, _weights
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,46 @@ def test_gradient_matches_central_differences(mesh, sigma11, p):
     assert np.median(orders) >= 1.9
     # individual pairs can dip when the t=1e-5 difference hits float noise
     assert min(orders) >= 1.3
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["facet", "dirac", "mixed"])
+@pytest.mark.parametrize("mesh_name", ["square", "disk"])
+def test_gradient_matches_central_differences_2d(mesh_name, kind, p):
+    # the 2D facet-rule and atom actions against differences of the values
+    mesh = MESHES[mesh_name]()
+    test_gradient_matches_central_differences(mesh, _weights(mesh)[kind], p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_hessian_blocks_match_direct_formulas(mesh_name, p):
+    # cells: |T| G^T (coef I + fac g g^T) G; facets: sum_q (p-1) |v_q|^{p-2}
+    # c_q phi_q phi_q^T; atoms: (p-1) m |u_n|^{p-2}, written out directly
+    mesh = MESHES[mesh_name]()
+    u = np.random.default_rng(4).uniform(0.5, 1.5, mesh.n_nodes)
+    eps = 1e-10
+    G = mesh.cell_grads
+    g = np.einsum("cdv,cv->cd", G, u[mesh.cells])
+    s2 = np.sum(g * g, axis=1) + (eps**2 if p < 2 else 0.0)
+    jac = (s2 ** ((p - 2) / 2))[:, None, None] * np.eye(mesh.dim) + (
+        (p - 2) * s2 ** ((p - 4) / 2))[:, None, None] * g[:, :, None] * g[:, None, :]
+    cells = mesh.cell_measures[:, None, None] * np.einsum("cdv,cde,cew->cvw", G, jac, G)
+
+    weight = _weights(mesh)["mixed"]
+    gp = 0.5 / np.sqrt(3.0)  # 2-point Gauss on 2D facets, the point value in 1D
+    phi = np.array([[0.5 + gp, 0.5 - gp], [0.5 - gp, 0.5 + gp]]) if mesh.dim == 2 else np.ones((1, 1))
+    wq = np.full(len(phi), 1.0 / len(phi))
+    v = u[mesh.boundary_facets] @ phi.T
+    d = (p - 1) * np.abs(v) ** (p - 2) * wq * (weight.facet_density * mesh.facet_measures)[:, None]
+    facets = np.einsum("bq,qv,qw->bvw", d, phi, phi)
+    atoms = np.array([(p - 1) * m * u[n] ** (p - 2) for n, m in weight.atoms])
+
+    got_facets, got_atoms = en.boundary_hessian(weight, u, p, eps)
+    for got, ref in ((en.p_stiffness_hessian(mesh, u, p, eps), cells),
+                     (got_facets, facets), (got_atoms, atoms)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # -- flux recovery -----------------------------------------------------------

@@ -188,3 +188,17 @@ def test_dirac_monotone_in_mass_at_fixed_node(interval200, p2):
 
     vals = [solve_dirac(interval200, 0, m, p2).lam for m in (1.0, 2.0, 4.0)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_x_m_node_ignores_roundoff_below_the_minimum(interval200, p2, monkeypatch):
+    # every node reads 1.0 except the last, one ulp lower: a roundoff tie,
+    # so x_m is the lowest tied node while lambda_inf is the true minimum
+    import robinopt.minimizer as mn
+
+    last = interval200.n_nodes - 1
+    low = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(mn, "_node_job", lambda job: (low if job[1] == last else 1.0, None))
+    rep = lambda_inf(interval200, 1.0, p2)
+    assert rep.x_m_node == 0
+    assert rep.lambda_inf == low
+    assert rep.lambda1_argmin == 0
