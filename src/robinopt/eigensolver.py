@@ -82,9 +82,9 @@ def _normalize(mesh, vals, p):
 
 def _minimize(mesh, weight, mode, params, u0=None):
     p = params.p
-    fixed = _fixed_nodes(mesh, mode)
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[np.asarray(fixed, dtype=int)] = False
+    problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=_fixed_nodes(mesh, mode),
+                                   eps_reg=params.eps_reg, max_iter=params.max_inner)
+    free = problem.free
 
     if u0 is None:
         u0 = np.ones(mesh.n_nodes)
@@ -97,11 +97,6 @@ def _minimize(mesh, weight, mode, params, u0=None):
     if not np.any(w > 0):
         raise ConfigError("initial guess vanishes on the free nodes")
     u = _normalize(mesh, np.maximum(w, 0.0), p)
-
-    problem = ConvexPEnergyProblem(
-        mesh, p, weight=weight, fixed_nodes=fixed, eps_reg=params.eps_reg,
-        max_iter=params.max_inner,
-    )
 
     def residual_of(vals, qv):
         r = en.weak_residual(NodalField(mesh, vals), weight, p, qv, params.eps_reg)
@@ -211,8 +206,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenRe
 def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams, u0=None) -> EigenResult:
     """Robin solve with all the boundary mass concentrated at one node."""
     w = BoundaryWeight.dirac(mesh, int(node), mass)
-    res = _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
-    return res
+    return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
 
 
 def verify_weak_residual(result: EigenResult, w: BoundaryWeight | None, params: SolverParams):

@@ -8,11 +8,16 @@ rule: 2-point per cell in 1D, 3-point edge-midpoint in 2D), a facet density
 point masses (one-node elements). One kernel gives every term's value, nodal
 action and Hessian blocks; for p < 2 one rule smooths |z|^{p-2} as
 (|z|^2 + eps^2)^{(p-2)/2} in every derivative given eps, never in a value.
+
+Each term is built once, on first use, and kept while its mesh (stiffness,
+mass) or weight (facets, atoms) lives; both are immutable, so it cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import weakref
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -91,33 +96,38 @@ class SolverParams:
             raise ConfigError("tolerances must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BoundaryWeight:
     """A nonnegative boundary weight of fixed total mass.
 
     Per-facet constant densities, point masses (atoms) at boundary nodes, or
     both; `kind` names which. Off-node Dirac requests snap to the nearest
-    boundary node and record the snap distance.
+    boundary node and record the snap distance. Immutable and compared by
+    identity: the density is a write-protected copy, the atoms a tuple.
     """
 
     mesh: Mesh
     facet_density: np.ndarray | None = None
-    atoms: list = field(default_factory=list)
+    atoms: tuple = ()
     snap_distance: float = 0.0
 
     def __post_init__(self):
-        if self.facet_density is not None:
-            self.facet_density = np.asarray(self.facet_density, dtype=float).reshape(-1)
-            if self.facet_density.shape[0] != len(self.mesh.boundary_facets):
+        dens = self.facet_density
+        if dens is not None:
+            dens = np.array(dens, dtype=float).ravel()
+            if dens.shape[0] != len(self.mesh.boundary_facets):
                 raise ConfigError("facet density length does not match facet count")
-            if np.any(self.facet_density < 0):
+            if np.any(dens < 0):
                 raise ConfigError("facet densities must be nonnegative")
-        self.atoms = [(int(n), float(m)) for n, m in self.atoms]
-        for n, m in self.atoms:
+            dens.setflags(write=False)
+        atoms = tuple((int(n), float(m)) for n, m in self.atoms)
+        for n, m in atoms:
             if m < 0:
                 raise ConfigError("atom masses must be nonnegative")
             if not (0 <= n < self.mesh.n_nodes and self.mesh.node_is_boundary[n]):
                 raise ConfigError(f"atom node {n} is not a boundary node")
+        object.__setattr__(self, "facet_density", dens)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def kind(self):
@@ -196,13 +206,10 @@ class PowerTerm:
     """
 
     def __init__(self, n_nodes, elems, L, w, scale):
-        self.n_nodes, self.elems, self.L, self.w, self.scale = n_nodes, elems, L, w, scale
+        self.n_nodes, self.elems, self.L = n_nodes, elems, L
+        self.c = scale[:, None] * w
         self.ncomp = L.shape[-2] // len(w)  # D
         self._L4 = L.reshape(L.shape[:-2] + (len(w), self.ncomp, L.shape[-1]))
-
-    @cached_property
-    def c(self):
-        return self.scale[:, None] * self.w
 
     def args(self, u):
         """The stacked arguments z, shape (E, Q*D)."""
@@ -226,14 +233,16 @@ class PowerTerm:
         z = self.args(u)
         return self.scatter(self.c * _power_coefs(self._s2(z), p, eps) * z)
 
-    def stiffness(self):
-        """c_eq L_q^T L_q, shape (E, Q, k, k): the fixed part of the Hessian blocks."""
+    @cached_property
+    def k0(self):
+        """c_eq L_q^T L_q, shape (E, Q, k, k): the fixed part of the Hessian blocks,
+        computed on the first Hessian (the mass term never needs it)."""
         return self.c[:, :, None, None] * np.matmul(np.swapaxes(self._L4, -1, -2), self._L4)
 
-    def blocks(self, u, p, eps=0.0, k0=None):
+    def blocks(self, u, p, eps=0.0):
         """Element blocks (E, k, k) of the Hessian of value / p at u:
-        sum_q coef_eq K0_eq + fac_eq c_eq (L_q^T z_eq)(L_q^T z_eq)^T, K0 = stiffness()."""
-        k0 = self.stiffness() if k0 is None else k0
+        sum_q coef_eq K0_eq + fac_eq c_eq (L_q^T z_eq)(L_q^T z_eq)^T."""
+        k0 = self.k0
         z = self.args(u)
         coef, fac = _power_coefs(self._s2(z), p, eps, hessian=True)
         e, q, k = k0.shape[:2] + k0.shape[-1:]
@@ -244,17 +253,34 @@ class PowerTerm:
         return out
 
 
+def _built_once(build):
+    """build(owner), kept for as long as owner (a Mesh or a BoundaryWeight)
+    lives; the terms hold owner's arrays but never owner itself."""
+    kept = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def get(owner):
+        if owner not in kept:
+            kept[owner] = build(owner)
+        return kept[owner]
+
+    return get
+
+
+@_built_once
 def stiffness_term(mesh):
     """integral |grad u|^p: cells, cell gradients, cell measures."""
     return PowerTerm(mesh.n_nodes, mesh.cells, mesh.cell_grads, _ONE, mesh.cell_measures)
 
 
+@_built_once
 def mass_term(mesh):
     """integral |u|^p: cells, the cell Gauss rule, cell measures."""
     phi, w = (_PHI_CELL_1D, _W_CELL_1D) if mesh.dim == 1 else (_PHI_CELL_2D, _W_CELL_2D)
     return PowerTerm(mesh.n_nodes, mesh.cells, phi, w, mesh.cell_measures)
 
 
+@_built_once
 def boundary_terms(w: BoundaryWeight):
     """The facet-density and atom terms of w; a part w lacks has no elements."""
     mesh = w.mesh
@@ -289,33 +315,6 @@ def assemble_load(mesh, vals):
 def mass_action(mesh, u, p):
     """Nodal assembly of phi_i -> integral |u|^{p-2} u phi_i (Gauss rule)."""
     return mass_term(mesh).action(u, p)
-
-
-def p_stiffness_action(mesh, u, p, eps=0.0):
-    """Nodal assembly of phi_i -> integral |grad u|^{p-2} grad u . grad phi_i."""
-    return stiffness_term(mesh).action(u, p, eps)
-
-
-def p_stiffness_hessian(mesh, u, p, eps=0.0):
-    """Cell blocks (C, nv, nv) of the Hessian of w -> (1/p) integral |grad w|^p
-    at w = u (smoothed); block c couples the nodes mesh.cells[c]."""
-    return stiffness_term(mesh).blocks(u, p, eps)
-
-
-def boundary_action(w: BoundaryWeight, u, p):
-    """Nodal assembly of phi_i -> integral_bdry sigma |u|^{p-2} u phi_i."""
-    facets, atoms = boundary_terms(w)
-    return facets.action(u, p) + atoms.action(u, p)
-
-
-def boundary_hessian(w: BoundaryWeight, u, p, eps=0.0):
-    """Hessian of v -> (1/p) integral_bdry sigma |v|^p at v = u, as element parts.
-
-    Returns facet blocks (B, nvf, nvf) coupling mesh.boundary_facets (B = 0
-    without a facet density) and one diagonal entry per atom of w.atoms.
-    """
-    facets, atoms = boundary_terms(w)
-    return facets.blocks(u, p, eps), atoms.blocks(u, p, eps).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +356,17 @@ def rayleigh(u, w: BoundaryWeight | None, p) -> float:
 
 
 def weak_residual(u, w: BoundaryWeight | None, p, q, eps_reg) -> np.ndarray:
-    """Nodal weak-form residual p_stiffness_action - q mass_action + boundary_action.
+    """Nodal weak-form residual: stiffness action (eps_reg) - q mass_action + boundary actions.
 
     With q = 0 it is the derivative of rayleigh_numerator / p.
     """
     mesh = u.mesh
-    r = p_stiffness_action(mesh, u, p, eps_reg)
+    r = stiffness_term(mesh).action(u, p, eps_reg)
     if q:
         r = r - q * mass_action(mesh, u, p)
     if w is not None:
-        r += boundary_action(w, u, p)
+        facets, atoms = boundary_terms(w)
+        r += facets.action(u, p) + atoms.action(u, p)
     return r
 
 
@@ -425,7 +425,7 @@ def recover_flux(u, rhs_coeffs, p, *, load=None, eps_reg=1e-10, tol_res=1e-8) ->
     """
     mesh = u.mesh
     b = assemble_load(mesh, gauss_values(mesh, rhs_coeffs)) if load is None else load
-    r = b - p_stiffness_action(mesh, u, p, eps_reg)
+    r = b - stiffness_term(mesh).action(u, p, eps_reg)
     interior = ~mesh.node_is_boundary
     worst = float(np.max(np.abs(r[interior]))) if interior.any() else 0.0
     if worst > tol_res:
@@ -492,9 +492,14 @@ def write_field(u: NodalField, path):
 
 
 def read_field(mesh, path) -> NodalField:
-    with open(path) as fh:
-        rows = [ln.split(",") for ln in fh.read().splitlines() if ln.strip()]
-    vals = np.zeros(mesh.n_nodes)
-    for row in rows[1:]:
-        vals[int(row[0])] = float(row[-1])
-    return NodalField(mesh, vals)
+    """The field of a write_field CSV: a header, then one row per mesh node."""
+    try:
+        with open(path) as fh:
+            rows = [ln.split(",") for ln in fh.read().splitlines() if ln.strip()]
+        nodes = np.array([int(row[0]) for row in rows[1:]], dtype=int)
+        values = np.array([float(row[-1]) for row in rows[1:]])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not np.array_equal(np.sort(nodes), np.arange(mesh.n_nodes)):
+        raise ConfigError(f"{path} does not give each of the {mesh.n_nodes} mesh nodes once")
+    return NodalField(mesh, values[np.argsort(nodes)])

@@ -14,13 +14,14 @@ Armijo backtracking (factor 0.5, slope 1e-4), and a plain gradient-descent
 fallback when the Newton direction fails the descent test. For p = 2 the
 problem is quadratic and one factorization, computed once, solves it.
 
-J's energy is a sum of energy.PowerTerm terms, built once per problem with
-their c L^T L blocks and a free-free Hessian pattern laid out from their
-element arrays: each Hessian is one scatter of the element blocks into it. For
-p != 2 and up to _DENSE_MAX_FREE free nodes it is a dense array factored by
-Cholesky, otherwise a CSC matrix factored by splu: per factorization the
-dense path wins on small meshes, where sparse bookkeeping costs more than
-the arithmetic, while p = 2 reuses one factorization for many solves.
+J's energy is a sum of energy.PowerTerm terms, the mesh's and the weight's,
+each built once with its c L^T L blocks. Each problem lays out a free-free
+Hessian pattern from their element arrays, and each Hessian is one scatter of
+the element blocks into it. For p != 2 and up to _DENSE_MAX_FREE free nodes
+it is a dense array factored by Cholesky, otherwise a CSC matrix factored by
+splu: per factorization the dense path wins on small meshes, where sparse
+bookkeeping costs more than the arithmetic, while p = 2 reuses one
+factorization for many solves.
 """
 
 from __future__ import annotations
@@ -126,15 +127,13 @@ class ConvexPEnergyProblem:
         self.weight = weight
         self.eps = float(eps_reg)
         self.max_iter = int(max_iter)
-        fixed = np.zeros(mesh.n_nodes, dtype=bool)
+        self.free = np.ones(mesh.n_nodes, dtype=bool)
         if fixed_nodes is not None:
-            fixed[np.asarray(fixed_nodes, dtype=int)] = True
-        self.free = ~fixed
+            self.free[np.asarray(fixed_nodes, dtype=int)] = False
         self.free_idx = np.flatnonzero(self.free)
         self._terms = [en.stiffness_term(mesh)]
         if weight is not None:
             self._terms += [t for t in en.boundary_terms(weight) if len(t.elems)]
-        self._stiffness = [t.stiffness() for t in self._terms]
         self._quadratic = None  # (free-free matrix, its solve), p == 2 only
 
     @cached_property
@@ -158,8 +157,7 @@ class ConvexPEnergyProblem:
     def hessian(self, w):
         """Free-free Hessian of J at w: a dense array up to _DENSE_MAX_FREE
         free nodes when p != 2, a CSC matrix otherwise."""
-        vals = [t.blocks(w, self.p, self.eps, k0).ravel()
-                for t, k0 in zip(self._terms, self._stiffness)]
+        vals = [t.blocks(w, self.p, self.eps).ravel() for t in self._terms]
         return self._pattern.assemble(np.concatenate(vals))
 
     # -- solve --------------------------------------------------------------

@@ -15,8 +15,8 @@ Conventions
 * The discrete 2D domain is the polygon spanned by the mesh itself; the disk
   boundary is polygonal and circle geometry enters only through oracle
   comparisons.
-* Meshes are immutable after construction (arrays are write-protected) and
-  safe to share across parallel solves.
+* Meshes are immutable after construction (arrays are write-protected),
+  compared by identity and safe to share across parallel solves.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 _GEOM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Simplicial mesh of a 1D interval or a 2D polygonal domain.
 

@@ -372,7 +372,8 @@ def hoelder_check(mesh: Mesh, params: SolverParams, scan: PointScan | None = Non
 
 def default_workers() -> int:
     """Worker count from the environment; 1 (serial, bit-reproducible) by default."""
+    text = os.environ.get("ROBINOPT_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("ROBINOPT_WORKERS", "1")))
+        return max(1, int(text))
     except ValueError:
-        return 1
+        raise ConfigError(f"ROBINOPT_WORKERS={text!r} is not an integer") from None

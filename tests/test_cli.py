@@ -51,6 +51,12 @@ def test_malformed_spec_exit_code(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_malformed_workers_env_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("ROBINOPT_WORKERS", "abc")
+    assert run(["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
     path = tmp_path / "w.bw"
     path.write_text("bw 1 0.5\natom -1 0.5\n")

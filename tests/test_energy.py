@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from robinopt import (
 import robinopt.energy as en
 from robinopt.eigensolver import solve_dirichlet
 from robinopt.errors import RobinoptError
+from robinopt.innersolve import ConvexPEnergyProblem
+import robinopt.maximizer as mx
 from tests.test_innersolve import MESHES, _weights
 
 
@@ -108,7 +112,8 @@ def test_gradient_vanishes_at_eigenfunction(interval200, p2):
 def test_energy_derivative_boundary_supported_for_constant(mesh, sigma11):
     # stiffness + boundary action of a constant field lives on boundary nodes
     u = NodalField.constant(mesh)
-    r = en.p_stiffness_action(mesh, u, 2.0) + en.boundary_action(sigma11, u, 2.0)
+    facets, atoms = en.boundary_terms(sigma11)
+    r = en.stiffness_term(mesh).action(u, 2.0) + (facets.action(u, 2.0) + atoms.action(u, 2.0))
     assert np.all(r[1:-1] == 0.0)
     assert r[0] != 0.0 and r[-1] != 0.0
 
@@ -166,8 +171,10 @@ def test_hessian_blocks_match_direct_formulas(mesh_name, p):
     facets = np.einsum("bq,qv,qw->bvw", d, phi, phi)
     atoms = np.array([(p - 1) * m * u[n] ** (p - 2) for n, m in weight.atoms])
 
-    got_facets, got_atoms = en.boundary_hessian(weight, u, p, eps)
-    for got, ref in ((en.p_stiffness_hessian(mesh, u, p, eps), cells),
+    facet_term, atom_term = en.boundary_terms(weight)
+    got_facets = facet_term.blocks(u, p, eps)
+    got_atoms = atom_term.blocks(u, p, eps).reshape(-1)
+    for got, ref in ((en.stiffness_term(mesh).blocks(u, p, eps), cells),
                      (got_facets, facets), (got_atoms, atoms)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -282,6 +289,74 @@ def test_field_csv_round_trip(tmp_path, mesh):
     write_field(u, path)
     u2 = read_field(mesh, path)
     assert np.array_equal(u2.values, u.values)
+
+
+@pytest.mark.parametrize("damage", [
+    "node -1", "node 9", "duplicated node", "missing node", "non-numeric", "missing file",
+])
+def test_read_field_rejects_bad_files(tmp_path, damage):
+    mesh = build_interval(4)  # nodes 0..4
+    path = tmp_path / "u.csv"
+    write_field(NodalField(mesh, np.arange(5.0)), path)
+    lines = path.read_text().splitlines()  # header, then the rows of nodes 0..4
+    row = {"node -1": "-1,0.0,0.0", "node 9": "9,0.0,0.0", "duplicated node": "0,0.25,1.0",
+           "non-numeric": "1,0.25,x"}.get(damage)
+    if row is not None:
+        lines[2] = row
+    elif damage == "missing node":
+        del lines[-1]
+    path.write_text("\n".join(lines) + "\n")
+    if damage == "missing file":
+        path = tmp_path / "absent.csv"
+    with pytest.raises(ConfigError):
+        read_field(mesh, path)
+
+
+# -- terms built once ----------------------------------------------------------
+
+def test_mesh_terms_are_built_once():
+    mesh = build_square(0.25)
+    assert en.stiffness_term(mesh) is en.stiffness_term(mesh)
+    assert en.mass_term(mesh) is en.mass_term(mesh)
+    a, b = (ConvexPEnergyProblem(mesh, 3.0) for _ in range(2))
+    assert a._terms[0].k0 is b._terms[0].k0
+
+
+def test_F_inversion_builds_no_term_per_picard_step(monkeypatch):
+    built, steps = [], []
+    init, solve_aux = en.PowerTerm.__init__, mx.solve_aux
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_solve_aux(*args, **kwargs):
+        sol = solve_aux(*args, **kwargs)
+        steps.append(sol.picard_iters)
+        return sol
+
+    monkeypatch.setattr(en.PowerTerm, "__init__", counting_init)
+    monkeypatch.setattr(mx, "solve_aux", counting_solve_aux)
+    solver = mx.FSolver(build_interval(50), SolverParams(p=2.0))
+    counts = []
+    for m in (0.5, 5.0):
+        solver.invert(m)
+        counts.append((len(built), sum(steps)))
+    assert counts[1][1] > counts[0][1] > 0  # the second mass took more Picard steps
+    assert counts[1][0] == counts[0][0] <= 2  # stiffness and mass, once each
+
+
+def test_weight_is_immutable():
+    mesh = build_interval(10)
+    dens = np.array([0.25, 1.75])
+    w = BoundaryWeight(mesh, facet_density=dens, atoms=[(0, 0.5)])
+    dens[0] = 5.0
+    assert w.facet_density[0] == 0.25 and w.total_mass == 2.5
+    with pytest.raises(ValueError):
+        w.facet_density[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.atoms = ()
+    assert en.boundary_terms(w) is en.boundary_terms(w)
 
 
 def test_solver_params_validation():

@@ -48,9 +48,11 @@ def _reference_hessian(problem, w):
         cols = np.tile(elems, (1, k)).ravel()
         return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
 
-    h = coo(en.p_stiffness_hessian(mesh, w, problem.p, problem.eps), mesh.cells)
+    h = coo(en.stiffness_term(mesh).blocks(w, problem.p, problem.eps), mesh.cells)
     if problem.weight is not None:
-        facets, atoms = en.boundary_hessian(problem.weight, w, problem.p, problem.eps)
+        facet_term, atom_term = en.boundary_terms(problem.weight)
+        facets = facet_term.blocks(w, problem.p, problem.eps)
+        atoms = atom_term.blocks(w, problem.p, problem.eps).reshape(-1)
         if len(facets):
             h = h + coo(facets, mesh.boundary_facets)
         idx = np.array([a[0] for a in problem.weight.atoms], dtype=int)
