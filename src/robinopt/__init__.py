@@ -41,7 +41,7 @@ from .errors import (
     MathRefusalError,
     RobinoptError,
 )
-from .maximizer import AuxSolution, F_eval, FSolver, MaxReport, dirichlet_ceiling, invert_F, sigma_max, solve_aux
+from .maximizer import AuxSolution, FSolver, MaxReport, dirichlet_ceiling, sigma_max, solve_aux
 from .mesh import Mesh, build_disk, build_interval, build_polygon, build_square, read_mesh, refine, write_mesh
 from .minimizer import (
     ConcentrationRun,

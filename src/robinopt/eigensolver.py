@@ -81,9 +81,15 @@ def _normalize(mesh, vals, p):
 
 
 def _minimize(mesh, weight, mode, params, u0=None):
+    if weight is not None and weight.total_mass <= 0:
+        raise MathRefusalError(
+            "weight has zero mass: the first eigenvalue is 0 with constant "
+            "eigenfunction; a positive weight is required for a nontrivial solve",
+            exact_value=0.0,
+        )
     p = params.p
     problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=_fixed_nodes(mesh, mode),
-                                   eps_reg=params.eps_reg, max_iter=params.max_inner)
+                                   eps_reg=params.eps_reg)
     free = problem.free
 
     if u0 is None:
@@ -165,12 +171,6 @@ def solve_robin(mesh: Mesh, w: BoundaryWeight, params: SolverParams, u0=None) ->
     Requires positive total mass: for a zero weight the infimum is 0 with a
     constant eigenfunction, so there is nothing to iterate on.
     """
-    if w.total_mass <= 0:
-        raise MathRefusalError(
-            "weight has zero mass: the first eigenvalue is 0 with constant "
-            "eigenfunction; a positive weight is required for a nontrivial solve",
-            exact_value=0.0,
-        )
     return _minimize(mesh, w, "robin", params, u0=u0)
 
 
@@ -204,7 +204,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenRe
 
 
 def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams, u0=None) -> EigenResult:
-    """Robin solve with all the boundary mass concentrated at one node."""
+    """Robin solve with all the (positive) boundary mass at one node."""
     w = BoundaryWeight.dirac(mesh, int(node), mass)
     return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
 

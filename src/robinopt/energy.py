@@ -85,14 +85,11 @@ class SolverParams:
     max_outer: int = 500
     eps_reg: float = 1e-10     # derivative smoothing for p < 2
     seed: int = 0
-    tol_aux: float = 1e-9      # stall factor for the auxiliary Picard iteration
-    max_picard: int = 500_000
-    max_inner: int = 200       # Newton iterations per convex subproblem
 
     def __post_init__(self):
         if not (1.1 <= self.p <= 10.0):
             raise ConfigError(f"p={self.p} outside the supported range [1.1, 10]")
-        if min(self.tol_rq, self.tol_res, self.tol_aux) <= 0:
+        if min(self.tol_rq, self.tol_res) <= 0:
             raise ConfigError("tolerances must be positive")
 
 
@@ -454,6 +451,7 @@ def write_weight(w: BoundaryWeight, path):
 
 def read_weight(mesh, path) -> BoundaryWeight:
     dens = None
+    seen = set()  # facet indices read so far
     atoms = []
     try:
         with open(path) as fh:
@@ -468,6 +466,9 @@ def read_weight(mesh, path) -> BoundaryWeight:
                 k = int(ln[1])
                 if not 0 <= k < len(dens):
                     raise ConfigError(f"facet {k} out of range in {path}")
+                if k in seen:
+                    raise ConfigError(f"facet {k} given twice in {path}")
+                seen.add(k)
                 dens[k] = float(ln[2])
             elif ln[0] == "atom" and len(ln) == 3:
                 atoms.append((int(ln[1]), float(ln[2])))

@@ -8,11 +8,12 @@ auxiliary problem minimizes
 over the free nodes (constrained nodes are pinned to zero). The functional
 is strictly convex for p > 1, so the minimizer is unique.
 
-Strategy: Newton steps on the (eps-regularized for p < 2) system with a
-Levenberg ridge when the Hessian is rank-deficient (p > 2 at flat iterates),
-Armijo backtracking (factor 0.5, slope 1e-4), and a plain gradient-descent
-fallback when the Newton direction fails the descent test. For p = 2 the
-problem is quadratic and one factorization, computed once, solves it.
+Strategy: up to _MAX_NEWTON Newton steps on the (eps-regularized for p < 2)
+system with a Levenberg ridge when the Hessian is rank-deficient (p > 2 at
+flat iterates), Armijo backtracking (factor 0.5, slope 1e-4), and a plain
+gradient-descent fallback when the Newton direction fails the descent test.
+For p = 2 the problem is quadratic and one factorization, computed once,
+solves it.
 
 J's energy is a sum of energy.PowerTerm terms, the mesh's and the weight's,
 each built once with its c L^T L blocks. Each problem lays out a free-free
@@ -39,6 +40,7 @@ from .errors import ConfigError, ConvergenceError
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
+_MAX_NEWTON = 200
 # free-node count up to which Hessians are dense and factored by Cholesky.
 # Measured per p = 3 Newton direction on 2D meshes (one BLAS thread): the
 # dense path takes 0.5x the sparse time at 41-113 free nodes, 0.6x at 169,
@@ -119,14 +121,13 @@ class _Pattern:
 class ConvexPEnergyProblem:
     """min_w (1/p) R(w) - <b, w> with optional boundary weight and pinned nodes."""
 
-    def __init__(self, mesh, p, weight=None, fixed_nodes=None, eps_reg=1e-10, max_iter=200):
+    def __init__(self, mesh, p, weight=None, fixed_nodes=None, eps_reg=1e-10):
         if weight is not None and weight.mesh is not mesh:
             raise ConfigError("problem and weight live on different meshes")
         self.mesh = mesh
         self.p = float(p)
         self.weight = weight
         self.eps = float(eps_reg)
-        self.max_iter = int(max_iter)
         self.free = np.ones(mesh.n_nodes, dtype=bool)
         if fixed_nodes is not None:
             self.free[np.asarray(fixed_nodes, dtype=int)] = False
@@ -184,7 +185,7 @@ class ConvexPEnergyProblem:
 
         fallback_step = 1.0
         j = None  # J(w), carried over from the accepted Armijo trial
-        for it in range(self.max_iter):
+        for _ in range(_MAX_NEWTON):
             g = self.gradient(w, b)
             gn = float(np.max(np.abs(g[self.free])))
             if gn <= gtol:

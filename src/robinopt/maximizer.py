@@ -19,6 +19,10 @@ mass equals F(xi(m)) exactly up to the inner-solver residual, and the field
 xi^{1/(p-1)} u_xi + 1 satisfies the discrete eigenvalue weak form with
 eigenvalue xi(m) at machine level. An independent Robin solve cross-checks
 the eigenvalue; a mismatch beyond 1e-3 relative flags the report.
+
+FSolver(mesh, params) owns steps 1-3: the Dirichlet ceiling, the pinned
+convex problem, `solver(xi)` (one F evaluation, `solve_aux(solver, xi, v0)`)
+and `solver.invert(m)`.
 """
 
 from __future__ import annotations
@@ -40,14 +44,14 @@ __all__ = [
     "AuxSolution",
     "MaxReport",
     "solve_aux",
-    "F_eval",
-    "invert_F",
     "FSolver",
     "sigma_max",
     "dirichlet_ceiling",
 ]
 
 _PICARD_SLACK = 1e-12
+_TOL_AUX = 1e-9
+_MAX_PICARD = 500_000
 _CROSSCHECK_RTOL = 1e-3
 
 
@@ -113,81 +117,47 @@ def dirichlet_ceiling(mesh: Mesh, params: SolverParams) -> float:
     return solve_dirichlet(mesh, params).lam
 
 
-def _aux_gauss_rhs(mesh, v, xi, p):
-    """(xi^{1/(p-1)} v + 1)^{p-1} sampled at the cell Gauss points."""
-    vals = xi ** (1.0 / (p - 1.0)) * en.gauss_values(mesh, v) + 1.0
-    return vals ** (p - 1.0)
-
-
-def solve_aux(
-    mesh: Mesh,
-    xi: float,
-    params: SolverParams,
-    lam_dirichlet: float | None = None,
-    v0: np.ndarray | None = None,
-    problem: ConvexPEnergyProblem | None = None,
-) -> AuxSolution:
+def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSolution:
     """Monotone Picard iteration for the auxiliary problem at parameter xi.
 
     Starting from v0 = 0 (or a known subsolution for a smaller xi), each step
-    solves the convex problem with the right-hand side frozen at the previous
-    iterate and zero boundary values. Iterates are nondecreasing nodewise,
-    which is asserted at runtime. The returned solution and dual load form a
-    consistent pair: the interior residual is at inner-solver level, so the
-    recovered boundary flux reproduces F(xi) exactly.
-
-    `problem` is the Dirichlet-pinned convex problem each step solves, built
-    here when None; FSolver passes its own to reuse it across calls.
+    solves the solver's Dirichlet-pinned convex problem with the right-hand
+    side frozen at the previous iterate. Iterates are nondecreasing nodewise,
+    which is asserted at runtime; the iteration stops at a relative step below
+    _TOL_AUX and gives up after _MAX_PICARD steps. The returned solution and
+    dual load form a consistent pair: the interior residual is at inner-solver
+    level, so the recovered boundary flux reproduces F(xi) exactly.
     """
-    p = params.p
-    if lam_dirichlet is None:
-        lam_dirichlet = dirichlet_ceiling(mesh, params)
+    mesh, p, lam_dirichlet = solver.mesh, solver.params.p, solver.lam_dirichlet
     if not (0.0 < xi < lam_dirichlet):
         raise ConfigError(
             f"xi={xi} rejected: the auxiliary iteration requires 0 < xi < "
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
-    if problem is None:
-        problem = ConvexPEnergyProblem(
-            mesh, p, weight=None, fixed_nodes=mesh.boundary_nodes(),
-            eps_reg=params.eps_reg, max_iter=params.max_inner,
-        )
+    scale = xi ** (1.0 / (p - 1.0))
     v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
-    load = None
-    for it in range(1, params.max_picard + 1):
-        rhs = _aux_gauss_rhs(mesh, v, xi, p)
+    for it in range(1, _MAX_PICARD + 1):
+        rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0)  # at the cell Gauss points
         load = en.assemble_load(mesh, rhs)
         gtol = 1e-13 * (1.0 + float(np.max(np.abs(load))))
-        v_new = problem.solve(load, w0=v, gtol=gtol, gtol_soft=30.0 * gtol)
+        v_new = solver.problem.solve(load, w0=v, gtol=gtol, gtol_soft=30.0 * gtol)
         if np.min(v_new - v) < -_PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))):
             raise InvariantViolationError(
                 f"Picard iterate decreased at step {it} (xi={xi})"
             )
         delta = float(np.max(np.abs(v_new - v)))
-        v_prev, v = v, v_new
-        if delta < params.tol_aux * (1.0 + float(np.max(np.abs(v)))):
-            f_val = xi * en.integrate_gauss(mesh, _aux_gauss_rhs(mesh, v_prev, xi, p))
+        v = v_new
+        if delta < _TOL_AUX * (1.0 + float(np.max(np.abs(v)))):
+            # F from the load of this step, whose rhs is frozen at the iterate before it
             sol = AuxSolution(
-                xi=float(xi), u_xi=NodalField(mesh, v), F_value=f_val,
-                picard_iters=it, load=load,
+                xi=float(xi), u_xi=NodalField(mesh, v),
+                F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=it, load=load,
             )
             return sol.validate()
     raise ConvergenceError(
-        f"auxiliary Picard iteration exceeded {params.max_picard} steps at xi={xi}",
+        f"auxiliary Picard iteration exceeded {_MAX_PICARD} steps at xi={xi}",
         diagnostics={"xi": xi, "lam_dirichlet": lam_dirichlet, "last_delta": delta},
     )
-
-
-def F_eval(
-    mesh: Mesh,
-    xi: float,
-    params: SolverParams,
-    lam_dirichlet: float | None = None,
-) -> float:
-    """F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1} (cell Gauss rule)."""
-    if xi == 0.0:
-        return 0.0
-    return solve_aux(mesh, xi, params, lam_dirichlet=lam_dirichlet).F_value
 
 
 class FSolver:
@@ -206,8 +176,7 @@ class FSolver:
             lam_dirichlet = dirichlet_ceiling(mesh, params)
         self.lam_dirichlet = lam_dirichlet
         self.problem = ConvexPEnergyProblem(
-            mesh, params.p, weight=None, fixed_nodes=mesh.boundary_nodes(),
-            eps_reg=params.eps_reg, max_iter=params.max_inner,
+            mesh, params.p, fixed_nodes=mesh.boundary_nodes(), eps_reg=params.eps_reg
         )
         self.solutions = []  # (xi, values) sorted by xi
         self.evals = 0
@@ -215,10 +184,7 @@ class FSolver:
     def __call__(self, xi: float) -> AuxSolution:
         """The auxiliary solution at xi (one F evaluation)."""
         k = bisect.bisect_right(self.solutions, xi, key=itemgetter(0))
-        sol = solve_aux(
-            self.mesh, xi, self.params, lam_dirichlet=self.lam_dirichlet,
-            v0=self.solutions[k - 1][1] if k else None, problem=self.problem,
-        )
+        sol = solve_aux(self, xi, v0=self.solutions[k - 1][1] if k else None)
         self.evals += 1
         bisect.insort_right(self.solutions, (xi, sol.u_xi.values), key=itemgetter(0))
         return sol
@@ -287,21 +253,10 @@ class FSolver:
                 a, fa, sol_a, side = x, fx, sol, -1
 
 
-def invert_F(
-    mesh: Mesh,
-    m: float,
-    params: SolverParams,
-    lam_dirichlet: float | None = None,
-) -> float:
-    """Solve F(xi) = m for xi in (0, lam_dirichlet); see FSolver.invert."""
-    return FSolver(mesh, params, lam_dirichlet).invert(m).xi
-
-
 def sigma_max(
     mesh: Mesh,
     m: float,
     params: SolverParams,
-    lam_dirichlet: float | None = None,
     solver: FSolver | None = None,
 ) -> MaxReport:
     """Full pipeline: invert F, recover the maximizing weight, cross-check.
@@ -311,14 +266,13 @@ def sigma_max(
     the inner-solver residual. The report also carries the eigenfunction
     candidate xi^{1/(p-1)} u_xi + 1 (identically 1 on the boundary) and an
     independent Robin solve of the recovered weight. A `solver` shared across
-    masses reuses its ceiling and warm starts; `lam_dirichlet` is then unused.
+    masses reuses its ceiling and warm starts.
     """
     p = params.p
     if solver is None:
-        solver = FSolver(mesh, params, lam_dirichlet)
+        solver = FSolver(mesh, params)
     elif solver.mesh is not mesh or solver.params != params:
         raise ConfigError("solver was built for another mesh or other params")
-    lam_dirichlet = solver.lam_dirichlet
     evals_before = solver.evals
     aux = solver.invert(m)
     xi_m = aux.xi
@@ -353,7 +307,7 @@ def sigma_max(
     return MaxReport(
         m=float(m), p=p, xi_m=xi_m, Lambda=xi_m, sigma_m=sigma_m,
         sigma_mass=sigma_m.total_mass, crosscheck_lambda=cross.lam,
-        crosscheck_ok=bool(ok), u_m=u_m, lam_dirichlet=lam_dirichlet,
+        crosscheck_ok=bool(ok), u_m=u_m, lam_dirichlet=solver.lam_dirichlet,
         F_residual=abs(aux.F_value - m) / m, bisect_evals=solver.evals - evals_before,
         aux=aux, crosscheck_result=cross,
     )

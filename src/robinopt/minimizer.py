@@ -162,6 +162,15 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
     )
 
 
+def _scan_of(mesh, params, scan, workers=1):
+    """`scan`, refused unless it is this mesh's point scan at params.p, or a new scan."""
+    if scan is None:
+        return scan_point_eigen(mesh, params, workers=workers)
+    if scan.p != params.p or not np.array_equal(scan.nodes, mesh.boundary_nodes()):
+        raise ConfigError("scan was made for another mesh or another p")
+    return scan
+
+
 def lambda_inf(
     mesh: Mesh,
     m: float,
@@ -174,8 +183,7 @@ def lambda_inf(
         _refuse_p_le_n(params.p, mesh.dim, "lambda_inf")
     if m <= 0:
         raise ConfigError("mass must be positive")
-    if scan is None:
-        scan = scan_point_eigen(mesh, params, workers=workers)
+    scan = _scan_of(mesh, params, scan, workers)
     nodes, values, failures = _scan(mesh, params, workers, float(m))
     lam, ties = _ties(nodes, values)
     return MinReport(
@@ -332,8 +340,7 @@ def hoelder_check(mesh: Mesh, params: SolverParams, scan: PointScan | None = Non
     """
     if params.p <= mesh.dim:
         _refuse_p_le_n(params.p, mesh.dim, "hoelder_check")
-    if scan is None:
-        scan = scan_point_eigen(mesh, params)
+    scan = _scan_of(mesh, params, scan)
     pts = mesh.nodes[scan.nodes]
     vals = scan.values
     expo = 1.0 - mesh.dim / params.p

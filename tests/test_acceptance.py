@@ -93,7 +93,7 @@ def test_criterion_3_maximizer_pipeline_interval():
         cache = FSolver(mesh, params, lam_d)
         last = mesh.n_nodes - 1
         for m in (0.5, 1.0, 2.0, 8.0):
-            rep = sigma_max(mesh, m, params, lam_dirichlet=lam_d, solver=cache)
+            rep = sigma_max(mesh, m, params, solver=cache)
             root = bisect_root(
                 lambda xi: 2 * np.sqrt(xi) * np.tan(np.sqrt(xi) / 2) - m,
                 1e-12, np.pi**2 - 1e-9, rtol=1e-14,
@@ -130,7 +130,7 @@ def test_criterion_5_auxiliary_monotonicity():
                 f_vals = []
                 for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
                     xi = frac * lam_d
-                    sol = solve_aux(mesh, xi, params, lam_dirichlet=lam_d)
+                    sol = solve_aux(FSolver(mesh, params, lam_d), xi)
                     if prev is not None:
                         assert np.all(sol.u_xi.values >= prev - 1e-9)
                     prev = sol.u_xi.values
@@ -240,10 +240,10 @@ def test_criterion_9_bounds_suite():
         params = SolverParams(p=2.0)
         lam_d = dirichlet_ceiling(interval, params)
         cache = FSolver(interval, params, lam_d)
-        small = sigma_max(interval, 1e-3, params, lam_dirichlet=lam_d, solver=cache)
-        assert spot <= sigma_max(interval, 2.0, params, lam_dirichlet=lam_d, solver=cache).Lambda
+        small = sigma_max(interval, 1e-3, params, solver=cache)
+        assert spot <= sigma_max(interval, 2.0, params, solver=cache).Lambda
         assert small.Lambda < 1e-3 * (1 + 1e-3) / interval.volume
-        big = sigma_max(interval, 1e4, params, lam_dirichlet=lam_d, solver=cache)
+        big = sigma_max(interval, 1e4, params, solver=cache)
         assert big.Lambda / lam_d > 0.9
 
 

@@ -113,7 +113,7 @@ def test_lower_bound_gap_shrinks_for_large_mass(interval200):
     cache = FSolver(interval200, params, lam_d)
     gaps = []
     for m in (10.0, 100.0, 1000.0):
-        rep = sigma_max(interval200, m, params, lam_dirichlet=lam_d, solver=cache)
+        rep = sigma_max(interval200, m, params, solver=cache)
         bel = belsup(m, lam_d, interval200.volume, 2.0)
         assert bel <= rep.Lambda * (1 + 1e-3)
         gaps.append((rep.Lambda - bel) / rep.Lambda)

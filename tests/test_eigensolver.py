@@ -121,6 +121,12 @@ def test_zero_mass_weight_refused(interval200, p2):
     assert exc.value.exact_value == 0.0
 
 
+def test_zero_mass_dirac_refused():
+    with pytest.raises(MathRefusalError) as exc:
+        solve_dirac(build_interval(10), 0, 0.0, SolverParams(p=3.0))
+    assert exc.value.exact_value == 0.0
+
+
 # -- structural properties -----------------------------------------------------
 
 def test_history_monotone_and_result_normalized(robin11):

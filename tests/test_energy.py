@@ -247,6 +247,7 @@ def test_atom_node_outside_mesh_rejected(node):
 
 @pytest.mark.parametrize("record", [
     "atom -1 0.5", "atom 99 0.5", "facet -1 0.5", "facet 2 0.5", "atom 0", "atom x 0.5",
+    "facet 0 0.25\nfacet 0 0.5",  # a repeated facet, even with the declared mass met
 ])
 def test_read_weight_rejects_bad_records(tmp_path, record):
     path = tmp_path / "w.bw"

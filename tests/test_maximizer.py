@@ -3,12 +3,10 @@ import pytest
 
 from robinopt import (
     ConfigError,
-    F_eval,
     FSolver,
     SolverParams,
     dirichlet_ceiling,
     interval_robin_p2,
-    invert_F,
     random_weight,
     rayleigh,
     sigma_max,
@@ -32,12 +30,12 @@ def closed_form_F_root(m):
 
 
 def test_aux_small_parameter_is_torsion(interval200, p2, lam_d):
-    sol = solve_aux(interval200, 1e-8, p2, lam_dirichlet=lam_d)
+    sol = solve_aux(FSolver(interval200, p2, lam_d), 1e-8)
     assert abs(sol.u_xi.values.max() - 0.125) < 1e-6
 
 
 def test_aux_closed_form_at_unit_parameter(interval200, p2, lam_d):
-    sol = solve_aux(interval200, 1.0, p2, lam_dirichlet=lam_d)
+    sol = solve_aux(FSolver(interval200, p2, lam_d), 1.0)
     exact_max = 1.0 / np.cos(0.5) - 1.0
     assert abs(sol.u_xi.values.max() - exact_max) / exact_max < 0.005
     assert abs(sol.F_value - 2 * np.tan(0.5)) / (2 * np.tan(0.5)) < 0.005
@@ -45,18 +43,20 @@ def test_aux_closed_form_at_unit_parameter(interval200, p2, lam_d):
 
 def test_aux_rejects_parameter_at_ceiling(interval200, p2, lam_d):
     with pytest.raises(ConfigError):
-        solve_aux(interval200, lam_d, p2, lam_dirichlet=lam_d)
+        solve_aux(FSolver(interval200, p2, lam_d), lam_d)
     with pytest.raises(ConfigError):
-        solve_aux(interval200, -1.0, p2, lam_dirichlet=lam_d)
+        solve_aux(FSolver(interval200, p2, lam_d), -1.0)
 
 
 def test_F_at_zero(interval200, p2, lam_d):
-    assert F_eval(interval200, 0.0, p2, lam_dirichlet=lam_d) == 0.0
+    # F(0) = 0 is the inversion's lower bracket end, never an evaluation
+    with pytest.raises(ConfigError):
+        solve_aux(FSolver(interval200, p2, lam_d), 0.0)
 
 
 def test_F_monotone_and_above_linear_bound(interval200, p2, lam_d):
     xs = [f * lam_d for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    fs = [F_eval(interval200, xi, p2, lam_dirichlet=lam_d) for xi in xs]
+    fs = [solve_aux(FSolver(interval200, p2, lam_d), xi).F_value for xi in xs]
     assert all(b > a for a, b in zip(fs, fs[1:]))
     assert all(F >= xi * interval200.volume - 1e-9 for F, xi in zip(fs, xs))
 
@@ -64,34 +64,34 @@ def test_F_monotone_and_above_linear_bound(interval200, p2, lam_d):
 def test_aux_solutions_ordered_in_parameter(interval200, p2, lam_d):
     prev = None
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-        sol = solve_aux(interval200, frac * lam_d, p2, lam_dirichlet=lam_d)
+        sol = solve_aux(FSolver(interval200, p2, lam_d), frac * lam_d)
         if prev is not None:
             assert np.all(sol.u_xi.values >= prev - 1e-9)
         prev = sol.u_xi.values
 
 
 def test_invert_F_against_scalar_root(interval200, p2, lam_d):
-    xi = invert_F(interval200, 2.0, p2, lam_dirichlet=lam_d)
+    xi = FSolver(interval200, p2, lam_d).invert(2.0).xi
     exact = closed_form_F_root(2.0)
     assert abs(xi - exact) / exact < 0.005
 
 
 def test_invert_F_small_mass(interval200, p2, lam_d):
-    assert invert_F(interval200, 1e-6, p2, lam_dirichlet=lam_d) < 1e-5
+    assert FSolver(interval200, p2, lam_d).invert(1e-6).xi < 1e-5
 
 
 def test_invert_F_monotone(interval200, p2, lam_d):
-    xs = [invert_F(interval200, m, p2, lam_dirichlet=lam_d) for m in (1.0, 2.0, 4.0)]
+    xs = [FSolver(interval200, p2, lam_d).invert(m).xi for m in (1.0, 2.0, 4.0)]
     assert xs[0] < xs[1] < xs[2]
 
 
 def test_invert_F_rejects_nonpositive_mass(interval200, p2, lam_d):
     with pytest.raises(ConfigError):
-        invert_F(interval200, 0.0, p2, lam_dirichlet=lam_d)
+        FSolver(interval200, p2, lam_d).invert(0.0)
 
 
 def test_pipeline_interval_symmetric(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, lam_dirichlet=lam_d)
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
     masses = dict(rep.sigma_m.atoms)
     left, right = masses[0], masses[interval200.n_nodes - 1]
     assert abs(left - right) / max(left, right) < 1e-10
@@ -145,13 +145,13 @@ def test_sigma_max_rejects_foreign_solver(interval200, p2, p3, lam_d):
 
 
 def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 3.0, p2, lam_dirichlet=lam_d)
+    rep = sigma_max(interval200, 3.0, p2, solver=FSolver(interval200, p2, lam_d))
     bvals = rep.u_m.values[interval200.node_is_boundary]
     assert np.all(bvals == 1.0)
 
 
 def test_pipeline_candidate_satisfies_weak_form(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, lam_dirichlet=lam_d)
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
     r = weak_residual(rep.u_m, rep.sigma_m, 2.0, rep.xi_m, p2.eps_reg)
     assert 2.0 * np.max(np.abs(r)) < p2.tol_res
 
@@ -178,7 +178,7 @@ def test_pipeline_square_p3(square4, p3):
 
 
 def test_maximal_value_dominates_random_weights(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, lam_dirichlet=lam_d)
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
     rng = np.random.default_rng(42)
     for _ in range(20):
         w = random_weight(interval200, 2.0, rng)
@@ -191,7 +191,7 @@ def test_maximal_value_dominates_random_weights(interval200, p2, lam_d):
 def test_Lambda_monotone_and_sandwiched(interval200, p2, lam_d):
     vals = []
     for m in (0.5, 1.0, 2.0, 8.0):
-        rep = sigma_max(interval200, m, p2, lam_dirichlet=lam_d)
+        rep = sigma_max(interval200, m, p2, solver=FSolver(interval200, p2, lam_d))
         vals.append(rep.Lambda)
         assert rep.Lambda <= min(lam_d, m / interval200.volume) + 1e-9
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -203,7 +203,7 @@ def test_mass_inversion_second_order_in_h():
     exact = closed_form_F_root(2.0)
     errs = []
     for n in (50, 100, 200):
-        xi = invert_F(build_interval(n), 2.0, SolverParams(p=2.0))
+        xi = FSolver(build_interval(n), SolverParams(p=2.0)).invert(2.0).xi
         errs.append(abs(xi - exact) / exact)
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) > 1.8

@@ -9,6 +9,7 @@ from robinopt import (
     SolverParams,
     brute_force_1d,
     build_disk,
+    build_interval,
     concentration_demo,
     hoelder_check,
     lambda_inf,
@@ -82,6 +83,15 @@ def test_dirac_dominated_by_point_and_trivial_bounds(interval200, p2, interval_s
         assert lam_d <= lam_pt + 1e-9
         assert lam_d <= 2.0 / interval200.volume + 1e-9
     assert rep.lambda_inf <= min(rep.lambda1_omega, 2.0 / interval200.volume) + 1e-9
+
+
+def test_foreign_scan_refused(interval200, p2, p3, interval_scan):
+    # interval_scan is the p = 2 scan of interval200
+    for mesh, params in ((build_interval(10), p2), (interval200, p3)):
+        with pytest.raises(ConfigError):
+            lambda_inf(mesh, 1.0, params, scan=interval_scan)
+        with pytest.raises(ConfigError):
+            hoelder_check(mesh, params, scan=interval_scan)
 
 
 def test_lambda_inf_refused_p_le_dim(square4, p2):

@@ -119,11 +119,11 @@ def test_fem_convergence_against_oracle():
 def test_symmetric_robin_root_equals_mass_inversion():
     # mu tan(mu/2) = m/2 is simultaneously the symmetric-weight eigenvalue
     # equation and the mass-inversion equation of the maximizer
-    from robinopt import SolverParams, build_interval, invert_F
+    from robinopt import FSolver, SolverParams, build_interval
 
     mesh = build_interval(200)
     params = SolverParams(p=2.0)
     for m in (0.5, 1.0, 2.0, 8.0):
         oracle = interval_robin_p2(m / 2.0, m / 2.0)
-        xi = invert_F(mesh, m, params)
+        xi = FSolver(mesh, params).invert(m).xi
         assert abs(xi - oracle) / oracle < 0.005
