@@ -107,16 +107,12 @@ def _parse_sigma(mesh, spec):
 def _params(args):
     return SolverParams(
         p=args.p, tol_rq=args.tol_rq, tol_res=args.tol_res,
-        max_outer=args.max_outer, eps_reg=args.eps_reg, seed=args.seed,
+        max_outer=args.max_outer, eps_reg=args.eps_reg,
     )
 
 
 def _workers(args):
-    if args.serial:
-        return 1
-    if args.workers is not None:
-        return max(1, args.workers)
-    return mn.default_workers()
+    return mn.default_workers() if args.workers is None else max(1, args.workers)
 
 
 def _json_safe(obj):
@@ -282,25 +278,25 @@ def _cmd_concentrate(args):
     return EXIT_OK
 
 
+# oracle name -> (function, its argument names, how many of them are required)
+_ORACLES = {
+    "interval-robin-p2": (orc.interval_robin_p2, ("SIGMA_LEFT", "SIGMA_RIGHT"), 2),
+    "interval-dirichlet-p": (orc.interval_dirichlet_p, ("P",), 1),
+    "disk-robin-p2": (orc.disk_robin_p2_const, ("SIGMA",), 1),
+    "brute-force-1d": (orc.brute_force_1d, ("P", "SIGMA_LEFT", "SIGMA_RIGHT", "N_GRID"), 3),
+}
+
+
 def _cmd_oracle(args):
     name = args.name
-    vals = [float(v) for v in args.args]
-    if name == "interval-robin-p2":
-        out = orc.interval_robin_p2(*vals)
-    elif name == "interval-dirichlet-p":
-        out = orc.interval_dirichlet_p(*vals)
-    elif name == "disk-robin-p2":
-        out = orc.disk_robin_p2_const(*vals)
-    elif name == "brute-force-1d":
-        p, sl, sr = vals[0], vals[1], vals[2]
-        n = int(vals[3]) if len(vals) > 3 else 10_000
-        out = orc.brute_force_1d(p, sl, sr, n_grid=n)
-    else:
-        raise ConfigError(
-            f"unknown oracle {name!r}; available: interval-robin-p2, "
-            "interval-dirichlet-p, disk-robin-p2, brute-force-1d"
-        )
-    _emit(args, {"oracle": name, "args": vals, "value": out})
+    if name not in _ORACLES:
+        raise ConfigError(f"unknown oracle {name!r}; available: {', '.join(_ORACLES)}")
+    fn, names, required = _ORACLES[name]
+    if not required <= len(args.args) <= len(names):
+        usage = " ".join(names[:required] + tuple(f"[{n}]" for n in names[required:]))
+        raise ConfigError(f"oracle {name} takes {usage}; got {len(args.args)} argument(s)")
+    vals = [_num(float, v, f"{name} {' '.join(args.args)}") for v in args.args]
+    _emit(args, {"oracle": name, "args": vals, "value": fn(*vals)})
     return EXIT_OK
 
 
@@ -326,19 +322,18 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
-        if domain:
-            sp.add_argument("--domain", help="builtin:interval:N | builtin:disk:H | builtin:square:H | file:PATH")
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--tol-rq", type=float, default=1e-9, dest="tol_rq")
-        sp.add_argument("--tol-res", type=float, default=1e-8, dest="tol_res")
-        sp.add_argument("--max-outer", type=int, default=500, dest="max_outer")
-        sp.add_argument("--eps-reg", type=float, default=1e-10, dest="eps_reg")
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, solver=True, workers=False):
+        sp.add_argument("--domain", help="builtin:interval:N | builtin:disk:H | builtin:square:H | file:PATH")
+        if solver:
+            sp.add_argument("--p", type=float, default=2.0)
+            sp.add_argument("--tol-rq", type=float, default=1e-9, dest="tol_rq")
+            sp.add_argument("--tol-res", type=float, default=1e-8, dest="tol_res")
+            sp.add_argument("--max-outer", type=int, default=500, dest="max_outer")
+            sp.add_argument("--eps-reg", type=float, default=1e-10, dest="eps_reg")
         sp.add_argument("--out", help="output directory (default: JSON to stdout)")
-        sp.add_argument("--serial", action="store_true", help="force the bit-reproducible serial path")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes for scans (default: ROBINOPT_WORKERS or 1)")
+        if workers:
+            sp.add_argument("--workers", type=int, default=None,
+                            help="worker processes for scans (default: ROBINOPT_WORKERS or 1)")
 
     sp = sub.add_parser("dirichlet", help="first Dirichlet eigenvalue")
     common(sp)
@@ -355,26 +350,27 @@ def build_parser():
     sp.set_defaults(fn=_cmd_maximize)
 
     sp = sub.add_parser("minimize", help="minimal Dirac eigenvalue at mass m (p > dim)")
-    common(sp)
+    common(sp, workers=True)
     sp.add_argument("--m", type=float, required=True)
     sp.set_defaults(fn=_cmd_minimize)
 
     sp = sub.add_parser("scan-lambda1", help="point-constrained eigenvalue per boundary node")
-    common(sp)
+    common(sp, workers=True)
     sp.set_defaults(fn=_cmd_scan)
 
     sp = sub.add_parser("bounds", help="verify the closed-form sandwiches over a mass grid")
-    common(sp)
+    common(sp, workers=True)
     sp.add_argument("--m-list", required=True, dest="m_list", help="log:A:B:K | lin:A:B:K | v1,v2,...")
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("sweep", help="Lambda(m), lambda(m) and all bounds over a mass grid")
-    common(sp)
+    common(sp, workers=True)
     sp.add_argument("--m-list", required=True, dest="m_list")
     sp.set_defaults(fn=_cmd_sweep)
 
     sp = sub.add_parser("concentrate", help="vanishing concentration sequence for p <= 2 in 2D")
-    common(sp)
+    common(sp, solver=False)
+    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--j-list", required=True, dest="j_list")
     sp.set_defaults(fn=_cmd_concentrate)
@@ -386,7 +382,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_oracle)
 
     sp = sub.add_parser("mesh", help="build a domain and report/export its mesh")
-    common(sp)
+    common(sp, solver=False)
     sp.set_defaults(fn=_cmd_mesh)
 
     return ap

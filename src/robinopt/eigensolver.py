@@ -92,13 +92,7 @@ def _minimize(mesh, weight, mode, params, u0=None):
                                    eps_reg=params.eps_reg)
     free = problem.free
 
-    if u0 is None:
-        u0 = np.ones(mesh.n_nodes)
-    elif isinstance(u0, str):
-        if u0 != "random":
-            raise ConfigError(f"unknown initial guess {u0!r}")
-        u0 = np.random.default_rng(params.seed).uniform(0.5, 1.5, mesh.n_nodes)
-    w = np.array(u0, dtype=float)
+    w = np.ones(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
     w[~free] = 0.0
     if not np.any(w > 0):
         raise ConfigError("initial guess vanishes on the free nodes")

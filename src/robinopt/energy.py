@@ -84,7 +84,6 @@ class SolverParams:
     tol_res: float = 1e-8      # weak-residual max-norm
     max_outer: int = 500
     eps_reg: float = 1e-10     # derivative smoothing for p < 2
-    seed: int = 0
 
     def __post_init__(self):
         if not (1.1 <= self.p <= 10.0):

@@ -12,8 +12,9 @@ Strategy: up to _MAX_NEWTON Newton steps on the (eps-regularized for p < 2)
 system with a Levenberg ridge when the Hessian is rank-deficient (p > 2 at
 flat iterates), Armijo backtracking (factor 0.5, slope 1e-4), and a plain
 gradient-descent fallback when the Newton direction fails the descent test.
-For p = 2 the problem is quadratic and one factorization, computed once,
-solves it.
+For p = 2 the problem is quadratic: the factorization computed on the first
+solve makes every solve one pair of triangular solves, with no refinement
+(in working precision it lowers the residual, not the cond * eps error).
 
 J's energy is a sum of energy.PowerTerm terms, the mesh's and the weight's,
 each built once with its c L^T L blocks. Each problem lays out a free-free
@@ -135,7 +136,6 @@ class ConvexPEnergyProblem:
         self._terms = [en.stiffness_term(mesh)]
         if weight is not None:
             self._terms += [t for t in en.boundary_terms(weight) if len(t.elems)]
-        self._quadratic = None  # (free-free matrix, its solve), p == 2 only
 
     @cached_property
     def _pattern(self):
@@ -144,6 +144,11 @@ class ConvexPEnergyProblem:
         # nodes on an interval, 36 vs 85 us at 271 on a disk)
         dense = self.p != 2.0 and len(self.free_idx) <= _DENSE_MAX_FREE
         return _Pattern(self.mesh.n_nodes, [t.elems for t in self._terms], self.free_idx, dense)
+
+    @cached_property
+    def _quadratic_solve(self):
+        # p = 2: the Hessian is the same at every w
+        return self._pattern.factor(self.hessian(np.zeros(self.mesh.n_nodes)))
 
     # -- functional pieces -------------------------------------------------
 
@@ -166,22 +171,27 @@ class ConvexPEnergyProblem:
     def solve(self, b, w0=None, gtol=None, gtol_soft=None, raise_on_stall=True):
         """Minimize J; returns the full nodal vector (pinned entries zero).
 
-        Converges to max-norm gradient gtol. When progress stops above gtol,
-        a result below gtol_soft is still returned; above gtol_soft the
-        behavior depends on raise_on_stall: raise a ConvergenceError, or
-        return the best iterate and leave the judgment to the caller's own
-        convergence test.
+        For p = 2, J is quadratic: the result is one solve with the
+        factorization computed on the first call, and w0, gtol, gtol_soft
+        and raise_on_stall do not apply.
+
+        Otherwise Newton converges from w0 to max-norm gradient gtol. When
+        progress stops above gtol, a result below gtol_soft is still
+        returned; above gtol_soft the behavior depends on raise_on_stall:
+        raise a ConvergenceError, or return the best iterate and leave the
+        judgment to the caller's own convergence test.
         """
         b = np.asarray(b, dtype=float)
+        if self.p == 2.0:
+            w = np.zeros(self.mesh.n_nodes)
+            w[self.free_idx] = self._quadratic_solve(b[self.free_idx])
+            return w
         if gtol is None:
             gtol = 1e-12 * (1.0 + float(np.max(np.abs(b))))
         if gtol_soft is None:
             gtol_soft = gtol
         w = np.zeros(self.mesh.n_nodes) if w0 is None else np.array(w0, dtype=float)
         w[~self.free] = 0.0
-
-        if self.p == 2.0:
-            return self._solve_quadratic(b, w, gtol)
 
         fallback_step = 1.0
         j = None  # J(w), carried over from the accepted Armijo trial
@@ -226,35 +236,6 @@ class ConvexPEnergyProblem:
             best=w,
             diagnostics={"gnorm": gn, "gtol": gtol},
         )
-
-    def _solve_quadratic(self, b, w, gtol):
-        if self._quadratic is None:
-            h = self.hessian(w)
-            self._quadratic = (h, self._pattern.factor(h))
-        h, solve = self._quadratic
-        bf = b[self.free_idx]
-        wf = solve(bf)
-        g = h.dot(wf) - bf
-        gn = float(np.max(np.abs(g)))
-        # iterative refinement keeps the residual near machine level; a
-        # correction that does not halve it has hit the roundoff floor, and
-        # one that raises it is undone
-        for _ in range(3):
-            if gn <= gtol:
-                break
-            wf_prev, gn_prev = wf, gn
-            wf = wf - solve(g)
-            g = h.dot(wf) - bf
-            gn = float(np.max(np.abs(g)))
-            if gn > gn_prev:
-                wf, gn = wf_prev, gn_prev
-            if gn > 0.5 * gn_prev:
-                break
-        if gn > gtol:
-            log.debug("quadratic solve stopped refining at |grad|=%.3e (target %.1e)", gn, gtol)
-        out = np.zeros(self.mesh.n_nodes)
-        out[self.free_idx] = wf
-        return out
 
     def _newton_direction(self, w, g):
         h = self.hessian(w)

@@ -94,6 +94,50 @@ def test_unknown_oracle_exit_code(capsys):
     assert run(["oracle", "nope"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["interval-robin-p2", "1"],
+    ["interval-robin-p2", "x", "1"],
+    ["brute-force-1d", "2"],
+    ["interval-dirichlet-p"],
+    ["disk-robin-p2", "1", "2"],
+])
+def test_oracle_argument_error_exit_code(args, capsys):
+    assert run(["oracle", *args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_no_convergence_exit_code(capsys):
+    argv = ["robin", "--domain", "builtin:disk:0.2", "--sigma", "const:1", "--p", "1.2",
+            "--max-outer", "2"]
+    assert run(argv) == 4
+    assert capsys.readouterr().err.startswith("no convergence:")
+
+
+def test_invariant_violation_exit_code(monkeypatch, capsys):
+    from robinopt import InvariantViolationError
+    import robinopt.maximizer as mx
+
+    def violated(*args, **kwargs):
+        raise InvariantViolationError("flux mass does not reproduce F")
+
+    monkeypatch.setattr(mx, "sigma_max", violated)
+    assert run(["maximize", "--domain", "builtin:interval:10", "--m", "2"]) == 5
+    assert capsys.readouterr().err.startswith("invariant violated:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--domain", "builtin:interval:10", "--m", "1", "--serial"],
+    ["dirichlet", "--domain", "builtin:interval:10", "--seed", "0"],
+    ["mesh", "--domain", "builtin:interval:10", "--p", "3"],
+    ["maximize", "--domain", "builtin:interval:10", "--m", "2", "--workers", "1"],
+])
+def test_flag_the_command_does_not_read_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_maximize_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = run([
@@ -117,7 +161,7 @@ def test_minimize_csv_columns(tmp_path):
     out = tmp_path / "run"
     code = run([
         "minimize", "--domain", "builtin:interval:50", "--p", "2", "--m", "1",
-        "--out", str(out), "--serial",
+        "--out", str(out), "--workers", "1",
     ])
     assert code == 0
     lines = (out / "minimize.csv").read_text().splitlines()
@@ -130,7 +174,7 @@ def test_csv_cells_are_plain_floats(tmp_path):
     out = tmp_path / "run"
     assert run(["maximize", "--domain", "builtin:interval:50", "--m", "2", "--out", str(out)]) == 0
     assert run(["minimize", "--domain", "builtin:interval:50", "--p", "2", "--m", "1",
-                "--out", str(out), "--serial"]) == 0
+                "--out", str(out), "--workers", "1"]) == 0
     for name in ("sigma_m.csv", "minimize.csv"):
         rows = (out / name).read_text().splitlines()[1:]
         assert rows
@@ -143,7 +187,7 @@ def test_sweep_lambda_column_nondecreasing(tmp_path):
     out = tmp_path / "run"
     code = run([
         "sweep", "--domain", "builtin:interval:100", "--m-list", "log:0.01:100:9",
-        "--out", str(out), "--serial",
+        "--out", str(out), "--workers", "1",
     ])
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
@@ -192,7 +236,7 @@ def test_serial_reruns_byte_identical(tmp_path):
         out = tmp_path / name
         code = run([
             "maximize", "--domain", "builtin:interval:100", "--m", "2",
-            "--out", str(out), "--serial", "--seed", "0",
+            "--out", str(out),
         ])
         assert code == 0
         outs.append((out / "report.json").read_bytes())

@@ -4,6 +4,7 @@ import pytest
 from robinopt import (
     BoundaryWeight,
     ConfigError,
+    ConvergenceError,
     EigenResult,
     MathRefusalError,
     SolverParams,
@@ -17,6 +18,7 @@ from robinopt import (
 )
 from robinopt.energy import NodalField, lp_norm_p
 from robinopt.energy import weak_residual
+from robinopt.innersolve import ConvexPEnergyProblem
 from tests.conftest import (
     LAM_POINT_INTERVAL,
     LAM_ROBIN_ONESIDED,
@@ -159,11 +161,41 @@ def test_empirical_simplicity(interval200):
     w = BoundaryWeight.from_facet_density(interval200, np.ones(2))
     us, lams = [], []
     for seed in (11, 23):
-        res = solve_robin(interval200, w, SolverParams(p=2.0, seed=seed), u0="random")
+        u0 = np.random.default_rng(seed).uniform(0.5, 1.5, interval200.n_nodes)
+        res = solve_robin(interval200, w, SolverParams(p=2.0), u0=u0)
         us.append(res.u.values)
         lams.append(res.lam)
     assert np.max(np.abs(us[0] - us[1])) < 1e-5
     assert abs(lams[0] - lams[1]) / lams[0] < 1e-7
+
+
+def _zigzag_inner_solve(monkeypatch):
+    """Make every inner solve return a zigzag, whose quotient exceeds any
+    smooth iterate's: the outer step then increases the quotient."""
+
+    def zigzag(problem, b, **kwargs):
+        return 1.0 + 0.5 * (-1.0) ** np.arange(problem.mesh.n_nodes)
+
+    monkeypatch.setattr(ConvexPEnergyProblem, "solve", zigzag)
+
+
+def test_quotient_increase_at_converged_iterate_returns_it(robin11, interval200, p2, monkeypatch):
+    ref, w = robin11
+    _zigzag_inner_solve(monkeypatch)
+    res = solve_robin(interval200, w, p2, u0=ref.u.values)
+    # the increasing step is not recorded; the start is judged as is
+    assert res.outer_iters == 1 and res.rq_history == [res.lam]
+    assert res.residual <= p2.tol_res
+    assert res.lam == pytest.approx(ref.lam, rel=1e-12)
+
+
+def test_quotient_increase_above_tolerance_raises(robin11, interval200, p2, monkeypatch):
+    _, w = robin11
+    _zigzag_inner_solve(monkeypatch)
+    with pytest.raises(ConvergenceError, match="quotient stalled") as exc:
+        solve_robin(interval200, w, p2)
+    best = exc.value.best
+    assert best.outer_iters == 1 and best.residual > p2.tol_res
 
 
 # -- weak residual check ---------------------------------------------------------

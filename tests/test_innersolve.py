@@ -134,10 +134,11 @@ def test_constant_start_logs_ridge_escalation(square4, caplog):
     assert any("ridge escalated to tau=" in m for m in messages)
 
 
-def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch, caplog):
+def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
     # a late p = 2 Picard step near the root of F = 1e4 on interval 200:
     # xi ~ lam_D - 8e-3 and an iterate ~ 160 sin(pi x), where the residual
-    # floor of the factored solve sits above gtol = 1e-13 (1 + |b|)
+    # floor of the factored solve sits above gtol = 1e-13 (1 + |b|); the one
+    # factor solve is already as accurate as the dense reference
     mesh = interval200
     xi = np.pi**2 - 8e-3
     v = 160.0 * np.sin(np.pi * mesh.nodes[:, 0])
@@ -152,13 +153,10 @@ def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch, 
 
     monkeypatch.setattr(ins._Pattern, "factor", counting_factor)
     problem = ConvexPEnergyProblem(mesh, 2.0, fixed_nodes=mesh.boundary_nodes())
-    with caplog.at_level(logging.DEBUG, logger="robinopt"):
-        w = problem.solve(b, w0=v, gtol=gtol)
+    w = problem.solve(b, w0=v, gtol=gtol)
     g = problem.gradient(w, b)[problem.free]
     assert np.max(np.abs(g)) > gtol  # the step does stagnate
-    assert len(solves) <= 2  # at most one correction once the residual stops halving
-    messages = [r.getMessage() for r in caplog.records if r.name == "robinopt"]
-    assert any("stopped refining" in m for m in messages)
+    assert len(solves) == 1  # exactly one factor solve
     h = problem.hessian(w).toarray()
     ref = np.linalg.solve(h, b[problem.free_idx])
     assert np.max(np.abs(w[problem.free_idx] - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -4,6 +4,7 @@ import pytest
 from robinopt import (
     ConfigError,
     FSolver,
+    InvariantViolationError,
     SolverParams,
     dirichlet_ceiling,
     interval_robin_p2,
@@ -13,6 +14,7 @@ from robinopt import (
     solve_aux,
     solve_robin,
 )
+import robinopt.energy as en
 import robinopt.maximizer as mx
 from robinopt.energy import weak_residual
 from robinopt.oracle import bisect_root
@@ -195,6 +197,26 @@ def test_Lambda_monotone_and_sandwiched(interval200, p2, lam_d):
         vals.append(rep.Lambda)
         assert rep.Lambda <= min(lam_d, m / interval200.volume) + 1e-9
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_picard_decrease_is_an_invariant_violation(interval200, p2, lam_d, monkeypatch):
+    solver = FSolver(interval200, p2, lam_d)
+    v0 = np.sin(np.pi * interval200.nodes[:, 0])
+    monkeypatch.setattr(solver.problem, "solve", lambda b, w0, **kwargs: 0.5 * w0)
+    with pytest.raises(InvariantViolationError, match="Picard iterate decreased at step 1"):
+        solve_aux(solver, 1.0, v0=v0)
+
+
+def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, lam_d, monkeypatch):
+    recover_flux = en.recover_flux
+
+    def off_by_1e8(*args, **kwargs):
+        flux = recover_flux(*args, **kwargs)
+        return en.NodalFlux(flux.mesh, flux.nodes, flux.masses * (1.0 + 1e-8))
+
+    monkeypatch.setattr(en, "recover_flux", off_by_1e8)
+    with pytest.raises(InvariantViolationError, match="does not reproduce F"):
+        sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
 
 
 def test_mass_inversion_second_order_in_h():
