@@ -112,7 +112,10 @@ def _params(args):
 
 
 def _workers(args):
-    return mn.default_workers() if args.workers is None else max(1, args.workers)
+    workers = mn.default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"worker count {workers} (--workers or ROBINOPT_WORKERS) is below 1")
+    return workers
 
 
 def _json_safe(obj):

@@ -251,7 +251,7 @@ class PowerTerm:
 
 def _built_once(build):
     """build(owner), kept for as long as owner (a Mesh or a BoundaryWeight)
-    lives; the terms hold owner's arrays but never owner itself."""
+    lives; what build returns may hold owner's arrays but never owner itself."""
     kept = weakref.WeakKeyDictionary()
 
     @functools.wraps(build)

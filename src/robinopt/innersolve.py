@@ -18,12 +18,10 @@ solve makes every solve one pair of triangular solves, with no refinement
 
 J's energy is a sum of energy.PowerTerm terms, the mesh's and the weight's,
 each built once with its c L^T L blocks. Each problem lays out a free-free
-Hessian pattern from their element arrays, and each Hessian is one scatter of
-the element blocks into it. For p != 2 and up to _DENSE_MAX_FREE free nodes
-it is a dense array factored by Cholesky, otherwise a CSC matrix factored by
-splu: per factorization the dense path wins on small meshes, where sparse
-bookkeeping costs more than the arithmetic, while p = 2 reuses one
-factorization for many solves.
+Hessian pattern from their element arrays, with the free nodes in the mesh's
+Cuthill-McKee order, and each Hessian is one scatter of the element blocks
+into it. Every Newton direction and every p = 2 solve is one banded Cholesky
+factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes).
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ import logging
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spl
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import energy as en
 from .errors import ConfigError, ConvergenceError
@@ -42,81 +38,83 @@ from .errors import ConfigError, ConvergenceError
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
 _MAX_NEWTON = 200
-# free-node count up to which Hessians are dense and factored by Cholesky.
-# Measured per p = 3 Newton direction on 2D meshes (one BLAS thread): the
-# dense path takes 0.5x the sparse time at 41-113 free nodes, 0.6x at 169,
-# 1.0-1.1x at 217-265 and 2x at 331.
-_DENSE_MAX_FREE = 200
 
 log = logging.getLogger("robinopt")
 
 
-class _Pattern:
-    """Free-free Hessian layout of one problem and the scatter into it.
+@en._built_once
+def _node_order(mesh):
+    """Cuthill-McKee order of the mesh's nodes, a bandwidth-reducing order:
+    breadth-first by levels from a node of least degree (the lowest such
+    index, so the order is the natural one on an interval), each level's new
+    nodes grouped by the first node of the previous level they touch and
+    sorted by degree, then index, within a group."""
+    n, k = mesh.n_nodes, mesh.cells.shape[1]
+    pairs = np.unique(np.repeat(mesh.cells, k, axis=1).ravel() * n + np.tile(mesh.cells, (1, k)).ravel())
+    src, dst = np.divmod(pairs, n)  # every node is its own neighbour too
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    degree = np.diff(indptr)
+    order, seen = [], np.zeros(n, dtype=bool)
+    while not seen.all():  # one connected part per pass
+        unseen = np.flatnonzero(~seen)
+        level = unseen[[np.argmin(degree[unseen])]]
+        while len(level):
+            seen[level] = True
+            order.append(level)
+            counts = degree[level]
+            nbrs = dst[np.repeat(indptr[level] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+            group = np.repeat(np.arange(len(level)), counts)[~seen[nbrs]]
+            nbrs = nbrs[~seen[nbrs]]
+            nbrs = nbrs[np.lexsort((nbrs, degree[nbrs], group))]
+            level = nbrs[np.sort(np.unique(nbrs, return_index=True)[1])]
+    return np.concatenate(order)
 
-    Element entries are ordered as ConvexPEnergyProblem.hessian concatenates
-    them: each term's element blocks, term by term. `slot[k]` is the storage
-    position of entry k (the row-major cell of a dense array, or the CSC data
-    index); entries touching a pinned node go to the extra slot `size`.
-    `slot` is kept in np.bincount's own index type, so assembly casts
-    nothing. `diag` holds the positions of the diagonal.
+
+class _Pattern:
+    """Free-free Hessian layout of one problem, in free_idx order, and its
+    banded Cholesky factorization in LAPACK lower band storage: a
+    Fortran-ordered (kd + 1, n) array ab with ab[i - j, j] = H[i, j].
+
+    A Hessian is its stored entries (the lower band entries some element
+    touches, and every diagonal) at flat positions `band_pos` of ab. `slot[k]`
+    is the stored entry of element entry k, in ConvexPEnergyProblem.hessian's
+    order; upper-triangle entries (the blocks are symmetric) and pinned nodes
+    go to the extra slot `size`. `diag` holds the diagonal's stored entries.
     """
 
-    def __init__(self, n_nodes, elems, free_idx, dense):
+    def __init__(self, n_nodes, elems, free_idx):
         n = len(free_idx)
-        pos = np.full(n_nodes, -1, dtype=np.int32)
-        pos[free_idx] = np.arange(n, dtype=np.int32)
+        pos = np.full(n_nodes, -1, dtype=np.intp)
+        pos[free_idx] = np.arange(n)
         rows = np.concatenate([pos[np.repeat(e, e.shape[1], axis=1)].ravel() for e in elems])
         cols = np.concatenate([pos[np.tile(e, (1, e.shape[1]))].ravel() for e in elems])
-        keep = (rows >= 0) & (cols >= 0)
+        keep = (rows >= cols) & (cols >= 0)
         self.n = n
-        self.dense = dense
-        if self.dense:
-            self.size = n * n
-            self.slot = np.where(keep, rows * n + cols, self.size).astype(np.intp)
-            self.diag = np.arange(n) * (n + 1)
-            return
-        # CSC: sort the kept entries (plus every diagonal) by column, then
-        # row; each run of equal (column, row) keys is one stored entry
-        kr = np.concatenate([rows[keep], np.arange(n, dtype=np.int32)])
-        kc = np.concatenate([cols[keep], np.arange(n, dtype=np.int32)])
-        order = np.lexsort((kr, kc))
-        sr, sc = kr[order], kc[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
-        slot = np.empty(len(order), dtype=np.int32)
-        slot[order] = np.cumsum(first, dtype=np.int32) - 1
-        self.size = int(np.count_nonzero(first))
-        self.indices = sr[first]
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(sc[first], minlength=n))]
-        ).astype(np.int32)
+        self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
+        flat = np.concatenate([cols[keep] * self.kd + rows[keep], np.arange(n) * (self.kd + 1)])
+        self.band_pos, stored = np.unique(flat, return_inverse=True)
+        self.size = len(self.band_pos)
         self.slot = np.full(len(rows), self.size, dtype=np.intp)
-        self.slot[keep] = slot[: len(slot) - n]
-        self.diag = slot[len(slot) - n:]
-
-    def assemble(self, vals):
-        """The free-free matrix with entry values `vals`."""
-        data = np.bincount(self.slot, weights=vals, minlength=self.size + 1)[: self.size]
-        if self.dense:
-            return data.reshape(self.n, self.n)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        self.slot[keep] = stored[: len(stored) - n]
+        self.diag = stored[len(stored) - n:]
+        # one work band, reused by every factorization: a fresh (kd + 1) x n
+        # array per Newton direction costs more in page faults than dpbtrf
+        self._flat = np.zeros((self.kd + 1) * n)
 
     def factor(self, h, tau=0.0):
-        """A solve function for h + tau I.
+        """A solve function for the matrix with stored entries h plus tau I,
+        valid until the next call: the factor lives in the work band.
 
-        Raises np.linalg.LinAlgError (dense) or RuntimeError (sparse) when
-        the factorization fails.
+        Raises np.linalg.LinAlgError when the factorization fails.
         """
-        if tau:
-            h = h.copy()
-            (h.reshape(-1) if self.dense else h.data)[self.diag] += tau
-        if not self.dense:
-            return spl.splu(h).solve
-        c, info = dpotrf(h, lower=1, clean=0)
+        self._flat[:] = 0.0
+        self._flat[self.band_pos] = h
+        ab = self._flat.reshape((self.kd + 1, self.n), order="F")
+        ab[0] += tau
+        c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"Cholesky failed at pivot {info}")
-        return lambda r: dpotrs(c, r, lower=1)[0]
+            raise np.linalg.LinAlgError(f"banded Cholesky failed at pivot {info}")
+        return lambda r: dpbtrs(c, r, lower=1)[0]
 
 
 class ConvexPEnergyProblem:
@@ -132,18 +130,16 @@ class ConvexPEnergyProblem:
         self.free = np.ones(mesh.n_nodes, dtype=bool)
         if fixed_nodes is not None:
             self.free[np.asarray(fixed_nodes, dtype=int)] = False
-        self.free_idx = np.flatnonzero(self.free)
+        # Cuthill-McKee order: the order of every free-node vector and Hessian row
+        order = _node_order(mesh)
+        self.free_idx = order[self.free[order]]
         self._terms = [en.stiffness_term(mesh)]
         if weight is not None:
             self._terms += [t for t in en.boundary_terms(weight) if len(t.elems)]
 
     @cached_property
     def _pattern(self):
-        # p = 2 factors once and then solves at every call: sparse triangular
-        # solves beat the O(n^2) dense ones there (26 vs 45 us at 199 free
-        # nodes on an interval, 36 vs 85 us at 271 on a disk)
-        dense = self.p != 2.0 and len(self.free_idx) <= _DENSE_MAX_FREE
-        return _Pattern(self.mesh.n_nodes, [t.elems for t in self._terms], self.free_idx, dense)
+        return _Pattern(self.mesh.n_nodes, [t.elems for t in self._terms], self.free_idx)
 
     @cached_property
     def _quadratic_solve(self):
@@ -161,10 +157,10 @@ class ConvexPEnergyProblem:
             return sum(t.action(w, self.p, self.eps) for t in self._terms) - b
 
     def hessian(self, w):
-        """Free-free Hessian of J at w: a dense array up to _DENSE_MAX_FREE
-        free nodes when p != 2, a CSC matrix otherwise."""
-        vals = [t.blocks(w, self.p, self.eps).ravel() for t in self._terms]
-        return self._pattern.assemble(np.concatenate(vals))
+        """Free-free Hessian of J at w: its stored entries in self._pattern."""
+        vals = np.concatenate([t.blocks(w, self.p, self.eps).ravel() for t in self._terms])
+        pattern = self._pattern
+        return np.bincount(pattern.slot, weights=vals, minlength=pattern.size + 1)[: pattern.size]
 
     # -- solve --------------------------------------------------------------
 
@@ -204,7 +200,7 @@ class ConvexPEnergyProblem:
                 j = self.objective(w, b)
             d = self._newton_direction(w, g)
             step = None
-            if d is not None and float(np.dot(g[self.free], d)) < 0:
+            if d is not None and float(np.dot(g[self.free_idx], d)) < 0:
                 step = self._armijo(w, b, g, d, 1.0, j)
                 if step is None:
                     # terminal roundoff regime: objective comparisons are noise,
@@ -217,7 +213,7 @@ class ConvexPEnergyProblem:
                         step = (cand, 1.0, None)
             if step is None:
                 log.debug("gradient-descent fallback at |grad|=%.3e (step %.3e)", gn, fallback_step)
-                d = -g[self.free]
+                d = -g[self.free_idx]
                 step = self._armijo(w, b, g, d, fallback_step, j)
                 if step is None:
                     break
@@ -240,12 +236,12 @@ class ConvexPEnergyProblem:
     def _newton_direction(self, w, g):
         h = self.hessian(w)
         gf = g[self.free_idx]
-        dscale = float(np.mean(np.abs(h.diagonal()))) + 1e-300
+        dscale = float(np.mean(np.abs(h[self._pattern.diag]))) + 1e-300
         tau = 0.0
         for _ in range(9):
             try:
                 d = self._pattern.factor(h, tau)(-gf)
-            except (np.linalg.LinAlgError, RuntimeError) as exc:
+            except np.linalg.LinAlgError as exc:
                 log.debug("Hessian factorization failed at tau=%.3e: %s", tau, exc)
                 d = None
             if d is not None and np.all(np.isfinite(d)) and float(np.dot(gf, d)) < 0:
@@ -258,7 +254,7 @@ class ConvexPEnergyProblem:
 
     def _armijo(self, w, b, g, d, t0, j0):
         """Backtrack from t0 along d; returns (w + t d, t, J(w + t d)) or None."""
-        slope = float(np.dot(g[self.free], d))
+        slope = float(np.dot(g[self.free_idx], d))
         resolution = 1e-15 * (1.0 + abs(j0))
         t = t0
         for _ in range(60):

@@ -164,9 +164,9 @@ class FSolver:
     """F evaluations and their inversion on one mesh, shared across masses.
 
     Owns the Dirichlet ceiling, the Dirichlet-pinned convex problem every
-    Picard step reuses (at p = 2 its LU factorization is computed once) and
-    the computed auxiliary solutions, sorted by xi: each evaluation starts
-    from the largest known subsolution below its xi.
+    Picard step reuses (at p = 2 its banded Cholesky factorization is
+    computed once) and the computed auxiliary solutions, sorted by xi: each
+    evaluation starts from the largest known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams, lam_dirichlet: float | None = None):

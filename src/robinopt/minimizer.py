@@ -381,6 +381,6 @@ def default_workers() -> int:
     """Worker count from the environment; 1 (serial, bit-reproducible) by default."""
     text = os.environ.get("ROBINOPT_WORKERS", "1")
     try:
-        return max(1, int(text))
+        return int(text)
     except ValueError:
         raise ConfigError(f"ROBINOPT_WORKERS={text!r} is not an integer") from None

@@ -57,6 +57,20 @@ def test_malformed_workers_env_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_exit_code(workers, capsys):
+    argv = ["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2", "--workers", workers]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_env_below_one_exit_code(workers, monkeypatch, capsys):
+    monkeypatch.setenv("ROBINOPT_WORKERS", workers)
+    assert run(["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
     path = tmp_path / "w.bw"
     path.write_text("bw 1 0.5\natom -1 0.5\n")

@@ -14,12 +14,13 @@ MESHES = {
     "square": lambda: build_square(0.25),
     "disk": lambda: build_disk(0.25),
 }
-PATHS = {"dense": 10**9, "sparse": 0}
 
 
 def _pins(mesh):
     bnodes = mesh.boundary_nodes()
-    return {"none": None, "dirichlet": bnodes, "point": [int(bnodes[0])]}
+    # pinning the middle node splits the interval's free graph in two
+    return {"none": None, "dirichlet": bnodes, "point": [int(bnodes[0])],
+            "middle": [mesh.n_nodes // 2]}
 
 
 def _weights(mesh):
@@ -33,8 +34,19 @@ def _weights(mesh):
     }
 
 
-def _dense(h):
-    return h.toarray() if sp.issparse(h) else np.asarray(h)
+def _expand(problem, h):
+    """The full free-free matrix of stored entries h of problem._pattern:
+    place them in the band and mirror it."""
+    pattern = problem._pattern
+    n, kd = pattern.n, pattern.kd
+    flat = np.zeros((kd + 1) * n)
+    flat[pattern.band_pos] = h
+    ab = flat.reshape((kd + 1, n), order="F")
+    full = np.zeros((n, n))
+    for d in range(kd + 1):
+        j = np.arange(n - d)
+        full[j + d, j] = full[j, j + d] = ab[d, : n - d]
+    return full
 
 
 def _reference_hessian(problem, w):
@@ -61,20 +73,17 @@ def _reference_hessian(problem, w):
     return h[free][:, free].toarray()
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
-def test_hessian_matches_coo_reference(mesh_name, path, monkeypatch):
-    monkeypatch.setattr(ins, "_DENSE_MAX_FREE", PATHS[path])
+def test_hessian_matches_coo_reference(mesh_name):
     mesh = MESHES[mesh_name]()
     w = np.random.default_rng(1).uniform(0.5, 1.5, mesh.n_nodes)
     for pins in _pins(mesh).values():
         for weight in _weights(mesh).values():
             for p in (1.5, 2.0, 3.0):
                 problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=pins)
-                h = problem.hessian(w)
-                assert isinstance(h, np.ndarray) == (path == "dense" and p != 2.0)
+                h = _expand(problem, problem.hessian(w))
                 ref = _reference_hessian(problem, w)
-                err = np.max(np.abs(_dense(h) - ref)) / np.max(np.abs(ref))
+                err = np.max(np.abs(h - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-13, (pins, weight.kind, p, err)
 
 
@@ -94,12 +103,14 @@ def test_hessian_matches_gradient_differences(mesh_name, p):
         e[node] = step
         diff = problem.gradient(w + e, b) - problem.gradient(w - e, b)
         fd[:, k] = diff[free] / (2.0 * step)
-    h = _dense(problem.hessian(w))
+    h = _expand(problem, problem.hessian(w))
     assert np.max(np.abs(h - fd)) <= 1e-6 * np.max(np.abs(h))
 
 
 @pytest.mark.parametrize("start", ["random", "constant"])
 def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
+    # the banded direction against a dense solve of the COO reference Hessian
+    # with the same ridge
     if start == "random":
         mesh = build_disk(0.25)
         w = np.random.default_rng(3).uniform(0.5, 1.5, mesh.n_nodes)
@@ -110,28 +121,47 @@ def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
         w = np.ones(mesh.n_nodes)
     weight = _weights(mesh)["mixed"]
     b = en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0)
-    dirs = {}
-    for path, crossover in PATHS.items():
-        monkeypatch.setattr(ins, "_DENSE_MAX_FREE", crossover)
-        problem = ConvexPEnergyProblem(mesh, 3.0, weight=weight)
-        assert problem._pattern.dense == (path == "dense")
-        dirs[path] = problem._newton_direction(w, problem.gradient(w, b))
-    assert dirs["dense"] is not None and dirs["sparse"] is not None
-    scale = np.max(np.abs(dirs["sparse"]))
-    assert np.max(np.abs(dirs["dense"] - dirs["sparse"])) <= 1e-10 * scale
+    taus = []
+    factor = ins._Pattern.factor
+    monkeypatch.setattr(ins._Pattern, "factor",
+                        lambda pattern, h, tau=0.0: taus.append(tau) or factor(pattern, h, tau))
+    problem = ConvexPEnergyProblem(mesh, 3.0, weight=weight)
+    g = problem.gradient(w, b)
+    d = problem._newton_direction(w, g)
+    assert d is not None
+    assert (taus[-1] > 0) == (start == "constant")
+    h = _reference_hessian(problem, w) + taus[-1] * np.eye(len(problem.free_idx))
+    ref = np.linalg.solve(h, -g[problem.free_idx])
+    assert np.max(np.abs(d - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_constant_start_logs_ridge_escalation(square4, caplog):
-    weight = BoundaryWeight.constant(square4, 1.0)
-    problem = ConvexPEnergyProblem(square4, 3.0, weight=weight)
-    b = en.mass_action(square4, np.ones(square4.n_nodes), 3.0)
+def _assert_flat_start_logs_ridge_escalation(mesh, caplog):
+    weight = BoundaryWeight.constant(mesh, 1.0)
+    problem = ConvexPEnergyProblem(mesh, 3.0, weight=weight)
+    b = en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0)
     with caplog.at_level(logging.DEBUG, logger="robinopt"):
-        w = problem.solve(b, w0=np.ones(square4.n_nodes))
+        w = problem.solve(b, w0=np.ones(mesh.n_nodes))
     g = problem.gradient(w, b)
     assert np.max(np.abs(g)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
     messages = [r.getMessage() for r in caplog.records if r.name == "robinopt"]
     assert any("factorization failed" in m for m in messages)
     assert any("ridge escalated to tau=" in m for m in messages)
+
+
+def test_constant_start_logs_ridge_escalation(square4, caplog):
+    _assert_flat_start_logs_ridge_escalation(square4, caplog)
+
+
+def test_flat_start_on_disk_logs_ridge_escalation(caplog):
+    # 331 free nodes: the size that sparse LU used to factor
+    _assert_flat_start_logs_ridge_escalation(build_disk(0.1), caplog)
+
+
+def test_band_width_on_disk_is_order_sqrt_n():
+    # 81 in Cuthill-McKee order at 4921 free nodes; the natural order gives 473
+    mesh = build_disk(0.025)
+    problem = ConvexPEnergyProblem(mesh, 3.0, weight=BoundaryWeight.constant(mesh, 1.0))
+    assert problem._pattern.kd <= 2.0 * np.sqrt(len(problem.free_idx))
 
 
 def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
@@ -157,6 +187,6 @@ def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
     g = problem.gradient(w, b)[problem.free]
     assert np.max(np.abs(g)) > gtol  # the step does stagnate
     assert len(solves) == 1  # exactly one factor solve
-    h = problem.hessian(w).toarray()
+    h = _expand(problem, problem.hessian(w))
     ref = np.linalg.solve(h, b[problem.free_idx])
     assert np.max(np.abs(w[problem.free_idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
