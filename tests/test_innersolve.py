@@ -14,6 +14,7 @@ MESHES = {
     "square": lambda: build_square(0.25),
     "disk": lambda: build_disk(0.25),
 }
+PATHS = ["dense", "sparse"]
 
 
 def _pins(mesh):
@@ -49,32 +50,40 @@ def _expand(problem, h):
     return full
 
 
-def _reference_hessian(problem, w):
-    """Full-mesh COO -> CSR assembly of the element blocks, sliced to the free nodes."""
+def _reference_hessian(problem, w, path="sparse"):
+    """Full-mesh assembly of the element blocks, sliced to the free nodes:
+    COO -> CSR for path "sparse", np.add.at into a full array for "dense"."""
     mesh = problem.mesh
     n = mesh.n_nodes
 
-    def coo(blocks, elems):
+    def assemble(blocks, elems):
         k = elems.shape[1]
         rows = np.repeat(elems, k, axis=1).ravel()
         cols = np.tile(elems, (1, k)).ravel()
+        if path == "dense":
+            full = np.zeros((n, n))
+            np.add.at(full, (rows, cols), blocks.ravel())
+            return full
         return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
 
-    h = coo(en.stiffness_term(mesh).blocks(w, problem.p, problem.eps), mesh.cells)
+    h = assemble(en.stiffness_term(mesh).blocks(w, problem.p, problem.eps), mesh.cells)
     if problem.weight is not None:
         facet_term, atom_term = en.boundary_terms(problem.weight)
         facets = facet_term.blocks(w, problem.p, problem.eps)
-        atoms = atom_term.blocks(w, problem.p, problem.eps).reshape(-1)
+        atoms = atom_term.blocks(w, problem.p, problem.eps)
         if len(facets):
-            h = h + coo(facets, mesh.boundary_facets)
-        idx = np.array([a[0] for a in problem.weight.atoms], dtype=int)
-        h = h + sp.csr_matrix((atoms, (idx, idx)), shape=(n, n))
+            h = h + assemble(facets, mesh.boundary_facets)
+        idx = np.array([a[0] for a in problem.weight.atoms], dtype=int).reshape(-1, 1)
+        h = h + assemble(atoms.reshape(-1, 1, 1), idx)
     free = problem.free_idx
-    return h[free][:, free].toarray()
+    h = h[free][:, free]
+    return h if path == "dense" else h.toarray()
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
-def test_hessian_matches_coo_reference(mesh_name):
+def test_hessian_matches_coo_reference(mesh_name, path):
+    # the band against two independent full-mesh assemblies
     mesh = MESHES[mesh_name]()
     w = np.random.default_rng(1).uniform(0.5, 1.5, mesh.n_nodes)
     for pins in _pins(mesh).values():
@@ -82,7 +91,7 @@ def test_hessian_matches_coo_reference(mesh_name):
             for p in (1.5, 2.0, 3.0):
                 problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=pins)
                 h = _expand(problem, problem.hessian(w))
-                ref = _reference_hessian(problem, w)
+                ref = _reference_hessian(problem, w, path)
                 err = np.max(np.abs(h - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-13, (pins, weight.kind, p, err)
 
