@@ -157,16 +157,16 @@ def _eig_report(res, extra=None):
     return rep
 
 
-def _boundary_csv(mesh, flux, scale=1.0):
+def _boundary_csv(mesh, flux):
     """Per-boundary-node CSV along the boundary loop: arclength, mass, density."""
     loop = mesh.boundary_loop
     pts = mesh.nodes[loop]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1) if mesh.dim == 2 else np.diff(pts[:, 0])
     arc = np.concatenate([[0.0], np.cumsum(np.abs(seg))])
     nodal = np.zeros(mesh.n_nodes)
-    nodal[flux.nodes] = scale * flux.masses
+    nodal[flux.nodes] = flux.masses
     dens = np.zeros(mesh.n_nodes)
-    dens_f = flux.as_facet_density(scale=scale)
+    dens_f = flux.as_facet_density()
     share = {}
     for k, f in enumerate(mesh.boundary_facets):
         for i in f:
@@ -187,7 +187,7 @@ def _boundary_csv(mesh, flux, scale=1.0):
 def _cmd_dirichlet(args):
     mesh = _parse_domain(args.domain)
     res = solve_dirichlet(mesh, _params(args))
-    check = verify_weak_residual(res, None, _params(args))
+    check = verify_weak_residual(res, _params(args))
     _emit(args, _eig_report(res, {"weak_residual_check": check}))
     return EXIT_OK
 
@@ -196,7 +196,7 @@ def _cmd_robin(args):
     mesh = _parse_domain(args.domain)
     w = _parse_sigma(mesh, args.sigma)
     res = solve_robin(mesh, w, _params(args))
-    check = verify_weak_residual(res, w, _params(args))
+    check = verify_weak_residual(res, _params(args))
     extra = {"sigma_mass": w.total_mass, "weak_residual_check": check}
     if w.snap_distance:
         extra["snap_distance"] = w.snap_distance

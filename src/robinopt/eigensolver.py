@@ -42,7 +42,11 @@ _MONOTONE_SLACK = 1e-13
 
 @dataclass
 class EigenResult:
-    """First eigenvalue, normalized nonnegative eigenfunction and diagnostics."""
+    """First eigenvalue, normalized nonnegative eigenfunction and diagnostics.
+
+    `weight` and `pinned` (the nodes held at zero) are the problem that was
+    solved; `mode` only labels it in reports.
+    """
 
     lam: float
     u: NodalField
@@ -52,6 +56,7 @@ class EigenResult:
     p: float
     rq_history: list = field(default_factory=list)
     weight: BoundaryWeight | None = None
+    pinned: tuple = ()
     warning: str | None = None
 
     def validate(self):
@@ -65,14 +70,6 @@ class EigenResult:
         return self
 
 
-def _fixed_nodes(mesh, mode):
-    if mode == "dirichlet":
-        return mesh.boundary_nodes()
-    if mode.startswith("point:"):
-        return [int(mode.split(":")[1])]
-    return []
-
-
 def _normalize(mesh, vals, p):
     nrm = en.lp_norm_p(NodalField(mesh, vals), p)
     if nrm <= 0.0:
@@ -80,7 +77,7 @@ def _normalize(mesh, vals, p):
     return vals / nrm ** (1.0 / p)
 
 
-def _minimize(mesh, weight, mode, params, u0=None):
+def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
     if weight is not None and weight.total_mass <= 0:
         raise MathRefusalError(
             "weight has zero mass: the first eigenvalue is 0 with constant "
@@ -88,7 +85,7 @@ def _minimize(mesh, weight, mode, params, u0=None):
             exact_value=0.0,
         )
     p = params.p
-    problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=_fixed_nodes(mesh, mode),
+    problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=pinned,
                                    eps_reg=params.eps_reg)
     free = problem.free
 
@@ -98,14 +95,10 @@ def _minimize(mesh, weight, mode, params, u0=None):
         raise ConfigError("initial guess vanishes on the free nodes")
     u = _normalize(mesh, np.maximum(w, 0.0), p)
 
-    def residual_of(vals, qv):
-        r = en.weak_residual(NodalField(mesh, vals), weight, p, qv, params.eps_reg)
-        return p * float(np.max(np.abs(r[free])))
-
     def result(vals, qv, it, resid, history):
         return EigenResult(
             lam=qv, u=NodalField(mesh, vals), mode=mode, outer_iters=it,
-            residual=resid, p=p, rq_history=history, weight=weight,
+            residual=resid, p=p, rq_history=history, weight=weight, pinned=pinned,
         )
 
     def failure(msg, vals, qv, it, resid, history):
@@ -115,17 +108,20 @@ def _minimize(mesh, weight, mode, params, u0=None):
         )
         return ConvergenceError(msg + hint, best=result(vals, qv, it, resid, history))
 
-    q = en.rayleigh(NodalField(mesh, u), weight, p)
-    history = [q]
-    resid = residual_of(u, q)
-    for it in range(1, params.max_outer + 1):
+    def load_and_residual(vals, qv):
         # load q * m(u_k) puts the inner minimizer at the scale of u_k itself
         # (they differ by the factor q^{1/(p-1)}, which the renormalization
         # removes); a single working scale matters for p far from 2, where
-        # the smoothed derivative is not homogeneous
-        b = q * en.mass_action(mesh, u, p)
-        gtol = 1e-12 * (1.0 + float(np.max(np.abs(b))))
-        w = problem.solve(b, w0=u, gtol=gtol, raise_on_stall=False)
+        # the smoothed derivative is not homogeneous. The inner gradient at
+        # u_k for this load is the weak residual of (q, u_k).
+        bv = qv * en.mass_action(mesh, vals, p)
+        return bv, p * float(np.max(np.abs(problem.gradient(vals, bv)[free])))
+
+    q = en.rayleigh(NodalField(mesh, u), weight, p)
+    history = [q]
+    b, resid = load_and_residual(u, q)
+    for it in range(1, params.max_outer + 1):
+        w = problem.solve(b, w0=u, raise_on_stall=False)
         w = np.maximum(w, 0.0)
         if not np.any(w > 0):
             raise ConvergenceError(
@@ -146,7 +142,7 @@ def _minimize(mesh, weight, mode, params, u0=None):
                 u, q, it, resid, history,
             )
         history.append(q_new)
-        resid = residual_of(u_new, q_new)
+        b, resid = load_and_residual(u_new, q_new)
         stalled = abs(q - q_new) <= params.tol_rq * max(abs(q_new), 1e-300)
         u, q = u_new, q_new
         if stalled and resid <= params.tol_res:
@@ -172,7 +168,8 @@ def solve_dirichlet(mesh: Mesh, params: SolverParams, u0=None) -> EigenResult:
     """First Dirichlet eigenvalue: minimization over fields vanishing on the boundary."""
     if not np.any(mesh.node_is_boundary):
         raise ConfigError("mesh has no boundary nodes")
-    return _minimize(mesh, None, "dirichlet", params, u0=u0)
+    pinned = tuple(mesh.boundary_nodes().tolist())
+    return _minimize(mesh, None, "dirichlet", params, u0=u0, pinned=pinned)
 
 
 def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenResult:
@@ -192,7 +189,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenRe
             "the continuum value is 0 and the discrete value is mesh-dependent"
         )
         warnings.warn(note)
-    res = _minimize(mesh, None, f"point:{node}", params, u0=u0)
+    res = _minimize(mesh, None, f"point:{node}", params, u0=u0, pinned=(node,))
     res.warning = note
     return res
 
@@ -203,17 +200,17 @@ def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams, u0=Non
     return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
 
 
-def verify_weak_residual(result: EigenResult, w: BoundaryWeight | None, params: SolverParams):
-    """Re-check that (lam, u) satisfies the discrete weak form.
+def verify_weak_residual(result: EigenResult, params: SolverParams):
+    """Re-check that (lam, u) satisfies the discrete weak form of the problem
+    that was solved: result.weight, with the rows of result.pinned excluded.
 
-    Reports the max-norm of the nodal weak-form residual over the free nodes
-    (constraint rows are excluded); the pair is accepted when it is below
-    params.tol_res.
+    Reports the max-norm of the nodal weak-form residual over the free nodes;
+    the pair is accepted when it is below params.tol_res.
     """
     mesh = result.u.mesh
     free = np.ones(mesh.n_nodes, dtype=bool)
-    free[np.asarray(_fixed_nodes(mesh, result.mode), dtype=int)] = False
-    r = en.weak_residual(result.u, w, params.p, result.lam, params.eps_reg)
+    free[list(result.pinned)] = False
+    r = en.weak_residual(result.u, result.weight, params.p, result.lam, params.eps_reg)
     worst = params.p * float(np.max(np.abs(r[free])))
     return {
         "max_residual": worst,

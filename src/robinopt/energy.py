@@ -30,6 +30,7 @@ __all__ = [
     "BoundaryWeight",
     "SolverParams",
     "NodalFlux",
+    "numerator_terms",
     "grad_energy",
     "boundary_term",
     "lp_norm_p",
@@ -88,8 +89,11 @@ class SolverParams:
     def __post_init__(self):
         if not (1.1 <= self.p <= 10.0):
             raise ConfigError(f"p={self.p} outside the supported range [1.1, 10]")
-        if min(self.tol_rq, self.tol_res) <= 0:
-            raise ConfigError("tolerances must be positive")
+        tol_ok = 0 < self.tol_rq < np.inf and 0 < self.tol_res < np.inf
+        if not (tol_ok and 0 <= self.eps_reg < np.inf):
+            raise ConfigError("tolerances must be positive and eps_reg nonnegative, all finite")
+        if self.max_outer < 1:
+            raise ConfigError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,6 +321,17 @@ def mass_action(mesh, u, p):
 # public operations
 # ---------------------------------------------------------------------------
 
+def numerator_terms(mesh, w: BoundaryWeight | None) -> list:
+    """The Rayleigh numerator's PowerTerms, the only list of them: the
+    stiffness, then w's facet-density and atom terms that have elements."""
+    terms = [stiffness_term(mesh)]
+    if w is not None:
+        if w.mesh is not mesh:
+            raise ConfigError("the weight lives on a different mesh")
+        terms += [t for t in boundary_terms(w) if len(t.elems)]
+    return terms
+
+
 def grad_energy(u, p) -> float:
     """integral_Omega |grad u|^p, exact for P1 fields."""
     return stiffness_term(u.mesh).value(u, p)
@@ -324,10 +339,7 @@ def grad_energy(u, p) -> float:
 
 def boundary_term(u, w: BoundaryWeight, p) -> float:
     """integral_bdry sigma |u|^p (facet Gauss rule) plus sum of atom masses * |u(node)|^p."""
-    if u.mesh is not w.mesh:
-        raise ConfigError("field and weight live on different meshes")
-    facets, atoms = boundary_terms(w)
-    return facets.value(u, p) + atoms.value(u, p)
+    return float(sum(t.value(u, p) for t in numerator_terms(u.mesh, w)[1:]))
 
 
 def lp_norm_p(u, p) -> float:
@@ -337,10 +349,7 @@ def lp_norm_p(u, p) -> float:
 
 def rayleigh_numerator(u, w: BoundaryWeight | None, p) -> float:
     """grad_energy + boundary_term; w=None drops the boundary term."""
-    num = grad_energy(u, p)
-    if w is not None:
-        num += boundary_term(u, w, p)
-    return num
+    return sum(t.value(u, p) for t in numerator_terms(u.mesh, w))
 
 
 def rayleigh(u, w: BoundaryWeight | None, p) -> float:
@@ -352,18 +361,15 @@ def rayleigh(u, w: BoundaryWeight | None, p) -> float:
 
 
 def weak_residual(u, w: BoundaryWeight | None, p, q, eps_reg) -> np.ndarray:
-    """Nodal weak-form residual: stiffness action (eps_reg) - q mass_action + boundary actions.
+    """Nodal weak-form residual: the numerator terms' actions - q mass_action,
+    every action smoothed by eps_reg.
 
-    With q = 0 it is the derivative of rayleigh_numerator / p.
+    Equals the gradient of ConvexPEnergyProblem(mesh, p, weight=w) at u for
+    the load q mass_action(u); with q = 0 it is the derivative of
+    rayleigh_numerator / p.
     """
-    mesh = u.mesh
-    r = stiffness_term(mesh).action(u, p, eps_reg)
-    if q:
-        r = r - q * mass_action(mesh, u, p)
-    if w is not None:
-        facets, atoms = boundary_terms(w)
-        r += facets.action(u, p) + atoms.action(u, p)
-    return r
+    actions = sum(t.action(u, p, eps_reg) for t in numerator_terms(u.mesh, w))
+    return actions - q * mass_action(u.mesh, u, p)
 
 
 def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg=1e-10) -> NodalField:
@@ -382,7 +388,8 @@ def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg=1e-10) -> NodalFie
 
 @dataclass
 class NodalFlux:
-    """Variational boundary flux: one mass per boundary node."""
+    """Variational boundary flux: one mass per boundary node, already at the
+    scale its user needs (sigma_max stores the optimal weight's masses)."""
 
     mesh: Mesh
     nodes: np.ndarray
@@ -392,36 +399,35 @@ class NodalFlux:
     def total(self):
         return float(np.sum(self.masses))
 
-    def as_weight(self, scale=1.0, clip_tol=1e-10):
+    def as_weight(self, clip_tol=1e-10):
         """Convert to a Dirac-type BoundaryWeight, clipping roundoff negatives."""
-        m = scale * self.masses
+        m = self.masses
         if np.any(m < -clip_tol * max(1.0, np.max(np.abs(m)))):
             raise RobinoptError("flux has significantly negative entries")
         return BoundaryWeight.from_nodal_masses(self.mesh, self.nodes, np.maximum(m, 0.0))
 
-    def as_facet_density(self, scale=1.0):
+    def as_facet_density(self):
         """Equivalent per-facet density, splitting each nodal mass equally
         among its adjacent facets; conserves the total mass exactly."""
         mesh = self.mesh
         degree = np.bincount(mesh.boundary_facets.ravel(), minlength=mesh.n_nodes)
         nodal = np.zeros(mesh.n_nodes)
-        nodal[self.nodes] = scale * self.masses
+        nodal[self.nodes] = self.masses
         share = nodal / np.maximum(degree, 1)
         return share[mesh.boundary_facets].sum(axis=1) / mesh.facet_measures
 
 
-def recover_flux(u, rhs_coeffs, p, *, load=None, eps_reg=1e-10, tol_res=1e-8) -> NodalFlux:
+def recover_flux(u, load, p, *, eps_reg=1e-10, tol_res=1e-8) -> NodalFlux:
     """Consistent boundary flux of a discrete interior solution.
 
-    Given u solving the interior equations A_i(u) = b_i (i interior) with the
-    load b assembled from the P1 interpolant of rhs_coeffs (or passed
-    pre-assembled via `load`), returns the boundary masses
-    g_i = b_i - A_i(u). Their sum equals the total load exactly up to the
-    interior residual: the discrete divergence identity.
+    Given u solving the interior equations A_i(u) = b_i (i interior) for the
+    nodal load b, where A is the stiffness action (smoothed by eps_reg),
+    returns the boundary masses g_i = b_i - A_i(u). Their sum equals the
+    total load exactly up to the interior residual: the discrete divergence
+    identity. Raises RobinoptError when the interior residual exceeds tol_res.
     """
     mesh = u.mesh
-    b = assemble_load(mesh, gauss_values(mesh, rhs_coeffs)) if load is None else load
-    r = b - stiffness_term(mesh).action(u, p, eps_reg)
+    r = load - stiffness_term(mesh).action(u, p, eps_reg)
     interior = ~mesh.node_is_boundary
     worst = float(np.max(np.abs(r[interior]))) if interior.any() else 0.0
     if worst > tol_res:

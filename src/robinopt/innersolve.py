@@ -16,7 +16,7 @@ For p = 2 the problem is quadratic: the factorization computed on the first
 solve makes every solve one pair of triangular solves, with no refinement
 (in working precision it lowers the residual, not the cond * eps error).
 
-J's energy is a sum of energy.PowerTerm terms, the mesh's and the weight's,
+J's energy is the Rayleigh numerator, the energy.numerator_terms PowerTerms,
 each built once with its c L^T L blocks. Each problem lays out a free-free
 Hessian pattern from their element arrays, with the free nodes in the mesh's
 Cuthill-McKee order, and each Hessian is one scatter of the element blocks
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import energy as en
-from .errors import ConfigError, ConvergenceError
+from .errors import ConvergenceError
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
@@ -121,8 +121,7 @@ class ConvexPEnergyProblem:
     """min_w (1/p) R(w) - <b, w> with optional boundary weight and pinned nodes."""
 
     def __init__(self, mesh, p, weight=None, fixed_nodes=None, eps_reg=1e-10):
-        if weight is not None and weight.mesh is not mesh:
-            raise ConfigError("problem and weight live on different meshes")
+        self._terms = en.numerator_terms(mesh, weight)
         self.mesh = mesh
         self.p = float(p)
         self.weight = weight
@@ -133,9 +132,6 @@ class ConvexPEnergyProblem:
         # Cuthill-McKee order: the order of every free-node vector and Hessian row
         order = _node_order(mesh)
         self.free_idx = order[self.free[order]]
-        self._terms = [en.stiffness_term(mesh)]
-        if weight is not None:
-            self._terms += [t for t in en.boundary_terms(weight) if len(t.elems)]
 
     @cached_property
     def _pattern(self):

@@ -277,10 +277,7 @@ def sigma_max(
     aux = solver.invert(m)
     xi_m = aux.xi
 
-    flux = en.recover_flux(
-        aux.u_xi, aux.u_xi, p, load=aux.load, eps_reg=params.eps_reg,
-        tol_res=params.tol_res,
-    )
+    flux = en.recover_flux(aux.u_xi, aux.load, p, eps_reg=params.eps_reg, tol_res=params.tol_res)
     aux.sigma_flux = en.NodalFlux(mesh, flux.nodes, xi_m * flux.masses)
     if np.min(aux.sigma_flux.masses) < -1e-10:
         raise InvariantViolationError(
@@ -296,7 +293,7 @@ def sigma_max(
         raise InvariantViolationError(
             f"flux mass {total} does not reproduce F = {aux.F_value}"
         )
-    sigma_m = flux.as_weight(scale=xi_m)
+    sigma_m = aux.sigma_flux.as_weight()
 
     u_m = NodalField(
         mesh, xi_m ** (1.0 / (p - 1.0)) * aux.u_xi.values + 1.0

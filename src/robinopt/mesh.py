@@ -179,7 +179,8 @@ def _triangle_geometry(nodes, cells):
 
 
 def _boundary_facets(dim, cells, bfacets):
-    """Facets appearing in exactly one cell, sorted for determinism."""
+    """Facets appearing in exactly one cell, in lexicographic order of their
+    sorted node tuples."""
     if dim == 1:
         faces = cells.reshape(-1, 1)
         owner = np.repeat(np.arange(len(cells)), 2)
@@ -189,13 +190,12 @@ def _boundary_facets(dim, cells, bfacets):
         )
         owner = np.tile(np.arange(len(cells)), 3)
 
-    key = np.sort(faces, axis=1)
-    order = np.lexsort(key.T[::-1])
-    key_sorted = key[order]
-    uniq, first, counts = np.unique(
-        key_sorted, axis=0, return_index=True, return_counts=True
+    # np.unique returns the sorted node tuples in lexicographic order, and a
+    # boundary facet's first occurrence is its only one
+    _, first, counts = np.unique(
+        np.sort(faces, axis=1), axis=0, return_index=True, return_counts=True
     )
-    boundary_rows = order[first[counts == 1]]
+    boundary_rows = first[counts == 1]
     facets = faces[boundary_rows]
     owners = owner[boundary_rows]
 
@@ -204,10 +204,7 @@ def _boundary_facets(dim, cells, bfacets):
         found = {tuple(sorted(f)) for f in facets}
         if given != found:
             raise ConfigError("declared boundary facets do not match mesh topology")
-
-    # deterministic order: lexicographic by sorted node tuple
-    perm = np.lexsort(np.sort(facets, axis=1).T[::-1])
-    return facets[perm], owners[perm]
+    return facets, owners
 
 
 def _facet_geometry(dim, nodes, cells, facets, owners):

@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energy import SolverParams
 from .errors import ConvergenceError, InvariantViolationError, MathRefusalError, ConfigError
@@ -64,8 +63,10 @@ def _pmap(worker, jobs, workers):
         return [worker(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
+    # one chunk per worker: each worker unpickles the mesh once per chunk and
+    # keeps its per-mesh caches (node order, stiffness term) for every job
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, jobs))
+        return list(ex.map(worker, jobs, chunksize=-(-len(jobs) // workers)))
 
 
 def _node_job(args):
@@ -258,6 +259,8 @@ class ConcentrationRun:
 
 
 def _quad01(f):
+    from scipy.integrate import quad
+
     val, _ = quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
     return val
 
@@ -269,7 +272,8 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
     is constant on the boundary trace of the radius-2^{-j} ball (normalized to
     mass m) and the test function ramps from 0 at the point to 1 at radius
     1/j, linearly for p < 2 and with the log profile -log j / log r for
-    p = 2. All integrals reduce to 1D radial quadratures on (0, 1], so j up
+    p = 2. All integrals reduce to 1D radial integrals on (0, 1]: exact for
+    the polynomial ones, quadratures for the two of the log profile, so j up
     to 1e6 costs nothing. The quotient must stay below the closed-form bound
     (gradient term with the full-ball measure plus the boundary term) and
     decrease along the sequence.
@@ -297,13 +301,14 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
         alphas.append(math.exp(la) if la < 709.0 else math.inf)
 
         if profile == "ramp":
-            grad = math.pi * j ** (p - 2.0) * _quad01(lambda s: s)
-            interior = math.pi / j**2 * _quad01(lambda s: s ** (p + 1.0))
-            bdry = m * amp * _quad01(lambda t: t**p)
+            # integral s = 1/2, s^{p+1} = 1/(p+2) and t^p = 1/(p+1) over (0, 1]
+            grad = math.pi * j ** (p - 2.0) * 0.5
+            interior = math.pi / j**2 / (p + 2.0)
+            bdry = m * amp / (p + 1.0)
             bound = (math.pi * j ** (p - 2.0) + amp * m) / volume
         else:
             # |u'|^2 r integrates to ln^2 j / (3 ln^3 j) after r = exp(-lj/tau)
-            grad = math.pi * lj**2 * (1.0 / lj**3) * _quad01(lambda t: t * t)
+            grad = math.pi * lj**2 * (1.0 / lj**3) / 3.0  # integral t^2 = 1/3
             interior = (
                 math.pi / j**2
                 * _quad01(lambda s: s * (lj / (lj - math.log(s))) ** 2 if s > 0 else 0.0)

@@ -272,7 +272,7 @@ def test_criterion_10_numerics_hygiene(tmp_path):
         load = en.assemble_load(sq, en.gauss_values(sq, rhs))
         prob = ConvexPEnergyProblem(sq, 2.0, fixed_nodes=sq.boundary_nodes())
         u = en.NodalField(sq, prob.solve(load, gtol=1e-15))
-        fl = recover_flux(u, rhs, 2.0)
+        fl = recover_flux(u, load, 2.0)
         assert abs(fl.total - load.sum()) <= 1e-10 * abs(load.sum())
 
         # empirical simplicity from two random starts

@@ -71,6 +71,34 @@ def test_workers_env_below_one_exit_code(workers, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("knob", [
+    ["--tol-res", "inf"],
+    ["--tol-rq", "nan"],
+    ["--eps-reg", "nan"],
+    ["--max-outer", "-5"],
+])
+def test_bad_solver_knob_exit_code(knob, capsys):
+    argv = ["robin", "--domain", "builtin:interval:20", "--p", "1.5", "--sigma", "const:1", *knob]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_does_not_load_quadrature():
+    # scipy.integrate serves only the p = 2 profile of concentration_demo
+    import os
+    import subprocess
+    import sys
+
+    import robinopt
+
+    src = os.path.dirname(os.path.dirname(robinopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, robinopt.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
     path = tmp_path / "w.bw"
     path.write_text("bw 1 0.5\natom -1 0.5\n")

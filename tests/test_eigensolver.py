@@ -201,26 +201,34 @@ def test_quotient_increase_above_tolerance_raises(robin11, interval200, p2, monk
 # -- weak residual check ---------------------------------------------------------
 
 def test_weak_residual_of_converged_solve(robin11, p2):
-    res, w = robin11
-    rep = verify_weak_residual(res, w, p2)
+    res, _ = robin11
+    rep = verify_weak_residual(res, p2)
     assert rep["ok"] and rep["max_residual"] < 1e-8
 
 
 def test_weak_residual_detects_perturbation(robin11, p2, interval200):
-    res, w = robin11
+    res, _ = robin11
     rng = np.random.default_rng(0)
     noisy = res.u.values + 1e-3 * rng.standard_normal(interval200.n_nodes)
     import dataclasses
 
     bad = dataclasses.replace(res, u=NodalField(interval200, noisy))
-    rep = verify_weak_residual(bad, w, p2)
+    rep = verify_weak_residual(bad, p2)
     assert rep["max_residual"] > p2.tol_res
 
 
 def test_weak_residual_excludes_constraint_rows(interval400, p2):
     res = solve_dirichlet(interval400, p2)
-    rep = verify_weak_residual(res, None, p2)
+    rep = verify_weak_residual(res, p2)
     assert rep["n_free"] == interval400.n_nodes - 2
+    assert rep["ok"]
+
+
+def test_weak_residual_of_point_solve_excludes_the_pinned_row(interval200, p2):
+    res = solve_point(interval200, 0, p2)
+    assert res.pinned == (0,)
+    rep = verify_weak_residual(res, p2)
+    assert rep["n_free"] == interval200.n_nodes - 1
     assert rep["ok"]
 
 

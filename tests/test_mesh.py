@@ -111,6 +111,10 @@ def test_every_boundary_facet_owned_once(disk10):
         if k in counts:
             counts[k] += 1
     assert all(v == 1 for v in counts.values())
+    # facets come in lexicographic order of their sorted node tuples
+    for m in (disk10, refine(disk10)):
+        ordered = np.sort(m.boundary_facets, axis=1)
+        assert np.array_equal(np.lexsort(ordered.T[::-1]), np.arange(len(ordered)))
 
 
 def test_cell_measures_positive_and_sum(disk10):

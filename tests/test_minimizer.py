@@ -10,6 +10,7 @@ from robinopt import (
     brute_force_1d,
     build_disk,
     build_interval,
+    build_square,
     concentration_demo,
     hoelder_check,
     lambda_inf,
@@ -57,6 +58,16 @@ def test_disk_scan_symmetry_orbits(p3):
         spreads.append((vals.max() - vals.min()) / vals.mean())
     assert spreads[1] < spreads[0]
     assert spreads[1] < 0.05
+
+
+def test_pooled_scan_equals_serial_scan(p3):
+    # the jobs are independent, so the chunked pool changes nothing
+    square = build_square(0.25)
+    serial = scan_point_eigen(square, p3, workers=1)
+    pooled = scan_point_eigen(square, p3, workers=2)
+    assert np.array_equal(pooled.nodes, serial.nodes)
+    assert np.array_equal(pooled.values, serial.values)
+    assert pooled.tie_set == serial.tie_set and pooled.failures == serial.failures
 
 
 def test_scan_refused_when_points_have_no_capacity(square4, p2):
