@@ -10,14 +10,14 @@ saturates at the reference eigenvalue as m -> infinity.
 
 import numpy as np
 
-from robinopt import build_interval, check_all
+from robinopt import SolverParams, build_interval, check_all
 
 mesh = build_interval(200)
 
 print("=" * 78)
 print("Bound sandwich on the interval, p = 2, masses from 0.01 to 100")
 print("=" * 78)
-rep = check_all(mesh, 2.0, np.geomspace(1e-2, 1e2, 9))
+rep = check_all(mesh, np.geomspace(1e-2, 1e2, 9), SolverParams(p=2.0))
 print(f"Dirichlet eigenvalue: {rep.lam_dirichlet:.5f}; "
       f"minimal point eigenvalue: {rep.lambda1_omega:.5f}; inradius {rep.inradius}")
 print()

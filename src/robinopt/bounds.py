@@ -122,15 +122,12 @@ class BoundsReport:
         return lines
 
 
-def check_all(
-    mesh: Mesh, p: float, m_list, params: SolverParams | None = None, workers: int = 1,
-) -> BoundsReport:
+def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> BoundsReport:
     """Run the maximizer (and minimizer when p > dim) over a mass grid and
-    verify both closed-form sandwiches at 1e-3 relative slack. One FSolver
-    serves every mass; `workers` goes to the minimizer's boundary scans."""
-    params = params or SolverParams(p=p)
-    if params.p != p:
-        raise ConfigError("params.p disagrees with the requested exponent")
+    verify both closed-form sandwiches at 1e-3 relative slack; a row also
+    fails when its maximizer's Robin cross-check does. One FSolver serves
+    every mass; `workers` goes to the minimizer's boundary scans."""
+    p = params.p
     solver = FSolver(mesh, params)
     lam_d = solver.lam_dirichlet
     scan = None
@@ -151,7 +148,7 @@ def check_all(
         big = rep.Lambda
         bel = belsup(m, lam_d, mesh.volume, p)
         upper = min(lam_d, m / mesh.volume)
-        ok = (bel <= big * (1.0 + _SLACK)) and (big <= upper * (1.0 + _SLACK))
+        ok = rep.crosscheck_ok and bel <= big * (1.0 + _SLACK) and big <= upper * (1.0 + _SLACK)
         rb = None
         if mesh.inradius is not None:
             # equidistributing the mass gives a constant weight, so this

@@ -105,17 +105,16 @@ def _parse_sigma(mesh, spec):
 
 
 def _params(args):
-    return SolverParams(
-        p=args.p, tol_rq=args.tol_rq, tol_res=args.tol_res,
-        max_outer=args.max_outer, eps_reg=args.eps_reg,
-    )
+    """SolverParams at --p with the knobs given on the command line; the
+    others keep SolverParams' defaults."""
+    knobs = {k: getattr(args, k) for k in ("tol_rq", "tol_res", "max_outer", "eps_reg")}
+    return SolverParams(p=args.p, **{k: v for k, v in knobs.items() if v is not None})
 
 
 def _workers(args):
-    workers = mn.default_workers() if args.workers is None else args.workers
-    if workers < 1:
-        raise ConfigError(f"worker count {workers} (--workers or ROBINOPT_WORKERS) is below 1")
-    return workers
+    if args.workers < 1:
+        raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
+    return args.workers
 
 
 def _json_safe(obj):
@@ -187,7 +186,7 @@ def _boundary_csv(mesh, flux):
 def _cmd_dirichlet(args):
     mesh = _parse_domain(args.domain)
     res = solve_dirichlet(mesh, _params(args))
-    check = verify_weak_residual(res, _params(args))
+    check = verify_weak_residual(res)
     _emit(args, _eig_report(res, {"weak_residual_check": check}))
     return EXIT_OK
 
@@ -196,7 +195,7 @@ def _cmd_robin(args):
     mesh = _parse_domain(args.domain)
     w = _parse_sigma(mesh, args.sigma)
     res = solve_robin(mesh, w, _params(args))
-    check = verify_weak_residual(res, _params(args))
+    check = verify_weak_residual(res)
     extra = {"sigma_mass": w.total_mass, "weak_residual_check": check}
     if w.snap_distance:
         extra["snap_distance"] = w.snap_distance
@@ -246,7 +245,7 @@ def _cmd_scan(args):
 
 def _mass_sweep(args):
     mesh = _parse_domain(args.domain)
-    return bnd.check_all(mesh, args.p, _parse_list(args.m_list), _params(args), workers=_workers(args))
+    return bnd.check_all(mesh, _parse_list(args.m_list), _params(args), workers=_workers(args))
 
 
 def _cmd_bounds(args):
@@ -256,12 +255,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_sweep(args):
+    rep = _mass_sweep(args)
     cols = ["m", "Lambda", "lambda", "belsup", "inflow", "upper_Lambda", "upper_lambda"]
-    table = [[r.m, r.Lambda, r.lam, r.belsup, r.inflow, r.upper, r.upper2] for r in _mass_sweep(args).rows]
+    table = [[r.m, r.Lambda, r.lam, r.belsup, r.inflow, r.upper, r.upper2] for r in rep.rows]
     lines = [",".join(cols)]
     lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in table]
     _emit(args, {"p": args.p, "rows": [dict(zip(cols, row)) for row in table]}, {"sweep.csv": lines})
-    return EXIT_OK
+    return EXIT_OK if rep.all_pass else EXIT_INVARIANT
 
 
 def _cmd_concentrate(args):
@@ -329,14 +329,14 @@ def build_parser():
         sp.add_argument("--domain", help="builtin:interval:N | builtin:disk:H | builtin:square:H | file:PATH")
         if solver:
             sp.add_argument("--p", type=float, default=2.0)
-            sp.add_argument("--tol-rq", type=float, default=1e-9, dest="tol_rq")
-            sp.add_argument("--tol-res", type=float, default=1e-8, dest="tol_res")
-            sp.add_argument("--max-outer", type=int, default=500, dest="max_outer")
-            sp.add_argument("--eps-reg", type=float, default=1e-10, dest="eps_reg")
+            # unset knobs keep the SolverParams defaults
+            sp.add_argument("--tol-rq", type=float, dest="tol_rq")
+            sp.add_argument("--tol-res", type=float, dest="tol_res")
+            sp.add_argument("--max-outer", type=int, dest="max_outer")
+            sp.add_argument("--eps-reg", type=float, dest="eps_reg")
         sp.add_argument("--out", help="output directory (default: JSON to stdout)")
         if workers:
-            sp.add_argument("--workers", type=int, default=None,
-                            help="worker processes for scans (default: ROBINOPT_WORKERS or 1)")
+            sp.add_argument("--workers", type=int, default=1, help="worker processes for scans")
 
     sp = sub.add_parser("dirichlet", help="first Dirichlet eigenvalue")
     common(sp)

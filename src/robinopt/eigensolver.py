@@ -44,8 +44,8 @@ _MONOTONE_SLACK = 1e-13
 class EigenResult:
     """First eigenvalue, normalized nonnegative eigenfunction and diagnostics.
 
-    `weight` and `pinned` (the nodes held at zero) are the problem that was
-    solved; `mode` only labels it in reports.
+    `weight`, `pinned` (the nodes held at zero) and `params` are the problem
+    that was solved and its settings; `mode` only labels it in reports.
     """
 
     lam: float
@@ -53,7 +53,7 @@ class EigenResult:
     mode: str
     outer_iters: int
     residual: float
-    p: float
+    params: SolverParams
     rq_history: list = field(default_factory=list)
     weight: BoundaryWeight | None = None
     pinned: tuple = ()
@@ -65,7 +65,7 @@ class EigenResult:
             raise InvariantViolationError(f"negative eigenvalue {self.lam}")
         if np.min(vals) < -1e-12:
             raise InvariantViolationError("eigenfunction has negative nodal values")
-        if abs(en.lp_norm_p(self.u, self.p) - 1.0) > 1e-12:
+        if abs(en.lp_norm_p(self.u, self.params.p) - 1.0) > 1e-12:
             raise InvariantViolationError("eigenfunction is not p-normalized")
         return self
 
@@ -85,8 +85,7 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
             exact_value=0.0,
         )
     p = params.p
-    problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=pinned,
-                                   eps_reg=params.eps_reg)
+    problem = ConvexPEnergyProblem(mesh, params, weight=weight, fixed_nodes=pinned)
     free = problem.free
 
     w = np.ones(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
@@ -98,7 +97,7 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
     def result(vals, qv, it, resid, history):
         return EigenResult(
             lam=qv, u=NodalField(mesh, vals), mode=mode, outer_iters=it,
-            residual=resid, p=p, rq_history=history, weight=weight, pinned=pinned,
+            residual=resid, params=params, rq_history=history, weight=weight, pinned=pinned,
         )
 
     def failure(msg, vals, qv, it, resid, history):
@@ -200,14 +199,15 @@ def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams, u0=Non
     return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
 
 
-def verify_weak_residual(result: EigenResult, params: SolverParams):
+def verify_weak_residual(result: EigenResult):
     """Re-check that (lam, u) satisfies the discrete weak form of the problem
-    that was solved: result.weight, with the rows of result.pinned excluded.
+    that was solved: result.weight at result.params, with the rows of
+    result.pinned excluded.
 
     Reports the max-norm of the nodal weak-form residual over the free nodes;
-    the pair is accepted when it is below params.tol_res.
+    the pair is accepted when it is below result.params.tol_res.
     """
-    mesh = result.u.mesh
+    mesh, params = result.u.mesh, result.params
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[list(result.pinned)] = False
     r = en.weak_residual(result.u, result.weight, params.p, result.lam, params.eps_reg)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, RobinoptError
+from .errors import ConfigError, InvariantViolationError
 from .mesh import Mesh
 
 __all__ = [
@@ -76,9 +76,10 @@ class NodalField:
         return cls(mesh, np.full(mesh.n_nodes, float(value)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
-    """Exponent p plus the solver knobs shared by all iterative solvers."""
+    """Exponent p plus the solver knobs shared by all iterative solvers: the
+    one place their defaults are stated."""
 
     p: float
     tol_rq: float = 1e-9       # relative Rayleigh-quotient stall
@@ -364,15 +365,15 @@ def weak_residual(u, w: BoundaryWeight | None, p, q, eps_reg) -> np.ndarray:
     """Nodal weak-form residual: the numerator terms' actions - q mass_action,
     every action smoothed by eps_reg.
 
-    Equals the gradient of ConvexPEnergyProblem(mesh, p, weight=w) at u for
-    the load q mass_action(u); with q = 0 it is the derivative of
+    Equals the gradient of ConvexPEnergyProblem(mesh, params, weight=w) at u
+    for the load q mass_action(u); with q = 0 it is the derivative of
     rayleigh_numerator / p.
     """
     actions = sum(t.action(u, p, eps_reg) for t in numerator_terms(u.mesh, w))
     return actions - q * mass_action(u.mesh, u, p)
 
 
-def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg=1e-10) -> NodalField:
+def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg) -> NodalField:
     """Nodal gradient of the Rayleigh quotient at u.
 
     Equals p/||u||_p^p times weak_residual at q = Q[sigma, u]; it vanishes
@@ -403,7 +404,7 @@ class NodalFlux:
         """Convert to a Dirac-type BoundaryWeight, clipping roundoff negatives."""
         m = self.masses
         if np.any(m < -clip_tol * max(1.0, np.max(np.abs(m)))):
-            raise RobinoptError("flux has significantly negative entries")
+            raise ConfigError("flux has significantly negative entries")
         return BoundaryWeight.from_nodal_masses(self.mesh, self.nodes, np.maximum(m, 0.0))
 
     def as_facet_density(self):
@@ -417,22 +418,23 @@ class NodalFlux:
         return share[mesh.boundary_facets].sum(axis=1) / mesh.facet_measures
 
 
-def recover_flux(u, load, p, *, eps_reg=1e-10, tol_res=1e-8) -> NodalFlux:
+def recover_flux(u, load, params: SolverParams) -> NodalFlux:
     """Consistent boundary flux of a discrete interior solution.
 
     Given u solving the interior equations A_i(u) = b_i (i interior) for the
-    nodal load b, where A is the stiffness action (smoothed by eps_reg),
-    returns the boundary masses g_i = b_i - A_i(u). Their sum equals the
-    total load exactly up to the interior residual: the discrete divergence
-    identity. Raises RobinoptError when the interior residual exceeds tol_res.
+    nodal load b, where A is the stiffness action at params.p (smoothed by
+    params.eps_reg), returns the boundary masses g_i = b_i - A_i(u). Their sum
+    equals the total load exactly up to the interior residual: the discrete
+    divergence identity. Raises InvariantViolationError when the interior
+    residual exceeds params.tol_res.
     """
     mesh = u.mesh
-    r = load - stiffness_term(mesh).action(u, p, eps_reg)
+    r = load - stiffness_term(mesh).action(u, params.p, params.eps_reg)
     interior = ~mesh.node_is_boundary
     worst = float(np.max(np.abs(r[interior]))) if interior.any() else 0.0
-    if worst > tol_res:
-        raise RobinoptError(
-            f"not a discrete solution: interior residual {worst:.3e} > {tol_res:.1e}"
+    if worst > params.tol_res:
+        raise InvariantViolationError(
+            f"not a discrete solution: interior residual {worst:.3e} > {params.tol_res:.1e}"
         )
     bnodes = mesh.boundary_nodes()
     return NodalFlux(mesh, bnodes, r[bnodes])

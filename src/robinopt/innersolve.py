@@ -97,9 +97,10 @@ class _Pattern:
         self.slot = np.full(len(rows), self.size, dtype=np.intp)
         self.slot[keep] = stored[: len(stored) - n]
         self.diag = stored[len(stored) - n:]
-        # one work band, reused by every factorization: a fresh (kd + 1) x n
-        # array per Newton direction costs more in page faults than dpbtrf
-        self._flat = np.zeros((self.kd + 1) * n)
+        # the work band: made by the first factorization and reused by the
+        # later ones (a fresh (kd + 1) x n array per Newton direction costs
+        # more in page faults than dpbtrf) until kept_factor keeps it
+        self._flat = None
 
     def factor(self, h, tau=0.0):
         """A solve function for the matrix with stored entries h plus tau I,
@@ -107,6 +108,8 @@ class _Pattern:
 
         Raises np.linalg.LinAlgError when the factorization fails.
         """
+        if self._flat is None:
+            self._flat = np.zeros((self.kd + 1) * self.n)
         self._flat[:] = 0.0
         self._flat[self.band_pos] = h
         ab = self._flat.reshape((self.kd + 1, self.n), order="F")
@@ -116,16 +119,23 @@ class _Pattern:
             raise np.linalg.LinAlgError(f"banded Cholesky failed at pivot {info}")
         return lambda r: dpbtrs(c, r, lower=1)[0]
 
+    def kept_factor(self, h):
+        """factor(h), valid for good: it keeps the work band, and the next
+        factor call allocates a new one."""
+        solve = self.factor(h)
+        self._flat = None
+        return solve
+
 
 class ConvexPEnergyProblem:
     """min_w (1/p) R(w) - <b, w> with optional boundary weight and pinned nodes."""
 
-    def __init__(self, mesh, p, weight=None, fixed_nodes=None, eps_reg=1e-10):
+    def __init__(self, mesh, params: en.SolverParams, weight=None, fixed_nodes=None):
         self._terms = en.numerator_terms(mesh, weight)
         self.mesh = mesh
-        self.p = float(p)
+        self.p = float(params.p)
         self.weight = weight
-        self.eps = float(eps_reg)
+        self.eps = float(params.eps_reg)
         self.free = np.ones(mesh.n_nodes, dtype=bool)
         if fixed_nodes is not None:
             self.free[np.asarray(fixed_nodes, dtype=int)] = False
@@ -140,7 +150,7 @@ class ConvexPEnergyProblem:
     @cached_property
     def _quadratic_solve(self):
         # p = 2: the Hessian is the same at every w
-        return self._pattern.factor(self.hessian(np.zeros(self.mesh.n_nodes)))
+        return self._pattern.kept_factor(self.hessian(np.zeros(self.mesh.n_nodes)))
 
     # -- functional pieces -------------------------------------------------
 

@@ -169,15 +169,11 @@ class FSolver:
     evaluation starts from the largest known subsolution below its xi.
     """
 
-    def __init__(self, mesh: Mesh, params: SolverParams, lam_dirichlet: float | None = None):
+    def __init__(self, mesh: Mesh, params: SolverParams):
         self.mesh = mesh
         self.params = params
-        if lam_dirichlet is None:
-            lam_dirichlet = dirichlet_ceiling(mesh, params)
-        self.lam_dirichlet = lam_dirichlet
-        self.problem = ConvexPEnergyProblem(
-            mesh, params.p, fixed_nodes=mesh.boundary_nodes(), eps_reg=params.eps_reg
-        )
+        self.lam_dirichlet = dirichlet_ceiling(mesh, params)
+        self.problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
         self.solutions = []  # (xi, values) sorted by xi
         self.evals = 0
 
@@ -277,7 +273,7 @@ def sigma_max(
     aux = solver.invert(m)
     xi_m = aux.xi
 
-    flux = en.recover_flux(aux.u_xi, aux.load, p, eps_reg=params.eps_reg, tol_res=params.tol_res)
+    flux = en.recover_flux(aux.u_xi, aux.load, params)
     aux.sigma_flux = en.NodalFlux(mesh, flux.nodes, xi_m * flux.masses)
     if np.min(aux.sigma_flux.masses) < -1e-10:
         raise InvariantViolationError(

@@ -22,7 +22,6 @@ value instead of producing a mesh artifact.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,12 +379,3 @@ def hoelder_check(mesh: Mesh, params: SolverParams, scan: PointScan | None = Non
         "degenerate": False, "n_pairs": int(len(dists)), "exponent": expo,
         "slope": slope, "max_ratio": ratio,
     }
-
-
-def default_workers() -> int:
-    """Worker count from the environment; 1 (serial, bit-reproducible) by default."""
-    text = os.environ.get("ROBINOPT_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"ROBINOPT_WORKERS={text!r} is not an integer") from None

@@ -21,7 +21,6 @@ from robinopt import (
     build_square,
     check_all,
     concentration_demo,
-    dirichlet_ceiling,
     disk_robin_p2_const,
     inflow,
     interval_dirichlet_p,
@@ -89,8 +88,7 @@ def test_criterion_3_maximizer_pipeline_interval():
     mesh = build_interval(200)
     params = SolverParams(p=2.0)
     with criterion(3, "constructive maximizer pipeline", 30.0):
-        lam_d = dirichlet_ceiling(mesh, params)
-        cache = FSolver(mesh, params, lam_d)
+        cache = FSolver(mesh, params)
         last = mesh.n_nodes - 1
         for m in (0.5, 1.0, 2.0, 8.0):
             rep = sigma_max(mesh, m, params, solver=cache)
@@ -124,13 +122,12 @@ def test_criterion_5_auxiliary_monotonicity():
     with criterion(5, "auxiliary-function invariants", 120.0):
         for mesh in (build_interval(200), build_square(0.25)):
             for p in (1.5, 2.0, 3.0):
-                params = SolverParams(p=p)
-                lam_d = dirichlet_ceiling(mesh, params)
+                solver = FSolver(mesh, SolverParams(p=p))
                 prev = None
                 f_vals = []
                 for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-                    xi = frac * lam_d
-                    sol = solve_aux(FSolver(mesh, params, lam_d), xi)
+                    xi = frac * solver.lam_dirichlet
+                    sol = solve_aux(solver, xi)
                     if prev is not None:
                         assert np.all(sol.u_xi.values >= prev - 1e-9)
                     prev = sol.u_xi.values
@@ -230,16 +227,16 @@ def test_criterion_9_bounds_suite():
     with criterion(9, "closed-form bound sandwiches", 900.0):
         grid = list(np.geomspace(1e-2, 1e2, 9))
         interval = build_interval(200)
-        assert check_all(interval, 2.0, grid).all_pass
+        assert check_all(interval, grid, SolverParams(p=2.0)).all_pass
         square = build_square(0.125)
-        assert check_all(square, 2.0, grid).all_pass
-        assert check_all(build_square(0.25), 3.0, grid).all_pass
+        assert check_all(square, grid, SolverParams(p=2.0)).all_pass
+        assert check_all(build_square(0.25), grid, SolverParams(p=3.0)).all_pass
 
         spot = belsup(2.0, np.pi**2, 1.0, 2.0)
         assert abs(spot - 1.6630) < 5e-5
         params = SolverParams(p=2.0)
-        lam_d = dirichlet_ceiling(interval, params)
-        cache = FSolver(interval, params, lam_d)
+        cache = FSolver(interval, params)
+        lam_d = cache.lam_dirichlet
         small = sigma_max(interval, 1e-3, params, solver=cache)
         assert spot <= sigma_max(interval, 2.0, params, solver=cache).Lambda
         assert small.Lambda < 1e-3 * (1 + 1e-3) / interval.volume
@@ -257,7 +254,7 @@ def test_criterion_10_numerics_hygiene(tmp_path):
         for _ in range(10):
             u = en.NodalField(mesh, rng.uniform(0.5, 1.5, mesh.n_nodes))
             d = rng.standard_normal(mesh.n_nodes)
-            g = rayleigh_gradient(u, w, 3.0).values
+            g = rayleigh_gradient(u, w, 3.0, SolverParams(p=3.0).eps_reg).values
             errs = []
             for t in (1e-4, 1e-5):
                 qp = rayleigh(en.NodalField(mesh, u.values + t * d), w, 3.0)
@@ -270,9 +267,9 @@ def test_criterion_10_numerics_hygiene(tmp_path):
         sq = build_square(0.25)
         rhs = en.NodalField(sq, 1.0 + sq.nodes[:, 0] * sq.nodes[:, 1])
         load = en.assemble_load(sq, en.gauss_values(sq, rhs))
-        prob = ConvexPEnergyProblem(sq, 2.0, fixed_nodes=sq.boundary_nodes())
+        prob = ConvexPEnergyProblem(sq, SolverParams(p=2.0), fixed_nodes=sq.boundary_nodes())
         u = en.NodalField(sq, prob.solve(load, gtol=1e-15))
-        fl = recover_flux(u, load, 2.0)
+        fl = recover_flux(u, load, SolverParams(p=2.0))
         assert abs(fl.total - load.sum()) <= 1e-10 * abs(load.sum())
 
         # empirical simplicity from two random starts

@@ -80,7 +80,7 @@ def test_inradius_bound_needs_convexity():
 
 
 def test_check_all_interval(interval200):
-    rep = check_all(interval200, 2.0, [0.1, 1.0, 10.0])
+    rep = check_all(interval200, [0.1, 1.0, 10.0], SolverParams(p=2.0))
     assert rep.all_pass
     assert rep.lambda1_omega is not None
     for row in rep.rows:
@@ -91,26 +91,26 @@ def test_check_all_interval(interval200):
 
 
 def test_check_all_square_p2_skips_infimum(square4):
-    rep = check_all(square4, 2.0, [1.0])
+    rep = check_all(square4, [1.0], SolverParams(p=2.0))
     assert rep.all_pass
     assert rep.note is not None
     assert rep.rows[0].lam is None
 
 
 def test_check_all_csv_layout(interval200):
-    rep = check_all(interval200, 2.0, [1.0])
+    rep = check_all(interval200, [1.0], SolverParams(p=2.0))
     lines = rep.csv_lines()
     assert lines[0] == "m,belsup,Lambda,upper,inflow,lambda,upper2,pass"
     assert lines[1].endswith(",1")
 
 
 def test_lower_bound_gap_shrinks_for_large_mass(interval200):
-    from robinopt import SolverParams, dirichlet_ceiling, sigma_max
+    from robinopt import sigma_max
     from robinopt.maximizer import FSolver
 
     params = SolverParams(p=2.0)
-    lam_d = dirichlet_ceiling(interval200, params)
-    cache = FSolver(interval200, params, lam_d)
+    cache = FSolver(interval200, params)
+    lam_d = cache.lam_dirichlet
     gaps = []
     for m in (10.0, 100.0, 1000.0):
         rep = sigma_max(interval200, m, params, solver=cache)

@@ -51,23 +51,10 @@ def test_malformed_spec_exit_code(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_malformed_workers_env_exit_code(monkeypatch, capsys):
-    monkeypatch.setenv("ROBINOPT_WORKERS", "abc")
-    assert run(["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_flag_below_one_exit_code(workers, capsys):
     argv = ["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2", "--workers", workers]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_env_below_one_exit_code(workers, monkeypatch, capsys):
-    monkeypatch.setenv("ROBINOPT_WORKERS", workers)
-    assert run(["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -81,6 +68,23 @@ def test_bad_solver_knob_exit_code(knob, capsys):
     argv = ["robin", "--domain", "builtin:interval:20", "--p", "1.5", "--sigma", "const:1", *knob]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bare_command_uses_the_solver_params_defaults():
+    from robinopt import SolverParams
+    from robinopt.cli import _params, build_parser
+
+    assert _params(build_parser().parse_args(["robin", "--sigma", "const:1"])) == SolverParams(p=2.0)
+
+
+@pytest.mark.parametrize("command", ["maximize", "bounds", "sweep"])
+def test_failed_crosscheck_exit_code(command, monkeypatch):
+    # every command that runs sigma_max fails on its Robin cross-check
+    import robinopt.maximizer as mx
+
+    monkeypatch.setattr(mx, "_CROSSCHECK_RTOL", 0.0)
+    mass = ["--m", "1"] if command == "maximize" else ["--m-list", "1"]
+    assert run([command, "--domain", "builtin:interval:20", *mass]) == 5
 
 
 def test_cli_import_does_not_load_quadrature():

@@ -51,7 +51,8 @@ def test_eigenvalue_below_mass_over_volume(interval200, p2, mass):
 
 def test_eigen_result_built_directly_validates(interval200):
     u = NodalField(interval200, np.ones(interval200.n_nodes))
-    res = EigenResult(lam=1.0, u=u, mode="robin", outer_iters=0, residual=0.0, p=3.0)
+    res = EigenResult(lam=1.0, u=u, mode="robin", outer_iters=0, residual=0.0,
+                      params=SolverParams(p=3.0))
     assert res.validate() is res
 
 
@@ -202,7 +203,7 @@ def test_quotient_increase_above_tolerance_raises(robin11, interval200, p2, monk
 
 def test_weak_residual_of_converged_solve(robin11, p2):
     res, _ = robin11
-    rep = verify_weak_residual(res, p2)
+    rep = verify_weak_residual(res)
     assert rep["ok"] and rep["max_residual"] < 1e-8
 
 
@@ -213,13 +214,13 @@ def test_weak_residual_detects_perturbation(robin11, p2, interval200):
     import dataclasses
 
     bad = dataclasses.replace(res, u=NodalField(interval200, noisy))
-    rep = verify_weak_residual(bad, p2)
+    rep = verify_weak_residual(bad)
     assert rep["max_residual"] > p2.tol_res
 
 
 def test_weak_residual_excludes_constraint_rows(interval400, p2):
     res = solve_dirichlet(interval400, p2)
-    rep = verify_weak_residual(res, p2)
+    rep = verify_weak_residual(res)
     assert rep["n_free"] == interval400.n_nodes - 2
     assert rep["ok"]
 
@@ -227,9 +228,21 @@ def test_weak_residual_excludes_constraint_rows(interval400, p2):
 def test_weak_residual_of_point_solve_excludes_the_pinned_row(interval200, p2):
     res = solve_point(interval200, 0, p2)
     assert res.pinned == (0,)
-    rep = verify_weak_residual(res, p2)
+    rep = verify_weak_residual(res)
     assert rep["n_free"] == interval200.n_nodes - 1
     assert rep["ok"]
+
+
+def test_weak_residual_is_judged_at_the_params_of_the_solve(interval200):
+    import dataclasses
+
+    params = SolverParams(p=2.0, tol_res=1e-7)
+    res = solve_robin(interval200, BoundaryWeight.constant(interval200, 2.0), params)
+    assert res.params is params
+    rep = verify_weak_residual(res)
+    assert rep["ok"] and rep["tol_res"] == params.tol_res
+    # the same pair read as a p = 3 solve is not an eigenpair
+    assert not verify_weak_residual(dataclasses.replace(res, params=SolverParams(p=3.0)))["ok"]
 
 
 def test_residual_vector_definition(robin11, p2, interval200):

@@ -6,6 +6,7 @@ import pytest
 from robinopt import (
     BoundaryWeight,
     ConfigError,
+    InvariantViolationError,
     NodalField,
     SolverParams,
     boundary_term,
@@ -105,7 +106,7 @@ def test_rayleigh_rejects_zero_field(mesh, sigma11):
 def test_gradient_vanishes_at_eigenfunction(interval200, p2):
     res = solve_dirichlet(interval200, p2)
     # free (interior) components of the quotient gradient are the residual
-    g = rayleigh_gradient(res.u, BoundaryWeight(interval200), 2.0).values
+    g = rayleigh_gradient(res.u, BoundaryWeight(interval200), 2.0, p2.eps_reg).values
     assert np.max(np.abs(g[1:-1])) < p2.tol_res
 
 
@@ -125,7 +126,7 @@ def test_gradient_matches_central_differences(mesh, sigma11, p):
     for _ in range(10):
         u = NodalField(mesh, rng.uniform(0.5, 1.5, mesh.n_nodes))
         d = rng.standard_normal(mesh.n_nodes)
-        g = rayleigh_gradient(u, sigma11, p).values
+        g = rayleigh_gradient(u, sigma11, p, SolverParams(p=p).eps_reg).values
         errs = []
         for t in (1e-4, 1e-5):
             qp = rayleigh(NodalField(mesh, u.values + t * d), sigma11, p)
@@ -190,7 +191,7 @@ def test_weak_residual_is_the_inner_gradient(p):
     vals = 1.0 + m.nodes[:, 0] + 0.5 * m.nodes[:, 1] ** 2
     vals[m.boundary_nodes()[:3]] = 1e-12
     u, q, eps = NodalField(m, vals), 2.5, 1e-10
-    problem = ConvexPEnergyProblem(m, p, weight=w, eps_reg=eps)
+    problem = ConvexPEnergyProblem(m, SolverParams(p=p, eps_reg=eps), weight=w)
     expected = problem.gradient(vals, q * en.mass_action(m, u, p))
     assert np.array_equal(en.weak_residual(u, w, p, q, eps), expected)
 
@@ -201,21 +202,38 @@ def test_flux_of_unit_load_is_half_half():
     m = build_interval(32)
     x = m.nodes[:, 0]
     u = NodalField(m, x * (1 - x) / 2)
-    fl = recover_flux(u, en.assemble_load(m, en.gauss_values(m, NodalField.constant(m))), 2.0)
+    load = en.assemble_load(m, en.gauss_values(m, NodalField.constant(m)))
+    fl = recover_flux(u, load, SolverParams(p=2.0))
     assert np.allclose(fl.masses, 0.5, atol=1e-12)
     assert abs(fl.total - 1.0) < 1e-12
 
 
 def test_flux_zero_solution(mesh):
     zero = NodalField.constant(mesh, 0.0)
-    fl = recover_flux(zero, en.assemble_load(mesh, en.gauss_values(mesh, zero)), 2.0)
+    load = en.assemble_load(mesh, en.gauss_values(mesh, zero))
+    fl = recover_flux(zero, load, SolverParams(p=2.0))
     assert np.all(fl.masses == 0.0)
 
 
 def test_flux_rejects_non_solution(mesh):
     u = NodalField(mesh, np.sin(3 * mesh.nodes[:, 0]))
+    load = en.assemble_load(mesh, en.gauss_values(mesh, NodalField.constant(mesh)))
     with pytest.raises(RobinoptError):
-        recover_flux(u, en.assemble_load(mesh, en.gauss_values(mesh, NodalField.constant(mesh))), 2.0)
+        recover_flux(u, load, SolverParams(p=2.0))
+
+
+def test_flux_of_non_solution_is_an_invariant_violation():
+    m = build_interval(8)
+    u = NodalField(m, np.sin(3 * m.nodes[:, 0]))
+    load = en.assemble_load(m, en.gauss_values(m, NodalField.constant(m)))
+    with pytest.raises(InvariantViolationError):
+        recover_flux(u, load, SolverParams(p=2.0))
+
+
+def test_negative_flux_as_weight_is_a_config_error():
+    m = build_interval(8)
+    with pytest.raises(ConfigError):
+        en.NodalFlux(m, m.boundary_nodes(), np.array([-1.0, 1.0])).as_weight()
 
 
 def test_flux_mass_identity_matches_total_load():
@@ -224,9 +242,9 @@ def test_flux_mass_identity_matches_total_load():
     load = en.assemble_load(m, en.gauss_values(m, rhs))
     from robinopt.innersolve import ConvexPEnergyProblem
 
-    prob = ConvexPEnergyProblem(m, 2.0, fixed_nodes=m.boundary_nodes())
+    prob = ConvexPEnergyProblem(m, SolverParams(p=2.0), fixed_nodes=m.boundary_nodes())
     u = NodalField(m, prob.solve(load, gtol=1e-15))
-    fl = recover_flux(u, load, 2.0)
+    fl = recover_flux(u, load, SolverParams(p=2.0))
     assert abs(fl.total - load.sum()) <= 1e-10 * abs(load.sum())
 
 
@@ -236,9 +254,9 @@ def test_flux_symmetric_on_disk():
     load = en.assemble_load(d, en.gauss_values(d, rhs))
     from robinopt.innersolve import ConvexPEnergyProblem
 
-    prob = ConvexPEnergyProblem(d, 2.0, fixed_nodes=d.boundary_nodes())
+    prob = ConvexPEnergyProblem(d, SolverParams(p=2.0), fixed_nodes=d.boundary_nodes())
     u = NodalField(d, prob.solve(load, gtol=1e-15))
-    fl = recover_flux(u, load, 2.0)
+    fl = recover_flux(u, load, SolverParams(p=2.0))
     spread = (fl.masses.max() - fl.masses.min()) / fl.masses.mean()
     assert spread < 0.02
 
@@ -335,7 +353,7 @@ def test_mesh_terms_are_built_once():
     mesh = build_square(0.25)
     assert en.stiffness_term(mesh) is en.stiffness_term(mesh)
     assert en.mass_term(mesh) is en.mass_term(mesh)
-    a, b = (ConvexPEnergyProblem(mesh, 3.0) for _ in range(2))
+    a, b = (ConvexPEnergyProblem(mesh, SolverParams(p=3.0)) for _ in range(2))
     assert a._terms[0].k0 is b._terms[0].k0
 
 

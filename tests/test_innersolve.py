@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import robinopt.energy as en
 import robinopt.innersolve as ins
-from robinopt import BoundaryWeight, build_disk, build_interval, build_square
+from robinopt import BoundaryWeight, SolverParams, build_disk, build_interval, build_square
 from robinopt.innersolve import ConvexPEnergyProblem
 
 MESHES = {
@@ -89,7 +89,8 @@ def test_hessian_matches_coo_reference(mesh_name, path):
     for pins in _pins(mesh).values():
         for weight in _weights(mesh).values():
             for p in (1.5, 2.0, 3.0):
-                problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=pins)
+                problem = ConvexPEnergyProblem(mesh, SolverParams(p=p), weight=weight,
+                                               fixed_nodes=pins)
                 h = _expand(problem, problem.hessian(w))
                 ref = _reference_hessian(problem, w, path)
                 err = np.max(np.abs(h - ref)) / np.max(np.abs(ref))
@@ -101,7 +102,8 @@ def test_hessian_matches_coo_reference(mesh_name, path):
 def test_hessian_matches_gradient_differences(mesh_name, p):
     mesh = MESHES[mesh_name]()
     weight = _weights(mesh)["mixed"]
-    problem = ConvexPEnergyProblem(mesh, p, weight=weight, fixed_nodes=_pins(mesh)["point"])
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=p), weight=weight,
+                                   fixed_nodes=_pins(mesh)["point"])
     w = np.random.default_rng(2).uniform(0.5, 1.5, mesh.n_nodes)
     b = np.zeros(mesh.n_nodes)
     free = problem.free_idx
@@ -134,7 +136,7 @@ def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
     factor = ins._Pattern.factor
     monkeypatch.setattr(ins._Pattern, "factor",
                         lambda pattern, h, tau=0.0: taus.append(tau) or factor(pattern, h, tau))
-    problem = ConvexPEnergyProblem(mesh, 3.0, weight=weight)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=weight)
     g = problem.gradient(w, b)
     d = problem._newton_direction(w, g)
     assert d is not None
@@ -146,7 +148,7 @@ def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
 
 def _assert_flat_start_logs_ridge_escalation(mesh, caplog):
     weight = BoundaryWeight.constant(mesh, 1.0)
-    problem = ConvexPEnergyProblem(mesh, 3.0, weight=weight)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=weight)
     b = en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0)
     with caplog.at_level(logging.DEBUG, logger="robinopt"):
         w = problem.solve(b, w0=np.ones(mesh.n_nodes))
@@ -169,8 +171,20 @@ def test_flat_start_on_disk_logs_ridge_escalation(caplog):
 def test_band_width_on_disk_is_order_sqrt_n():
     # 81 in Cuthill-McKee order at 4921 free nodes; the natural order gives 473
     mesh = build_disk(0.025)
-    problem = ConvexPEnergyProblem(mesh, 3.0, weight=BoundaryWeight.constant(mesh, 1.0))
+    weight = BoundaryWeight.constant(mesh, 1.0)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=weight)
     assert problem._pattern.kd <= 2.0 * np.sqrt(len(problem.free_idx))
+
+
+def test_quadratic_factor_survives_later_factorizations():
+    # the p = 2 factor keeps its own band; a factorization in the work band
+    # (a Newton direction's) must leave later p = 2 solves unchanged
+    mesh = build_disk(0.2)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=2.0), fixed_nodes=mesh.boundary_nodes())
+    b = en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)
+    before = problem.solve(b)
+    problem._pattern.factor(2.0 * problem.hessian(np.zeros(mesh.n_nodes)))
+    assert np.array_equal(problem.solve(b), before)
 
 
 def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
@@ -191,7 +205,7 @@ def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
         return lambda r: solves.append(1) or solve(r)
 
     monkeypatch.setattr(ins._Pattern, "factor", counting_factor)
-    problem = ConvexPEnergyProblem(mesh, 2.0, fixed_nodes=mesh.boundary_nodes())
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=2.0), fixed_nodes=mesh.boundary_nodes())
     w = problem.solve(b, w0=v, gtol=gtol)
     g = problem.gradient(w, b)[problem.free]
     assert np.max(np.abs(g)) > gtol  # the step does stagnate

@@ -6,7 +6,6 @@ from robinopt import (
     FSolver,
     InvariantViolationError,
     SolverParams,
-    dirichlet_ceiling,
     interval_robin_p2,
     random_weight,
     rayleigh,
@@ -20,80 +19,78 @@ from robinopt.energy import weak_residual
 from robinopt.oracle import bisect_root
 
 
-@pytest.fixture(scope="module")
-def lam_d(interval200):
-    return dirichlet_ceiling(interval200, SolverParams(p=2.0))
-
-
 def closed_form_F_root(m):
     """Root of 2 sqrt(xi) tan(sqrt(xi)/2) = m, independent scalar solve."""
     f = lambda xi: 2 * np.sqrt(xi) * np.tan(np.sqrt(xi) / 2) - m
     return bisect_root(f, 1e-12, np.pi**2 - 1e-9, rtol=1e-14)
 
 
-def test_aux_small_parameter_is_torsion(interval200, p2, lam_d):
-    sol = solve_aux(FSolver(interval200, p2, lam_d), 1e-8)
+def test_aux_small_parameter_is_torsion(interval200, p2):
+    sol = solve_aux(FSolver(interval200, p2), 1e-8)
     assert abs(sol.u_xi.values.max() - 0.125) < 1e-6
 
 
-def test_aux_closed_form_at_unit_parameter(interval200, p2, lam_d):
-    sol = solve_aux(FSolver(interval200, p2, lam_d), 1.0)
+def test_aux_closed_form_at_unit_parameter(interval200, p2):
+    sol = solve_aux(FSolver(interval200, p2), 1.0)
     exact_max = 1.0 / np.cos(0.5) - 1.0
     assert abs(sol.u_xi.values.max() - exact_max) / exact_max < 0.005
     assert abs(sol.F_value - 2 * np.tan(0.5)) / (2 * np.tan(0.5)) < 0.005
 
 
-def test_aux_rejects_parameter_at_ceiling(interval200, p2, lam_d):
+def test_aux_rejects_parameter_at_ceiling(interval200, p2):
+    solver = FSolver(interval200, p2)
     with pytest.raises(ConfigError):
-        solve_aux(FSolver(interval200, p2, lam_d), lam_d)
+        solve_aux(solver, solver.lam_dirichlet)
     with pytest.raises(ConfigError):
-        solve_aux(FSolver(interval200, p2, lam_d), -1.0)
+        solve_aux(solver, -1.0)
 
 
-def test_F_at_zero(interval200, p2, lam_d):
+def test_F_at_zero(interval200, p2):
     # F(0) = 0 is the inversion's lower bracket end, never an evaluation
     with pytest.raises(ConfigError):
-        solve_aux(FSolver(interval200, p2, lam_d), 0.0)
+        solve_aux(FSolver(interval200, p2), 0.0)
 
 
-def test_F_monotone_and_above_linear_bound(interval200, p2, lam_d):
-    xs = [f * lam_d for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    fs = [solve_aux(FSolver(interval200, p2, lam_d), xi).F_value for xi in xs]
+def test_F_monotone_and_above_linear_bound(interval200, p2):
+    solver = FSolver(interval200, p2)
+    xs = [f * solver.lam_dirichlet for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    fs = [solve_aux(solver, xi).F_value for xi in xs]
     assert all(b > a for a, b in zip(fs, fs[1:]))
     assert all(F >= xi * interval200.volume - 1e-9 for F, xi in zip(fs, xs))
 
 
-def test_aux_solutions_ordered_in_parameter(interval200, p2, lam_d):
+def test_aux_solutions_ordered_in_parameter(interval200, p2):
+    solver = FSolver(interval200, p2)
     prev = None
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-        sol = solve_aux(FSolver(interval200, p2, lam_d), frac * lam_d)
+        sol = solve_aux(solver, frac * solver.lam_dirichlet)
         if prev is not None:
             assert np.all(sol.u_xi.values >= prev - 1e-9)
         prev = sol.u_xi.values
 
 
-def test_invert_F_against_scalar_root(interval200, p2, lam_d):
-    xi = FSolver(interval200, p2, lam_d).invert(2.0).xi
+def test_invert_F_against_scalar_root(interval200, p2):
+    xi = FSolver(interval200, p2).invert(2.0).xi
     exact = closed_form_F_root(2.0)
     assert abs(xi - exact) / exact < 0.005
 
 
-def test_invert_F_small_mass(interval200, p2, lam_d):
-    assert FSolver(interval200, p2, lam_d).invert(1e-6).xi < 1e-5
+def test_invert_F_small_mass(interval200, p2):
+    assert FSolver(interval200, p2).invert(1e-6).xi < 1e-5
 
 
-def test_invert_F_monotone(interval200, p2, lam_d):
-    xs = [FSolver(interval200, p2, lam_d).invert(m).xi for m in (1.0, 2.0, 4.0)]
+def test_invert_F_monotone(interval200, p2):
+    xs = [FSolver(interval200, p2).invert(m).xi for m in (1.0, 2.0, 4.0)]
     assert xs[0] < xs[1] < xs[2]
 
 
-def test_invert_F_rejects_nonpositive_mass(interval200, p2, lam_d):
+def test_invert_F_rejects_nonpositive_mass(interval200, p2):
     with pytest.raises(ConfigError):
-        FSolver(interval200, p2, lam_d).invert(0.0)
+        FSolver(interval200, p2).invert(0.0)
 
 
-def test_pipeline_interval_symmetric(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
+def test_pipeline_interval_symmetric(interval200, p2):
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
     masses = dict(rep.sigma_m.atoms)
     left, right = masses[0], masses[interval200.n_nodes - 1]
     assert abs(left - right) / max(left, right) < 1e-10
@@ -104,8 +101,8 @@ def test_pipeline_interval_symmetric(interval200, p2, lam_d):
     assert abs(rep.Lambda - interval_robin_p2(1.0, 1.0)) / rep.Lambda < 0.005
 
 
-def test_bisect_evals_counted_per_mass(interval200, p2, lam_d):
-    solver = FSolver(interval200, p2, lam_d)
+def test_bisect_evals_counted_per_mass(interval200, p2):
+    solver = FSolver(interval200, p2)
     first = sigma_max(interval200, 1.0, p2, solver=solver)
     second = sigma_max(interval200, 2.0, p2, solver=solver)
     assert 0 < first.bisect_evals < solver.evals
@@ -113,16 +110,17 @@ def test_bisect_evals_counted_per_mass(interval200, p2, lam_d):
     assert first.bisect_evals + second.bisect_evals == solver.evals
 
 
-def test_inversion_evals_and_residual(interval200, p2, lam_d):
-    solver = FSolver(interval200, p2, lam_d)
-    assert 50.0 / interval200.volume > lam_d  # m = 50 walks the bracket up to the ceiling
+def test_inversion_evals_and_residual(interval200, p2):
+    solver = FSolver(interval200, p2)
+    # m = 50 walks the bracket up to the ceiling
+    assert 50.0 / interval200.volume > solver.lam_dirichlet
     for m in (0.01, 0.5, 2.0, 8.0, 50.0):
         rep = sigma_max(interval200, m, p2, solver=solver)
         assert rep.bisect_evals <= 20
         assert rep.F_residual <= 1e-9
 
 
-def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, lam_d, monkeypatch):
+def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, monkeypatch):
     # m just below lam_D |Omega|: the root (xi ~ 5.2) lies far below lam_D,
     # where Picard contracts at about xi/lam_D; no evaluation may land there
     picard = []
@@ -134,26 +132,27 @@ def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, lam_
         return sol
 
     monkeypatch.setattr(mx, "solve_aux", counting_solve)
-    m = 0.9999 * lam_d * interval200.volume
-    rep = sigma_max(interval200, m, p2, solver=FSolver(interval200, p2, lam_d))
+    solver = FSolver(interval200, p2)
+    m = 0.9999 * solver.lam_dirichlet * interval200.volume
+    rep = sigma_max(interval200, m, p2, solver=solver)
     assert sum(picard) <= 2000
     assert rep.F_residual <= 1e-9
     assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
 
 
-def test_sigma_max_rejects_foreign_solver(interval200, p2, p3, lam_d):
+def test_sigma_max_rejects_foreign_solver(interval200, p2, p3):
     with pytest.raises(ConfigError):
-        sigma_max(interval200, 1.0, p3, solver=FSolver(interval200, p2, lam_d))
+        sigma_max(interval200, 1.0, p3, solver=FSolver(interval200, p2))
 
 
-def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 3.0, p2, solver=FSolver(interval200, p2, lam_d))
+def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2):
+    rep = sigma_max(interval200, 3.0, p2, solver=FSolver(interval200, p2))
     bvals = rep.u_m.values[interval200.node_is_boundary]
     assert np.all(bvals == 1.0)
 
 
-def test_pipeline_candidate_satisfies_weak_form(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
+def test_pipeline_candidate_satisfies_weak_form(interval200, p2):
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
     r = weak_residual(rep.u_m, rep.sigma_m, 2.0, rep.xi_m, p2.eps_reg)
     assert 2.0 * np.max(np.abs(r)) < p2.tol_res
 
@@ -179,8 +178,8 @@ def test_pipeline_square_p3(square4, p3):
     assert np.all([m >= 0 for _, m in rep.sigma_m.atoms])
 
 
-def test_maximal_value_dominates_random_weights(interval200, p2, lam_d):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
+def test_maximal_value_dominates_random_weights(interval200, p2):
+    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
     rng = np.random.default_rng(42)
     for _ in range(20):
         w = random_weight(interval200, 2.0, rng)
@@ -190,24 +189,25 @@ def test_maximal_value_dominates_random_weights(interval200, p2, lam_d):
         assert solve_robin(interval200, w, p2).lam <= rep.xi_m + 1e-6
 
 
-def test_Lambda_monotone_and_sandwiched(interval200, p2, lam_d):
+def test_Lambda_monotone_and_sandwiched(interval200, p2):
+    solver = FSolver(interval200, p2)
     vals = []
     for m in (0.5, 1.0, 2.0, 8.0):
-        rep = sigma_max(interval200, m, p2, solver=FSolver(interval200, p2, lam_d))
+        rep = sigma_max(interval200, m, p2, solver=solver)
         vals.append(rep.Lambda)
-        assert rep.Lambda <= min(lam_d, m / interval200.volume) + 1e-9
+        assert rep.Lambda <= min(solver.lam_dirichlet, m / interval200.volume) + 1e-9
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_picard_decrease_is_an_invariant_violation(interval200, p2, lam_d, monkeypatch):
-    solver = FSolver(interval200, p2, lam_d)
+def test_picard_decrease_is_an_invariant_violation(interval200, p2, monkeypatch):
+    solver = FSolver(interval200, p2)
     v0 = np.sin(np.pi * interval200.nodes[:, 0])
     monkeypatch.setattr(solver.problem, "solve", lambda b, w0, **kwargs: 0.5 * w0)
     with pytest.raises(InvariantViolationError, match="Picard iterate decreased at step 1"):
         solve_aux(solver, 1.0, v0=v0)
 
 
-def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, lam_d, monkeypatch):
+def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, monkeypatch):
     recover_flux = en.recover_flux
 
     def off_by_1e8(*args, **kwargs):
@@ -216,7 +216,7 @@ def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, lam_d, mo
 
     monkeypatch.setattr(en, "recover_flux", off_by_1e8)
     with pytest.raises(InvariantViolationError, match="does not reproduce F"):
-        sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2, lam_d))
+        sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
 
 
 def test_mass_inversion_second_order_in_h():
