@@ -14,7 +14,7 @@ from robinopt import FSolver, SolverParams, build_interval, sigma_max, solve_aux
 
 mesh = build_interval(200)
 params = SolverParams(p=2.0)
-solver = FSolver(mesh, params)  # the Dirichlet ceiling and the pinned problem
+solver = FSolver(mesh, params)  # the Dirichlet ceiling, the pinned problem, the warm starts
 lam_d = solver.lam_dirichlet
 
 print("=" * 64)
@@ -32,7 +32,7 @@ print()
 print("Inverting F and recovering the maximizing weight:")
 print(f"{'m':>6} {'xi(m)':>10} {'sigma(0)':>10} {'sigma(1)':>10} {'mass err':>10} {'crosscheck':>11}")
 for m in (0.5, 1.0, 2.0, 8.0):
-    rep = sigma_max(mesh, m, params, solver=solver)
+    rep = sigma_max(solver, m)
     masses = dict(rep.sigma_m.atoms)
     print(
         f"{m:6.1f} {rep.xi_m:10.6f} {masses[0]:10.6f} {masses[mesh.n_nodes-1]:10.6f}"

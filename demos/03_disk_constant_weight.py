@@ -9,7 +9,7 @@ oracle for the constant-weight problem.
 
 import numpy as np
 
-from robinopt import SolverParams, build_disk, disk_robin_p2_const, sigma_max
+from robinopt import FSolver, SolverParams, build_disk, disk_robin_p2_const, sigma_max
 
 mesh = build_disk(0.05)
 params = SolverParams(p=2.0)
@@ -21,7 +21,7 @@ print("=" * 64)
 print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_cells} cells, "
       f"area {mesh.volume:.6f}, perimeter {mesh.boundary_measure:.6f}")
 
-rep = sigma_max(mesh, m, params)
+rep = sigma_max(FSolver(mesh, params), m)
 dens = rep.aux.sigma_flux.as_facet_density()
 
 print(f"\nrecovered boundary density: mean {dens.mean():.6f} "

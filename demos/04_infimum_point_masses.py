@@ -27,12 +27,12 @@ print()
 print("Minimal Dirac eigenvalue per mass and its concentration point:")
 print(f"{'m':>8} {'lambda(m)':>12} {'x_m':>14} {'m/|Omega|':>10}")
 for m in (0.1, 1.0, 10.0, 100.0):
-    rep = lambda_inf(mesh, m, params, scan=scan)
+    rep = lambda_inf(scan, m)
     print(f"{m:8.1f} {rep.lambda_inf:12.6f} {str(np.round(rep.x_m,3)):>14} {m/mesh.volume:10.1f}")
 
 print()
 print("Tracking the concentration point over a mass sweep:")
-tr = track_xm(mesh, [1.0, 10.0, 100.0], params, workers=1)
+tr = track_xm(scan, [1.0, 10.0, 100.0])
 for m, node, d in zip(tr.m_list, tr.x_m_nodes, tr.distances):
     print(f"  m={m:6.1f}: x_m at {np.round(mesh.nodes[node],3)}, "
           f"distance to the argmin set {d:.3f}")

@@ -40,16 +40,9 @@ def belsup(m: float, lam_dirichlet: float, volume: float, p: float) -> float:
     return _lower_bound_form(m, lam_dirichlet, volume, p)
 
 
-def inflow(m: float, lambda1_omega: float | None, volume: float, p: float, dim: int | None = None) -> float:
-    """Lower bound for the minimal eigenvalue lambda(m); 0 when p <= dim.
-
-    For p <= dim every quantity in the inequality vanishes, so the bound is
-    trivially 0 (returned, with the caller expected to note it).
-    """
-    if dim is not None and p <= dim:
-        return 0.0
-    if lambda1_omega is None:
-        return 0.0
+def inflow(m: float, lambda1_omega: float, volume: float, p: float) -> float:
+    """Lower bound for the minimal eigenvalue lambda(m) (p > dim, where the
+    minimal point-constrained eigenvalue lambda1_omega exists)."""
     if min(m, lambda1_omega, volume) <= 0 or p <= 1:
         raise ConfigError("inflow needs positive m, eigenvalue, volume and p > 1")
     return _lower_bound_form(m, lambda1_omega, volume, p)
@@ -130,11 +123,8 @@ def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> Bou
     p = params.p
     solver = FSolver(mesh, params)
     lam_d = solver.lam_dirichlet
-    scan = None
-    lam1 = None
-    if p > mesh.dim:
-        scan = scan_point_eigen(mesh, params, workers=workers)
-        lam1 = scan.lambda1_omega
+    scan = scan_point_eigen(mesh, params, workers=workers) if p > mesh.dim else None
+    lam1 = scan.lambda1_omega if scan is not None else None
     note = None if p > mesh.dim else (
         "p <= dim: the infimum side is exactly 0 and not attained; "
         "only the maximizer sandwich is checked"
@@ -144,7 +134,7 @@ def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> Bou
     all_ok = True
     for m in m_list:
         m = float(m)
-        rep = sigma_max(mesh, m, params, solver=solver)
+        rep = sigma_max(solver, m)
         big = rep.Lambda
         bel = belsup(m, lam_d, mesh.volume, p)
         upper = min(lam_d, m / mesh.volume)
@@ -156,10 +146,9 @@ def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> Bou
             rb = inradius_bound(m / mesh.boundary_measure, mesh.inradius, p)
             ok = ok and (rb <= big * (1.0 + _SLACK))
         low = lam = up2 = None
-        if p > mesh.dim:
-            mrep = lambda_inf(mesh, m, params, scan=scan, workers=workers)
-            lam = mrep.lambda_inf
-            low = inflow(m, lam1, mesh.volume, p, dim=mesh.dim)
+        if scan is not None:
+            lam = lambda_inf(scan, m, workers=workers).lambda_inf
+            low = inflow(m, lam1, mesh.volume, p)
             up2 = min(lam1, m / mesh.volume)
             ok = ok and (low <= lam * (1.0 + _SLACK)) and (lam <= up2 * (1.0 + _SLACK))
         all_ok = all_ok and ok

@@ -111,6 +111,13 @@ def _params(args):
     return SolverParams(p=args.p, **{k: v for k, v in knobs.items() if v is not None})
 
 
+def _check_masses(masses, flag):
+    """Refuse, before any solve, a mass that is not positive."""
+    bad = [m for m in masses if not m > 0]
+    if bad:
+        raise ConfigError(f"mass {bad[0]} ({flag}) must be positive")
+
+
 def _workers(args):
     if args.workers < 1:
         raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
@@ -205,7 +212,8 @@ def _cmd_robin(args):
 
 def _cmd_maximize(args):
     mesh = _parse_domain(args.domain)
-    rep = mx.sigma_max(mesh, args.m, _params(args))
+    _check_masses([args.m], "--m")
+    rep = mx.sigma_max(mx.FSolver(mesh, _params(args)), args.m)
     files = {}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -217,9 +225,12 @@ def _cmd_maximize(args):
 
 def _cmd_minimize(args):
     mesh = _parse_domain(args.domain)
-    rep = mn.lambda_inf(mesh, args.m, _params(args), workers=_workers(args))
+    _check_masses([args.m], "--m")
+    workers = _workers(args)
+    scan = mn.scan_point_eigen(mesh, _params(args), workers=workers)
+    rep = mn.lambda_inf(scan, args.m, workers=workers)
     lines = ["node,x,y,lambda1_x,ell1_dirac"]
-    for n, lx, ld in zip(rep.nodes, rep.lambda1_x, rep.lambda_dirac):
+    for n, lx, ld in zip(rep.nodes, scan.values, rep.lambda_dirac):
         xy = mesh.nodes[n]
         x = repr(float(xy[0]))
         y = repr(float(xy[1])) if mesh.dim == 2 else ""
@@ -232,7 +243,7 @@ def _cmd_scan(args):
     mesh = _parse_domain(args.domain)
     scan = mn.scan_point_eigen(mesh, _params(args), workers=_workers(args))
     rep = {
-        "p": scan.p,
+        "p": scan.params.p,
         "lambda1_omega": scan.lambda1_omega,
         "argmin_node": int(scan.argmin_node),
         "tie_set": [int(t) for t in scan.tie_set],
@@ -245,7 +256,9 @@ def _cmd_scan(args):
 
 def _mass_sweep(args):
     mesh = _parse_domain(args.domain)
-    return bnd.check_all(mesh, _parse_list(args.m_list), _params(args), workers=_workers(args))
+    masses = _parse_list(args.m_list)
+    _check_masses(masses, "--m-list")
+    return bnd.check_all(mesh, masses, _params(args), workers=_workers(args))
 
 
 def _cmd_bounds(args):

@@ -22,7 +22,7 @@ the eigenvalue; a mismatch beyond 1e-3 relative flags the report.
 
 FSolver(mesh, params) owns steps 1-3: the Dirichlet ceiling, the pinned
 convex problem, `solver(xi)` (one F evaluation, `solve_aux(solver, xi, v0)`)
-and `solver.invert(m)`.
+and `solver.invert(m)`; `sigma_max(solver, m)` adds step 4.
 """
 
 from __future__ import annotations
@@ -249,26 +249,19 @@ class FSolver:
                 a, fa, sol_a, side = x, fx, sol, -1
 
 
-def sigma_max(
-    mesh: Mesh,
-    m: float,
-    params: SolverParams,
-    solver: FSolver | None = None,
-) -> MaxReport:
-    """Full pipeline: invert F, recover the maximizing weight, cross-check.
+def sigma_max(solver: FSolver, m: float) -> MaxReport:
+    """Full pipeline on the solver's mesh and params: invert F, recover the
+    maximizing weight, cross-check.
 
     The weight is the variational boundary flux of the auxiliary solution
     scaled by xi(m): nodal boundary masses whose total equals F(xi(m)) up to
     the inner-solver residual. The report also carries the eigenfunction
     candidate xi^{1/(p-1)} u_xi + 1 (identically 1 on the boundary) and an
-    independent Robin solve of the recovered weight. A `solver` shared across
-    masses reuses its ceiling and warm starts.
+    independent Robin solve of the recovered weight. One solver shared
+    across masses reuses its ceiling and warm starts.
     """
+    mesh, params = solver.mesh, solver.params
     p = params.p
-    if solver is None:
-        solver = FSolver(mesh, params)
-    elif solver.mesh is not mesh or solver.params != params:
-        raise ConfigError("solver was built for another mesh or other params")
     evals_before = solver.evals
     aux = solver.invert(m)
     xi_m = aux.xi

@@ -52,8 +52,6 @@ class Mesh:
     cells : (C, dim+1) int array, node indices per simplex
     boundary_facets : (B, dim) int array, node indices per boundary facet
         (a single node in 1D, an edge in 2D)
-    facet_cells : (B,) owning cell of each boundary facet
-    facet_normals : (B, dim) outward unit normals
     facet_measures : (B,) facet measures (1 in 1D, edge length in 2D)
     node_is_boundary : (N,) bool
     cell_measures : (C,) cell length/area, all positive
@@ -68,8 +66,6 @@ class Mesh:
     nodes: np.ndarray
     cells: np.ndarray
     boundary_facets: np.ndarray
-    facet_cells: np.ndarray
-    facet_normals: np.ndarray
     facet_measures: np.ndarray
     node_is_boundary: np.ndarray
     cell_measures: np.ndarray
@@ -110,8 +106,8 @@ def _freeze(a):
 def _build_mesh(dim, nodes, cells, bfacets=None):
     """Assemble a Mesh from raw arrays, deriving all boundary structure.
 
-    Validates the construction invariants: positive cell measures, each
-    boundary facet owned by exactly one cell, unit outward normals.
+    Validates the construction invariants: positive cell measures and
+    declared boundary facets (if any) matching the mesh topology.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1, dim)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim + 1)
@@ -123,8 +119,11 @@ def _build_mesh(dim, nodes, cells, bfacets=None):
     if np.any(meas <= 0):
         raise ConfigError("mesh has degenerate or inverted cells")
 
-    facets, owners = _boundary_facets(dim, cells, bfacets)
-    normals, fmeas = _facet_geometry(dim, nodes, cells, facets, owners)
+    facets = _boundary_facets(dim, cells, bfacets)
+    if dim == 1:
+        fmeas = np.ones(len(facets))
+    else:
+        fmeas = np.linalg.norm(nodes[facets[:, 1]] - nodes[facets[:, 0]], axis=1)
 
     flags = np.zeros(len(nodes), dtype=bool)
     flags[facets.ravel()] = True
@@ -139,8 +138,6 @@ def _build_mesh(dim, nodes, cells, bfacets=None):
         nodes=_freeze(nodes),
         cells=_freeze(cells),
         boundary_facets=_freeze(facets),
-        facet_cells=_freeze(owners),
-        facet_normals=_freeze(normals),
         facet_measures=_freeze(fmeas),
         node_is_boundary=_freeze(flags),
         cell_measures=_freeze(meas),
@@ -183,52 +180,24 @@ def _boundary_facets(dim, cells, bfacets):
     sorted node tuples."""
     if dim == 1:
         faces = cells.reshape(-1, 1)
-        owner = np.repeat(np.arange(len(cells)), 2)
     else:
         faces = np.concatenate(
             [cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]], axis=0
         )
-        owner = np.tile(np.arange(len(cells)), 3)
 
     # np.unique returns the sorted node tuples in lexicographic order, and a
     # boundary facet's first occurrence is its only one
     _, first, counts = np.unique(
         np.sort(faces, axis=1), axis=0, return_index=True, return_counts=True
     )
-    boundary_rows = first[counts == 1]
-    facets = faces[boundary_rows]
-    owners = owner[boundary_rows]
+    facets = faces[first[counts == 1]]
 
     if bfacets is not None:
         given = {tuple(sorted(f)) for f in np.asarray(bfacets).reshape(-1, dim)}
         found = {tuple(sorted(f)) for f in facets}
         if given != found:
             raise ConfigError("declared boundary facets do not match mesh topology")
-    return facets, owners
-
-
-def _facet_geometry(dim, nodes, cells, facets, owners):
-    if dim == 1:
-        fmeas = np.ones(len(facets))
-        normals = np.empty((len(facets), 1))
-        for k, (f, c) in enumerate(zip(facets[:, 0], owners)):
-            other = cells[c, 0] if cells[c, 1] == f else cells[c, 1]
-            normals[k, 0] = np.sign(nodes[f, 0] - nodes[other, 0])
-        return normals, fmeas
-
-    a = nodes[facets[:, 0]]
-    b = nodes[facets[:, 1]]
-    t = b - a
-    fmeas = np.linalg.norm(t, axis=1)
-    normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / fmeas[:, None]
-    # orient outward: away from the owning cell centroid
-    cent = nodes[cells[owners]].mean(axis=1)
-    mid = 0.5 * (a + b)
-    flip = np.einsum("ij,ij->i", normals, mid - cent) < 0
-    normals[flip] *= -1.0
-    if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > _GEOM_TOL):
-        raise ConfigError("facet normals failed unit-length check")
-    return normals, fmeas
+    return facets
 
 
 def _boundary_loop(dim, nodes, facets):

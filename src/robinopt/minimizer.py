@@ -5,14 +5,15 @@ attained by a point mass on the boundary, so the discrete minimizer is the
 smallest Dirac eigenvalue over the boundary nodes. The module provides
 
 * scan_point_eigen  - the table of point-constrained eigenvalues and its
-  boundary minimum,
+  boundary minimum, a PointScan that keeps its mesh and params; the three
+  functions below take it and read both from it,
 * lambda_inf        - the Dirac table, its minimum and the concentration
   point x_m,
 * track_xm          - the trajectory of x_m over a mass sweep,
+* hoelder_check     - empirical Hoelder exponent of the point-eigenvalue map,
 * concentration_demo - the p <= dim = 2 vanishing sequence, evaluated by
   direct radial quadrature near a flat boundary point (no FEM involved, so
-  concentration indices up to 1e6 are cheap),
-* hoelder_check     - empirical Hoelder exponent of the point-eigenvalue map.
+  concentration indices up to 1e6 are cheap).
 
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
@@ -44,17 +45,6 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-6
-
-
-def _refuse_p_le_n(p, dim, what):
-    raise MathRefusalError(
-        f"{what} requires p > dim (here p={p}, dim={dim}): for p <= dim the "
-        "infimum over boundary weights of any fixed mass is exactly 0 and is "
-        "not attained (point constraints carry no W^{1,p} capacity), so a "
-        "nodal scan would be a pure mesh artifact. Use concentration_demo "
-        "for the vanishing sequence.",
-        exact_value=0.0,
-    )
 
 
 def _pmap(worker, jobs, workers):
@@ -102,9 +92,11 @@ def _ties(nodes, values):
 
 @dataclass
 class PointScan:
-    """Point-constrained eigenvalue per boundary node plus its minimum."""
+    """Point-constrained eigenvalue per boundary node of `mesh` at `params`,
+    plus its minimum."""
 
-    p: float
+    mesh: Mesh = field(repr=False)
+    params: SolverParams
     nodes: np.ndarray
     values: np.ndarray
     lambda1_omega: float
@@ -115,31 +107,28 @@ class PointScan:
 
 @dataclass
 class MinReport:
-    """Dirac minimization table at one mass."""
+    """Dirac minimization table at one mass, beside the point scan it used."""
 
     m: float
-    p: float
+    scan: PointScan = field(repr=False)
     nodes: np.ndarray
     lambda_dirac: np.ndarray
     lambda_inf: float
     x_m_node: int
     x_m: np.ndarray
-    lambda1_x: np.ndarray
-    lambda1_omega: float
-    lambda1_argmin: int
-    lambda1_ties: list
     failures: dict = field(default_factory=dict)
 
     def to_dict(self):
+        scan = self.scan
         return {
             "m": self.m,
-            "p": self.p,
+            "p": scan.params.p,
             "lambda_inf": self.lambda_inf,
             "x_m_node": int(self.x_m_node),
             "x_m": [float(c) for c in self.x_m],
-            "lambda1_omega": self.lambda1_omega,
-            "lambda1_argmin": int(self.lambda1_argmin),
-            "lambda1_ties": [int(t) for t in self.lambda1_ties],
+            "lambda1_omega": scan.lambda1_omega,
+            "lambda1_argmin": int(scan.argmin_node),
+            "lambda1_ties": [int(t) for t in scan.tie_set],
             "n_nodes": int(len(self.nodes)),
             "n_failures": len(self.failures),
         }
@@ -152,45 +141,35 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
     Ties at the minimum (within 1e-6 relative) are reported as a set; the
     argmin is the lowest node index among them.
     """
-    if params.p <= mesh.dim:
-        _refuse_p_le_n(params.p, mesh.dim, "scan_point_eigen")
+    p, dim = params.p, mesh.dim
+    if p <= dim:
+        raise MathRefusalError(
+            f"scan_point_eigen requires p > dim (here p={p}, dim={dim}): for p <= dim "
+            "the infimum over boundary weights of any fixed mass is exactly 0 and "
+            "is not attained (point constraints carry no W^{1,p} capacity), so a "
+            "nodal scan would be a pure mesh artifact. Use concentration_demo "
+            "for the vanishing sequence.",
+            exact_value=0.0,
+        )
     nodes, values, failures = _scan(mesh, params, workers)
     vmin, ties = _ties(nodes, values)
     return PointScan(
-        p=params.p, nodes=nodes, values=values, lambda1_omega=vmin,
+        mesh=mesh, params=params, nodes=nodes, values=values, lambda1_omega=vmin,
         argmin_node=ties[0], tie_set=ties, failures=failures,
     )
 
 
-def _scan_of(mesh, params, scan, workers=1):
-    """`scan`, refused unless it is this mesh's point scan at params.p, or a new scan."""
-    if scan is None:
-        return scan_point_eigen(mesh, params, workers=workers)
-    if scan.p != params.p or not np.array_equal(scan.nodes, mesh.boundary_nodes()):
-        raise ConfigError("scan was made for another mesh or another p")
-    return scan
-
-
-def lambda_inf(
-    mesh: Mesh,
-    m: float,
-    params: SolverParams,
-    scan: PointScan | None = None,
-    workers: int = 1,
-) -> MinReport:
-    """Minimal Dirac eigenvalue over the boundary nodes at mass m (p > dim)."""
-    if params.p <= mesh.dim:
-        _refuse_p_le_n(params.p, mesh.dim, "lambda_inf")
+def lambda_inf(scan: PointScan, m: float, workers: int = 1) -> MinReport:
+    """Minimal Dirac eigenvalue over the boundary nodes at mass m, on the
+    scan's mesh and params (a point scan exists only for p > dim)."""
     if m <= 0:
         raise ConfigError("mass must be positive")
-    scan = _scan_of(mesh, params, scan, workers)
-    nodes, values, failures = _scan(mesh, params, workers, float(m))
+    mesh = scan.mesh
+    nodes, values, failures = _scan(mesh, scan.params, workers, float(m))
     lam, ties = _ties(nodes, values)
     return MinReport(
-        m=float(m), p=params.p, nodes=nodes, lambda_dirac=values,
+        m=float(m), scan=scan, nodes=nodes, lambda_dirac=values,
         lambda_inf=lam, x_m_node=ties[0], x_m=mesh.nodes[ties[0]],
-        lambda1_x=scan.values, lambda1_omega=scan.lambda1_omega,
-        lambda1_argmin=scan.argmin_node, lambda1_ties=scan.tie_set,
         failures=failures,
     )
 
@@ -202,37 +181,33 @@ class XmTrack:
     m_list: list
     x_m_nodes: list
     distances: list            # distance of x_m to the point-eigenvalue argmin set
-    trend_ok: bool
     reports: list = field(repr=False, default_factory=list)
 
 
-def track_xm(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> XmTrack:
-    """x_m over increasing masses and its distance to the argmin set.
+def track_xm(scan: PointScan, m_list, workers: int = 1) -> XmTrack:
+    """x_m over increasing masses and its distance to the scan's argmin set.
 
-    Asserts that the distances are nonincreasing over the largest decade of
-    the sweep (the concentration points approach the minimizers of the
+    Raises unless the distances are nonincreasing over the largest decade
+    of the sweep (the concentration points approach the minimizers of the
     point-eigenvalue map as the mass grows).
     """
     m_list = [float(v) for v in m_list]
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ConfigError("m_list must be strictly increasing")
-    scan = scan_point_eigen(mesh, params, workers=workers)
-    argmin_pts = mesh.nodes[np.asarray(scan.tie_set, dtype=int)]
+    argmin_pts = scan.mesh.nodes[np.asarray(scan.tie_set, dtype=int)]
     reports, nodes, dist = [], [], []
     for m in m_list:
-        rep = lambda_inf(mesh, m, params, scan=scan, workers=workers)
+        rep = lambda_inf(scan, m, workers=workers)
         reports.append(rep)
         nodes.append(rep.x_m_node)
         d = float(np.min(np.linalg.norm(argmin_pts - rep.x_m[None, :], axis=1)))
         dist.append(d)
     top = [d for m, d in zip(m_list, dist) if m >= m_list[-1] / 10.0]
-    trend_ok = all(b <= a + 1e-9 for a, b in zip(top, top[1:]))
-    if not trend_ok:
+    if any(b > a + 1e-9 for a, b in zip(top, top[1:])):
         raise InvariantViolationError(
             f"x_m distances increased over the largest mass decade: {top}"
         )
-    return XmTrack(m_list=m_list, x_m_nodes=nodes, distances=dist,
-                   trend_ok=trend_ok, reports=reports)
+    return XmTrack(m_list=m_list, x_m_nodes=nodes, distances=dist, reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +309,22 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
     )
 
 
-def hoelder_check(mesh: Mesh, params: SolverParams, scan: PointScan | None = None) -> dict:
-    """Empirical Hoelder regularity of the point-eigenvalue map.
+def hoelder_check(scan: PointScan) -> dict:
+    """Empirical Hoelder regularity of the scan's point-eigenvalue map.
 
     Fits log |lambda1(x) - lambda1(y)| against log |x - y| over boundary node
     pairs closer than a quarter of the boundary diameter, and reports the
     largest ratio against the exponent 1 - dim/p. Degenerate geometries
     (the interval: two nodes at full diameter) are flagged, not fitted.
     """
-    if params.p <= mesh.dim:
-        _refuse_p_le_n(params.p, mesh.dim, "hoelder_check")
-    scan = _scan_of(mesh, params, scan)
-    pts = mesh.nodes[scan.nodes]
+    pts = scan.mesh.nodes[scan.nodes]
     vals = scan.values
-    expo = 1.0 - mesh.dim / params.p
-    diam = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)))
-    dists, dlams = [], []
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            d = float(np.linalg.norm(pts[i] - pts[k]))
-            if 0 < d < diam / 4.0 and np.isfinite(vals[i]) and np.isfinite(vals[k]):
-                dists.append(d)
-                dlams.append(abs(vals[i] - vals[k]))
-    dists, dlams = np.asarray(dists), np.asarray(dlams)
+    expo = 1.0 - scan.mesh.dim / scan.params.p
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    i, k = np.triu_indices(len(pts), 1)
+    d = dist[i, k]
+    pair = (d > 0) & (d < float(np.max(dist)) / 4.0) & np.isfinite(vals[i]) & np.isfinite(vals[k])
+    dists, dlams = d[pair], np.abs(vals[i] - vals[k])[pair]
     if len(dists) < 3:
         return {"degenerate": True, "n_pairs": int(len(dists)), "exponent": expo}
     scale = max(float(np.max(dlams)), 1e-300)

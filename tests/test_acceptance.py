@@ -91,7 +91,7 @@ def test_criterion_3_maximizer_pipeline_interval():
         cache = FSolver(mesh, params)
         last = mesh.n_nodes - 1
         for m in (0.5, 1.0, 2.0, 8.0):
-            rep = sigma_max(mesh, m, params, solver=cache)
+            rep = sigma_max(cache, m)
             root = bisect_root(
                 lambda xi: 2 * np.sqrt(xi) * np.tan(np.sqrt(xi) / 2) - m,
                 1e-12, np.pi**2 - 1e-9, rtol=1e-14,
@@ -108,7 +108,7 @@ def test_criterion_4_disk_constant_maximizer():
     with criterion(4, "disk maximizer is constant", 300.0):
         mesh = build_disk(0.05)
         params = SolverParams(p=2.0)
-        rep = sigma_max(mesh, 2 * np.pi, params)
+        rep = sigma_max(FSolver(mesh, params), 2 * np.pi)
         dens = rep.aux.sigma_flux.as_facet_density()
         assert (dens.max() - dens.min()) / dens.mean() < 0.02
         assert abs(dens.mean() - 1.0) < 0.02
@@ -145,8 +145,8 @@ def _facet_concentrated_weight(mesh, node, mass):
     return BoundaryWeight.from_facet_density(mesh, dens)
 
 
-def _tol_h(mesh, m, params, scan=None):
-    rep = lambda_inf(mesh, m, params, scan=scan)
+def _tol_h(mesh, m, params):
+    rep = lambda_inf(scan_point_eigen(mesh, params), m)
     w = _facet_concentrated_weight(mesh, rep.x_m_node, m)
     lam_facet = solve_robin(mesh, w, params).lam
     return max(lam_facet - rep.lambda_inf, 0.0), rep
@@ -159,7 +159,7 @@ def test_criterion_6_optimality_of_extremizers():
         # maximizer side via the boundary-constant test function
         for mesh, m in ((build_interval(200), 2.0), (build_disk(0.1), 2 * np.pi)):
             params = SolverParams(p=2.0)
-            rep = sigma_max(mesh, m, params)
+            rep = sigma_max(FSolver(mesh, params), m)
             for _ in range(20):
                 w = random_weight(mesh, m, rng)
                 assert rayleigh(rep.u_m, w, 2.0) <= rep.xi_m + 1e-9
@@ -194,7 +194,7 @@ def test_criterion_7_infimum_side():
         scan = scan_point_eigen(mesh, params)
         vals = []
         for m in (1.0, 10.0, 100.0, 1000.0):
-            rep = lambda_inf(mesh, m, params, scan=scan)
+            rep = lambda_inf(scan, m)
             assert rep.x_m_node in (0, mesh.n_nodes - 1)
             vals.append(rep.lambda_inf)
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -204,8 +204,8 @@ def test_criterion_7_infimum_side():
         params3 = SolverParams(p=3.0)
         scan3 = scan_point_eigen(square, params3)
         for m in (0.1, 1.0, 10.0, 100.0):
-            rep = lambda_inf(square, m, params3, scan=scan3)
-            low = inflow(m, scan3.lambda1_omega, square.volume, 3.0, dim=2)
+            rep = lambda_inf(scan3, m)
+            low = inflow(m, scan3.lambda1_omega, square.volume, 3.0)
             up = min(scan3.lambda1_omega, m / square.volume)
             assert low <= rep.lambda_inf * (1 + 1e-3)
             assert rep.lambda_inf <= up * (1 + 1e-3)
@@ -237,10 +237,10 @@ def test_criterion_9_bounds_suite():
         params = SolverParams(p=2.0)
         cache = FSolver(interval, params)
         lam_d = cache.lam_dirichlet
-        small = sigma_max(interval, 1e-3, params, solver=cache)
-        assert spot <= sigma_max(interval, 2.0, params, solver=cache).Lambda
+        small = sigma_max(cache, 1e-3)
+        assert spot <= sigma_max(cache, 2.0).Lambda
         assert small.Lambda < 1e-3 * (1 + 1e-3) / interval.volume
-        big = sigma_max(interval, 1e4, params, solver=cache)
+        big = sigma_max(cache, 1e4)
         assert big.Lambda / lam_d > 0.9
 
 

@@ -1,4 +1,6 @@
 import inspect
+import math
+from pathlib import Path
 
 import robinopt
 
@@ -38,3 +40,31 @@ def test_solver_knob_defaults_live_only_in_solver_params():
         bad += [f"{command} --{a.dest}" for a in sp._actions
                 if a.dest in _KNOBS and a.default is not None]
     assert bad == []
+
+
+def test_owner_taking_callables_do_not_take_what_the_owner_holds():
+    # an FSolver or a PointScan holds its mesh and params; a second copy of
+    # either could disagree with the one the owner was built for
+    bad = []
+    for name in robinopt.__all__:
+        try:
+            params = inspect.signature(getattr(robinopt, name)).parameters
+        except (TypeError, ValueError):
+            continue
+        if {"solver", "scan"} & set(params):
+            bad += [f"{name}({k})" for k in ("mesh", "params") if k in params]
+    assert bad == []
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md quick tour", "exec"), ns)
+    assert abs(ns["res"].lam - 1.70705) < 1e-4
+    assert abs(ns["f1"] - 2 * math.tan(0.5)) < 1e-3
+    assert ns["rep"].Lambda == ns["rep"].xi_m
+    assert abs(ns["xi"] - ns["rep"].xi_m) <= 1e-8 * ns["xi"]
+    assert abs(ns["scan"].lambda1_omega - (math.pi / 2) ** 2) < 0.01 * (math.pi / 2) ** 2
+    assert ns["low"].lambda_inf <= ns["scan"].lambda1_omega

@@ -50,11 +50,6 @@ def test_inflow_spot_value():
     assert inflow(1.0, lam1, 1.0, 2.0) == pytest.approx(lam1 / (lam1 + 1), rel=1e-14)
 
 
-def test_inflow_trivial_when_p_small():
-    assert inflow(1.0, None, 1.0, 2.0) == 0.0
-    assert inflow(1.0, 3.0, 1.0, 2.0, dim=2) == 0.0
-
-
 def test_inflow_large_mass_limit():
     lam1 = (np.pi / 2) ** 2
     assert abs(inflow(1e6, lam1, 1.0, 2.0) - lam1) / lam1 < 0.005
@@ -113,7 +108,7 @@ def test_lower_bound_gap_shrinks_for_large_mass(interval200):
     lam_d = cache.lam_dirichlet
     gaps = []
     for m in (10.0, 100.0, 1000.0):
-        rep = sigma_max(interval200, m, params, solver=cache)
+        rep = sigma_max(cache, m)
         bel = belsup(m, lam_d, interval200.volume, 2.0)
         assert bel <= rep.Lambda * (1 + 1e-3)
         gaps.append((rep.Lambda - bel) / rep.Lambda)

@@ -70,6 +70,32 @@ def test_bad_solver_knob_exit_code(knob, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    import robinopt.eigensolver as es
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before the masses were checked")
+
+    monkeypatch.setattr(es, "_minimize", no_solve)
+
+
+@pytest.mark.parametrize("mass", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["maximize", "minimize"])
+def test_bad_mass_refused_before_any_solve(command, mass, no_eigensolve, capsys):
+    argv = [command, "--domain", "builtin:square:0.25", "--p", "3", "--m", mass]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("m_list", ["lin:0:1:3", "lin:-1:1:3", "1,nan"])
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_bad_mass_list_refused_before_any_solve(command, m_list, no_eigensolve, capsys):
+    argv = [command, "--domain", "builtin:square:0.25", "--p", "3", "--m-list", m_list]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bare_command_uses_the_solver_params_defaults():
     from robinopt import SolverParams
     from robinopt.cli import _params, build_parser

@@ -301,9 +301,9 @@ def test_polygon_corner_flux_refused_with_explanation():
     # at convex polygon corners the optimal weight density vanishes, so the
     # discrete corner flux can dip negative at truncation scale; the pipeline
     # reports this instead of emitting a sign-violating weight
-    from robinopt import InvariantViolationError, build_polygon, sigma_max
+    from robinopt import FSolver, InvariantViolationError, build_polygon, sigma_max
 
     L = build_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], 0.25)
     with pytest.raises(InvariantViolationError) as exc:
-        sigma_max(L, 2.0, SolverParams(p=2.0))
+        sigma_max(FSolver(L, SolverParams(p=2.0)), 2.0)
     assert "corner" in str(exc.value)

@@ -90,7 +90,7 @@ def test_invert_F_rejects_nonpositive_mass(interval200, p2):
 
 
 def test_pipeline_interval_symmetric(interval200, p2):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
+    rep = sigma_max(FSolver(interval200, p2), 2.0)
     masses = dict(rep.sigma_m.atoms)
     left, right = masses[0], masses[interval200.n_nodes - 1]
     assert abs(left - right) / max(left, right) < 1e-10
@@ -103,8 +103,8 @@ def test_pipeline_interval_symmetric(interval200, p2):
 
 def test_bisect_evals_counted_per_mass(interval200, p2):
     solver = FSolver(interval200, p2)
-    first = sigma_max(interval200, 1.0, p2, solver=solver)
-    second = sigma_max(interval200, 2.0, p2, solver=solver)
+    first = sigma_max(solver, 1.0)
+    second = sigma_max(solver, 2.0)
     assert 0 < first.bisect_evals < solver.evals
     assert 0 < second.bisect_evals < solver.evals
     assert first.bisect_evals + second.bisect_evals == solver.evals
@@ -115,7 +115,7 @@ def test_inversion_evals_and_residual(interval200, p2):
     # m = 50 walks the bracket up to the ceiling
     assert 50.0 / interval200.volume > solver.lam_dirichlet
     for m in (0.01, 0.5, 2.0, 8.0, 50.0):
-        rep = sigma_max(interval200, m, p2, solver=solver)
+        rep = sigma_max(solver, m)
         assert rep.bisect_evals <= 20
         assert rep.F_residual <= 1e-9
 
@@ -134,25 +134,20 @@ def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, monk
     monkeypatch.setattr(mx, "solve_aux", counting_solve)
     solver = FSolver(interval200, p2)
     m = 0.9999 * solver.lam_dirichlet * interval200.volume
-    rep = sigma_max(interval200, m, p2, solver=solver)
+    rep = sigma_max(solver, m)
     assert sum(picard) <= 2000
     assert rep.F_residual <= 1e-9
     assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
 
 
-def test_sigma_max_rejects_foreign_solver(interval200, p2, p3):
-    with pytest.raises(ConfigError):
-        sigma_max(interval200, 1.0, p3, solver=FSolver(interval200, p2))
-
-
 def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2):
-    rep = sigma_max(interval200, 3.0, p2, solver=FSolver(interval200, p2))
+    rep = sigma_max(FSolver(interval200, p2), 3.0)
     bvals = rep.u_m.values[interval200.node_is_boundary]
     assert np.all(bvals == 1.0)
 
 
 def test_pipeline_candidate_satisfies_weak_form(interval200, p2):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
+    rep = sigma_max(FSolver(interval200, p2), 2.0)
     r = weak_residual(rep.u_m, rep.sigma_m, 2.0, rep.xi_m, p2.eps_reg)
     assert 2.0 * np.max(np.abs(r)) < p2.tol_res
 
@@ -161,7 +156,7 @@ def test_pipeline_disk_constant_weight(p2):
     from robinopt import build_disk, disk_robin_p2_const
 
     d = build_disk(0.1)
-    rep = sigma_max(d, 2 * np.pi, p2)
+    rep = sigma_max(FSolver(d, p2), 2 * np.pi)
     dens = rep.aux.sigma_flux.as_facet_density()
     assert abs(dens.mean() - 1.0) < 0.02
     assert (dens.max() - dens.min()) / dens.mean() < 0.02
@@ -172,14 +167,14 @@ def test_pipeline_disk_constant_weight(p2):
 
 
 def test_pipeline_square_p3(square4, p3):
-    rep = sigma_max(square4, 2.0, p3)
+    rep = sigma_max(FSolver(square4, p3), 2.0)
     assert rep.crosscheck_ok
     assert abs(rep.sigma_mass - 2.0) / 2.0 < 1e-9
     assert np.all([m >= 0 for _, m in rep.sigma_m.atoms])
 
 
 def test_maximal_value_dominates_random_weights(interval200, p2):
-    rep = sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
+    rep = sigma_max(FSolver(interval200, p2), 2.0)
     rng = np.random.default_rng(42)
     for _ in range(20):
         w = random_weight(interval200, 2.0, rng)
@@ -193,7 +188,7 @@ def test_Lambda_monotone_and_sandwiched(interval200, p2):
     solver = FSolver(interval200, p2)
     vals = []
     for m in (0.5, 1.0, 2.0, 8.0):
-        rep = sigma_max(interval200, m, p2, solver=solver)
+        rep = sigma_max(solver, m)
         vals.append(rep.Lambda)
         assert rep.Lambda <= min(solver.lam_dirichlet, m / interval200.volume) + 1e-9
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -216,7 +211,7 @@ def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, monkeypat
 
     monkeypatch.setattr(en, "recover_flux", off_by_1e8)
     with pytest.raises(InvariantViolationError, match="does not reproduce F"):
-        sigma_max(interval200, 2.0, p2, solver=FSolver(interval200, p2))
+        sigma_max(FSolver(interval200, p2), 2.0)
 
 
 def test_mass_inversion_second_order_in_h():

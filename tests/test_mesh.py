@@ -89,17 +89,6 @@ def test_boundary_flags_consistent_after_refinement():
     assert flagged == on_facets
 
 
-@pytest.mark.parametrize("mesh_fixture", ["disk10", "square8"])
-def test_normals_unit_and_outward(mesh_fixture, request):
-    m = request.getfixturevalue(mesh_fixture)
-    assert np.all(np.abs(np.linalg.norm(m.facet_normals, axis=1) - 1.0) < 1e-12)
-    a = m.nodes[m.boundary_facets[:, 0]]
-    b = m.nodes[m.boundary_facets[:, 1]]
-    mid = 0.5 * (a + b)
-    cent = m.nodes[m.cells[m.facet_cells]].mean(axis=1)
-    assert np.all(np.einsum("ij,ij->i", m.facet_normals, mid - cent) > 0)
-
-
 def test_every_boundary_facet_owned_once(disk10):
     faces = np.concatenate(
         [disk10.cells[:, [0, 1]], disk10.cells[:, [1, 2]], disk10.cells[:, [2, 0]]]

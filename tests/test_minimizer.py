@@ -9,7 +9,6 @@ from robinopt import (
     SolverParams,
     brute_force_1d,
     build_disk,
-    build_interval,
     build_square,
     concentration_demo,
     hoelder_check,
@@ -77,61 +76,45 @@ def test_scan_refused_when_points_have_no_capacity(square4, p2):
 
 
 def test_lambda_inf_interval(interval200, p2, interval_scan):
-    rep = lambda_inf(interval200, 1.0, p2, scan=interval_scan)
+    rep = lambda_inf(interval_scan, 1.0)
     assert abs(rep.lambda_inf - LAM_ROBIN_ONESIDED) / LAM_ROBIN_ONESIDED < 0.005
     assert rep.x_m_node in (0, interval200.n_nodes - 1)
     assert rep.lambda_inf <= 1.0 / interval200.volume + 1e-9
 
 
 def test_lambda_inf_monotone_in_mass(interval200, p2, interval_scan):
-    vals = [lambda_inf(interval200, m, p2, scan=interval_scan).lambda_inf for m in (1.0, 2.0, 4.0)]
+    vals = [lambda_inf(interval_scan, m).lambda_inf for m in (1.0, 2.0, 4.0)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_dirac_dominated_by_point_and_trivial_bounds(interval200, p2, interval_scan):
-    rep = lambda_inf(interval200, 2.0, p2, scan=interval_scan)
-    for lam_d, lam_pt in zip(rep.lambda_dirac, rep.lambda1_x):
+    rep = lambda_inf(interval_scan, 2.0)
+    for lam_d, lam_pt in zip(rep.lambda_dirac, rep.scan.values):
         assert lam_d <= lam_pt + 1e-9
         assert lam_d <= 2.0 / interval200.volume + 1e-9
-    assert rep.lambda_inf <= min(rep.lambda1_omega, 2.0 / interval200.volume) + 1e-9
+    assert rep.lambda_inf <= min(rep.scan.lambda1_omega, 2.0 / interval200.volume) + 1e-9
 
 
-def test_foreign_scan_refused(interval200, p2, p3, interval_scan):
-    # interval_scan is the p = 2 scan of interval200
-    for mesh, params in ((build_interval(10), p2), (interval200, p3)):
-        with pytest.raises(ConfigError):
-            lambda_inf(mesh, 1.0, params, scan=interval_scan)
-        with pytest.raises(ConfigError):
-            hoelder_check(mesh, params, scan=interval_scan)
-
-
-def test_lambda_inf_refused_p_le_dim(square4, p2):
-    with pytest.raises(MathRefusalError):
-        lambda_inf(square4, 1.0, p2)
-
-
-def test_track_xm_interval(interval200, p2):
-    tr = track_xm(interval200, [1.0, 10.0, 100.0], p2)
+def test_track_xm_interval(interval200, interval_scan):
+    tr = track_xm(interval_scan, [1.0, 10.0, 100.0])
     assert all(n in (0, interval200.n_nodes - 1) for n in tr.x_m_nodes)
     assert tr.distances == [0.0, 0.0, 0.0]
-    assert tr.trend_ok
 
 
 def test_track_xm_disk_symmetric(p3):
-    d = build_disk(0.25)
-    tr = track_xm(d, [1.0, 10.0], p3)
+    tr = track_xm(scan_point_eigen(build_disk(0.25), p3), [1.0, 10.0])
     assert max(tr.distances) <= 1e-9  # every boundary point is a minimizer
 
 
 def test_track_xm_square(square4, p3):
-    tr = track_xm(square4, [1.0, 10.0, 100.0], p3)
+    tr = track_xm(scan_point_eigen(square4, p3), [1.0, 10.0, 100.0])
     top = [d for m, d in zip(tr.m_list, tr.distances) if m >= 10.0]
     assert all(b <= a + 1e-9 for a, b in zip(top, top[1:]))
 
 
-def test_track_xm_requires_increasing_masses(interval200, p2):
+def test_track_xm_requires_increasing_masses(interval_scan):
     with pytest.raises(ConfigError):
-        track_xm(interval200, [1.0, 1.0], p2)
+        track_xm(interval_scan, [1.0, 1.0])
 
 
 # -- concentration ------------------------------------------------------------
@@ -183,14 +166,13 @@ def test_concentration_refuses_large_p():
 
 # -- Hoelder continuity ----------------------------------------------------------
 
-def test_hoelder_interval_degenerate(interval200, p2, interval_scan):
-    rep = hoelder_check(interval200, p2, scan=interval_scan)
+def test_hoelder_interval_degenerate(interval_scan):
+    rep = hoelder_check(interval_scan)
     assert rep["degenerate"]
 
 
 def test_hoelder_square_slope(square8):
-    params = SolverParams(p=4.0)
-    rep = hoelder_check(square8, params)
+    rep = hoelder_check(scan_point_eigen(square8, SolverParams(p=4.0)))
     assert not rep["degenerate"]
     assert rep["slope"] >= (1.0 - 2.0 / 4.0) - 0.3
 
@@ -198,8 +180,8 @@ def test_hoelder_square_slope(square8):
 def test_hoelder_disk_ratio_stable_under_refinement(p3):
     coarse = build_disk(0.25)
     fine = refine(coarse)
-    r1 = hoelder_check(coarse, p3)
-    r2 = hoelder_check(fine, p3)
+    r1 = hoelder_check(scan_point_eigen(coarse, p3))
+    r2 = hoelder_check(scan_point_eigen(fine, p3))
     assert np.isfinite(r1["max_ratio"]) and np.isfinite(r2["max_ratio"])
     assert r2["max_ratio"] <= 2.0 * max(r1["max_ratio"], 1e-12) or r2["max_ratio"] < 1.0
 
@@ -219,7 +201,7 @@ def test_x_m_node_ignores_roundoff_below_the_minimum(interval200, p2, monkeypatc
     last = interval200.n_nodes - 1
     low = np.nextafter(1.0, 0.0)
     monkeypatch.setattr(mn, "_node_job", lambda job: (low if job[1] == last else 1.0, None))
-    rep = lambda_inf(interval200, 1.0, p2)
+    rep = lambda_inf(scan_point_eigen(interval200, p2), 1.0)
     assert rep.x_m_node == 0
     assert rep.lambda_inf == low
-    assert rep.lambda1_argmin == 0
+    assert rep.to_dict()["lambda1_argmin"] == 0
