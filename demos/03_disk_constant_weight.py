@@ -22,7 +22,7 @@ print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_cells} cells, "
       f"area {mesh.volume:.6f}, perimeter {mesh.boundary_measure:.6f}")
 
 rep = sigma_max(FSolver(mesh, params), m)
-dens = rep.aux.sigma_flux.as_facet_density()
+dens = rep.sigma_m.spread_atoms()
 
 print(f"\nrecovered boundary density: mean {dens.mean():.6f} "
       f"(target m/|boundary| = {m/mesh.boundary_measure:.6f})")

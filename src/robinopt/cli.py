@@ -87,6 +87,19 @@ def _parse_list(spec):
     return vals
 
 
+def _parse_ints(spec, flag):
+    """A sweep spec of integers: each entry within 1e-9 relative of one is
+    rounded to it, any other entry is refused."""
+    vals = _parse_list(spec)
+    bad = [v for v in vals if not (np.isfinite(v) and abs(v - round(v)) <= 1e-9 * abs(v))]
+    if bad:
+        raise ConfigError(f"{flag} entry {bad[0]!r} is not an integer")
+    ints = [round(v) for v in vals]
+    if any(b <= a for a, b in zip(ints, ints[1:])):
+        raise ConfigError(f"{flag} entries round to repeated integers")
+    return ints
+
+
 def _parse_sigma(mesh, spec):
     kind, _, path = spec.partition(":")
     if kind == "file":
@@ -157,32 +170,28 @@ def _eig_report(res, extra=None):
         "residual": res.residual,
         "rq_history": [float(v) for v in res.rq_history],
     }
-    if res.warning:
-        rep["warning"] = res.warning
     rep.update(extra or {})
     return rep
 
 
-def _boundary_csv(mesh, flux):
-    """Per-boundary-node CSV along the boundary loop: arclength, mass, density."""
+def _boundary_csv(w):
+    """Per-boundary-node CSV of a weight's atoms along the boundary loop:
+    arclength, mass, and the mean density of the adjacent facets."""
+    mesh = w.mesh
     loop = mesh.boundary_loop
     pts = mesh.nodes[loop]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1) if mesh.dim == 2 else np.diff(pts[:, 0])
     arc = np.concatenate([[0.0], np.cumsum(np.abs(seg))])
-    nodal = np.zeros(mesh.n_nodes)
-    nodal[flux.nodes] = flux.masses
-    dens = np.zeros(mesh.n_nodes)
-    dens_f = flux.as_facet_density()
-    share = {}
-    for k, f in enumerate(mesh.boundary_facets):
-        for i in f:
-            share.setdefault(int(i), []).append(dens_f[k])
+    nodal = dict(w.atoms)
+    facets = mesh.boundary_facets
+    degree = np.maximum(np.bincount(facets.ravel(), minlength=mesh.n_nodes), 1)
+    dens_f = np.repeat(w.spread_atoms(), facets.shape[1])
+    dens = np.bincount(facets.ravel(), weights=dens_f, minlength=mesh.n_nodes) / degree
     cols = "node," + ("x," if mesh.dim == 1 else "x,y,") + "arclength,mass,density"
     lines = [cols]
     for a, n in zip(arc, loop):
-        d = float(np.mean(share.get(int(n), [0.0])))
         coord = ",".join(repr(float(c)) for c in mesh.nodes[n])
-        lines.append(f"{int(n)},{coord},{float(a)!r},{float(nodal[n])!r},{d!r}")
+        lines.append(f"{int(n)},{coord},{float(a)!r},{nodal.get(int(n), 0.0)!r},{float(dens[n])!r}")
     return lines
 
 
@@ -218,7 +227,7 @@ def _cmd_maximize(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         en.write_weight(rep.sigma_m, os.path.join(args.out, "sigma_m.bw"))
-        files["sigma_m.csv"] = _boundary_csv(mesh, rep.aux.sigma_flux)
+        files["sigma_m.csv"] = _boundary_csv(rep.sigma_m)
     _emit(args, rep.to_dict(), files)
     return EXIT_OK if rep.crosscheck_ok else EXIT_INVARIANT
 
@@ -281,7 +290,7 @@ def _cmd_concentrate(args):
     volume = 1.0
     if args.domain:
         volume = _parse_domain(args.domain).volume
-    run = mn.concentration_demo(args.p, args.m, [int(j) for j in _parse_list(args.j_list)], volume=volume)
+    run = mn.concentration_demo(args.p, args.m, _parse_ints(args.j_list, "--j-list"), volume=volume)
     lines = ["j,alpha,Q,bound"]
     for j, a, q, b in run.rows():
         lines.append(f"{j},{a!r},{q!r},{b!r}")

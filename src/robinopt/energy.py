@@ -29,7 +29,6 @@ __all__ = [
     "NodalField",
     "BoundaryWeight",
     "SolverParams",
-    "NodalFlux",
     "numerator_terms",
     "grad_energy",
     "boundary_term",
@@ -163,9 +162,15 @@ class BoundaryWeight:
             node, snap = mesh.nearest_boundary_node(where)
         return cls(mesh, atoms=[(node, float(mass))], snap_distance=snap)
 
-    @classmethod
-    def from_nodal_masses(cls, mesh, nodes, masses):
-        return cls(mesh, atoms=list(zip(nodes, masses)))
+    def spread_atoms(self):
+        """Per-facet density of the atoms, each atom's mass split equally
+        among its adjacent boundary facets; conserves the atoms' total mass."""
+        mesh = self.mesh
+        nodes, masses = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        nodal = np.bincount(nodes.astype(int), weights=masses, minlength=mesh.n_nodes)
+        degree = np.bincount(mesh.boundary_facets.ravel(), minlength=mesh.n_nodes)
+        share = nodal / np.maximum(degree, 1)
+        return share[mesh.boundary_facets].sum(axis=1) / mesh.facet_measures
 
 
 def random_weight(mesh, mass, rng):
@@ -387,46 +392,15 @@ def rayleigh_gradient(u, w: BoundaryWeight | None, p, eps_reg) -> NodalField:
     return NodalField(u.mesh, (p / den) * weak_residual(u, w, p, q, eps_reg))
 
 
-@dataclass
-class NodalFlux:
-    """Variational boundary flux: one mass per boundary node, already at the
-    scale its user needs (sigma_max stores the optimal weight's masses)."""
-
-    mesh: Mesh
-    nodes: np.ndarray
-    masses: np.ndarray
-
-    @property
-    def total(self):
-        return float(np.sum(self.masses))
-
-    def as_weight(self, clip_tol=1e-10):
-        """Convert to a Dirac-type BoundaryWeight, clipping roundoff negatives."""
-        m = self.masses
-        if np.any(m < -clip_tol * max(1.0, np.max(np.abs(m)))):
-            raise ConfigError("flux has significantly negative entries")
-        return BoundaryWeight.from_nodal_masses(self.mesh, self.nodes, np.maximum(m, 0.0))
-
-    def as_facet_density(self):
-        """Equivalent per-facet density, splitting each nodal mass equally
-        among its adjacent facets; conserves the total mass exactly."""
-        mesh = self.mesh
-        degree = np.bincount(mesh.boundary_facets.ravel(), minlength=mesh.n_nodes)
-        nodal = np.zeros(mesh.n_nodes)
-        nodal[self.nodes] = self.masses
-        share = nodal / np.maximum(degree, 1)
-        return share[mesh.boundary_facets].sum(axis=1) / mesh.facet_measures
-
-
-def recover_flux(u, load, params: SolverParams) -> NodalFlux:
+def recover_flux(u, load, params: SolverParams) -> np.ndarray:
     """Consistent boundary flux of a discrete interior solution.
 
     Given u solving the interior equations A_i(u) = b_i (i interior) for the
     nodal load b, where A is the stiffness action at params.p (smoothed by
-    params.eps_reg), returns the boundary masses g_i = b_i - A_i(u). Their sum
-    equals the total load exactly up to the interior residual: the discrete
-    divergence identity. Raises InvariantViolationError when the interior
-    residual exceeds params.tol_res.
+    params.eps_reg), returns the boundary masses g_i = b_i - A_i(u), in
+    mesh.boundary_nodes() order. Their sum equals the total load exactly up
+    to the interior residual: the discrete divergence identity. Raises
+    InvariantViolationError when the interior residual exceeds params.tol_res.
     """
     mesh = u.mesh
     r = load - stiffness_term(mesh).action(u, params.p, params.eps_reg)
@@ -436,8 +410,7 @@ def recover_flux(u, load, params: SolverParams) -> NodalFlux:
         raise InvariantViolationError(
             f"not a discrete solution: interior residual {worst:.3e} > {params.tol_res:.1e}"
         )
-    bnodes = mesh.boundary_nodes()
-    return NodalFlux(mesh, bnodes, r[bnodes])
+    return r[mesh.boundary_nodes()]
 
 
 # ---------------------------------------------------------------------------

@@ -170,18 +170,17 @@ class ConvexPEnergyProblem:
 
     # -- solve --------------------------------------------------------------
 
-    def solve(self, b, w0=None, gtol=None, gtol_soft=None, raise_on_stall=True):
+    def solve(self, b, w0=None, gtol=None, gtol_soft=None):
         """Minimize J; returns the full nodal vector (pinned entries zero).
 
         For p = 2, J is quadratic: the result is one solve with the
-        factorization computed on the first call, and w0, gtol, gtol_soft
-        and raise_on_stall do not apply.
+        factorization computed on the first call, and w0, gtol and gtol_soft
+        do not apply.
 
         Otherwise Newton converges from w0 to max-norm gradient gtol. When
-        progress stops above gtol, a result below gtol_soft is still
-        returned; above gtol_soft the behavior depends on raise_on_stall:
-        raise a ConvergenceError, or return the best iterate and leave the
-        judgment to the caller's own convergence test.
+        progress stops above gtol, the best iterate is returned if its
+        gradient is below gtol_soft (gtol_soft = inf leaves the judgment to
+        the caller's own convergence test), else a ConvergenceError is raised.
         """
         b = np.asarray(b, dtype=float)
         if self.p == 2.0:
@@ -228,10 +227,9 @@ class ConvexPEnergyProblem:
         g = self.gradient(w, b)
         gn = float(np.max(np.abs(g[self.free])))
         if gn <= max(gtol, gtol_soft):
-            return w
-        if not raise_on_stall:
-            log.debug("inner Newton stalled at |grad|=%.3e (target %.1e); best iterate returned",
-                      gn, gtol)
+            if gn > gtol:
+                log.debug("inner Newton stalled at |grad|=%.3e (target %.1e); "
+                          "best iterate returned", gn, gtol)
             return w
         raise ConvergenceError(
             f"inner Newton stalled at |grad|={gn:.3e} (target {gtol:.1e})",

@@ -36,7 +36,7 @@ import numpy as np
 from . import energy as en
 from .energy import BoundaryWeight, NodalField, SolverParams
 from .errors import ConfigError, ConvergenceError, InvariantViolationError
-from .eigensolver import EigenResult, solve_dirichlet, solve_robin
+from .eigensolver import solve_dirichlet, solve_robin
 from .innersolve import ConvexPEnergyProblem
 from .mesh import Mesh
 
@@ -63,7 +63,6 @@ class AuxSolution:
     u_xi: NodalField
     F_value: float
     picard_iters: int
-    sigma_flux: en.NodalFlux | None = None
     load: np.ndarray = field(repr=False, default=None)  # consistent dual load
 
     def validate(self):
@@ -94,8 +93,6 @@ class MaxReport:
     lam_dirichlet: float
     F_residual: float          # |F(xi_m) - m| / m
     bisect_evals: int
-    aux: AuxSolution = field(repr=False, default=None)
-    crosscheck_result: EigenResult = field(repr=False, default=None)
 
     def to_dict(self):
         return {
@@ -266,23 +263,23 @@ def sigma_max(solver: FSolver, m: float) -> MaxReport:
     aux = solver.invert(m)
     xi_m = aux.xi
 
-    flux = en.recover_flux(aux.u_xi, aux.load, params)
-    aux.sigma_flux = en.NodalFlux(mesh, flux.nodes, xi_m * flux.masses)
-    if np.min(aux.sigma_flux.masses) < -1e-10:
+    masses = xi_m * en.recover_flux(aux.u_xi, aux.load, params)
+    if np.min(masses) < -1e-10:
         raise InvariantViolationError(
             "recovered weight has negative masses "
-            f"(min {np.min(aux.sigma_flux.masses):.3e}). At convex polygon "
+            f"(min {np.min(masses):.3e}). At convex polygon "
             "corners the optimal weight density vanishes, so the discrete "
             "corner flux is a truncation-scale quantity of either sign; the "
             "pipeline needs a boundary where the flux stays positive "
             "(interval, disk, square) or a finer mesh."
         )
-    total = aux.sigma_flux.total
+    total = float(np.sum(masses))
     if abs(total - aux.F_value) > 1e-10 * max(abs(aux.F_value), 1e-300):
         raise InvariantViolationError(
             f"flux mass {total} does not reproduce F = {aux.F_value}"
         )
-    sigma_m = aux.sigma_flux.as_weight()
+    # roundoff negatives in [-1e-10, 0) clip to 0
+    sigma_m = BoundaryWeight(mesh, atoms=zip(mesh.boundary_nodes(), np.maximum(masses, 0.0)))
 
     u_m = NodalField(
         mesh, xi_m ** (1.0 / (p - 1.0)) * aux.u_xi.values + 1.0
@@ -295,5 +292,4 @@ def sigma_max(solver: FSolver, m: float) -> MaxReport:
         sigma_mass=sigma_m.total_mass, crosscheck_lambda=cross.lam,
         crosscheck_ok=bool(ok), u_m=u_m, lam_dirichlet=solver.lam_dirichlet,
         F_residual=abs(aux.F_value - m) / m, bisect_evals=solver.evals - evals_before,
-        aux=aux, crosscheck_result=cross,
     )

@@ -271,8 +271,10 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
         # amp = j^p 2^{-jp}, computed in log space (underflows to 0 harmlessly)
         log_amp = p * (lj - j * ln2)
         amp = math.exp(log_amp) if log_amp > -745.0 else 0.0
-        la = (j - 1) * ln2 + math.log(m) - math.log(2.0) + ln2  # alpha = m 2^{j-1}
-        alphas.append(math.exp(la) if la < 709.0 else math.inf)
+        try:
+            alphas.append(math.ldexp(m, j - 1))  # alpha = m 2^{j-1}, exact
+        except OverflowError:
+            alphas.append(math.inf)
 
         if profile == "ramp":
             # integral s = 1/2, s^{p+1} = 1/(p+2) and t^p = 1/(p+1) over (0, 1]

@@ -229,6 +229,17 @@ def test_maximize_outputs(tmp_path, capsys):
     assert len(csv) == 3  # header + two endpoints
 
 
+def test_sigma_m_csv_masses_are_the_weight_file_atoms(tmp_path):
+    out = tmp_path / "run"
+    assert run(["maximize", "--domain", "builtin:disk:0.3", "--m", "2", "--out", str(out)]) == 0
+    from robinopt import build_disk, read_weight
+
+    atoms = dict(read_weight(build_disk(0.3), out / "sigma_m.bw").atoms)
+    rows = [ln.split(",") for ln in (out / "sigma_m.csv").read_text().splitlines()[1:]]
+    col = (out / "sigma_m.csv").read_text().splitlines()[0].split(",").index("mass")
+    assert {int(r[0]): float(r[col]) for r in rows} == atoms
+
+
 def test_minimize_csv_columns(tmp_path):
     out = tmp_path / "run"
     code = run([
@@ -288,6 +299,20 @@ def test_concentrate_command(tmp_path):
     assert rep["monotone_tail"]
     lines = (out / "concentrate.csv").read_text().splitlines()
     assert lines[0] == "j,alpha,Q,bound"
+
+
+def test_concentrate_j_list_rounds_near_integers(tmp_path):
+    # geomspace gives 29.999999999999996 for the second entry: j = 30, not 29
+    out = tmp_path / "run"
+    assert run(["concentrate", "--p", "1.5", "--j-list", "log:3:3e6:7", "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [r["j"] for r in rows] == [3, 30, 300, 3000, 30000, 300000, 3000000]
+
+
+@pytest.mark.parametrize("j_list", ["100.5,100.7", "2,2.5", "100,100.00000001"])
+def test_concentrate_non_integer_j_exit_code(j_list, capsys):
+    assert run(["concentrate", "--p", "1.5", "--j-list", j_list]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_scan_command(capsys):

@@ -98,10 +98,12 @@ def test_point_square_corner_and_edge(square4, p3):
     assert lc < lm  # the corner constraint is weaker
 
 
-def test_point_warns_for_small_p(square4):
-    with pytest.warns(UserWarning):
-        res = solve_point(square4, int(square4.boundary_nodes()[0]), SolverParams(p=2.0))
-    assert res.warning is not None
+def test_point_refuses_small_p(square4):
+    # p = dim and p < dim: points have zero capacity, the value is exactly 0
+    for p in (2.0, 1.5):
+        with pytest.raises(MathRefusalError) as exc:
+            solve_point(square4, int(square4.boundary_nodes()[0]), SolverParams(p=p))
+        assert exc.value.exact_value == 0.0
 
 
 def test_point_rejects_interior_node(interval200, p2):

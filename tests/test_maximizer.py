@@ -157,7 +157,7 @@ def test_pipeline_disk_constant_weight(p2):
 
     d = build_disk(0.1)
     rep = sigma_max(FSolver(d, p2), 2 * np.pi)
-    dens = rep.aux.sigma_flux.as_facet_density()
+    dens = rep.sigma_m.spread_atoms()
     assert abs(dens.mean() - 1.0) < 0.02
     assert (dens.max() - dens.min()) / dens.mean() < 0.02
     total = float(np.dot(dens, d.facet_measures))
@@ -202,12 +202,31 @@ def test_picard_decrease_is_an_invariant_violation(interval200, p2, monkeypatch)
         solve_aux(solver, 1.0, v0=v0)
 
 
+def test_sigma_m_atoms_are_the_scaled_flux_clipped_at_zero(square4, p3, monkeypatch):
+    recover_flux, seen = en.recover_flux, []
+
+    def with_roundoff_negative(*args, **kwargs):
+        # move a mass-neutral -1e-13 into the first entry: clipped, not refused
+        masses = recover_flux(*args, **kwargs)
+        masses[1] += masses[0] + 1e-13
+        masses[0] = -1e-13
+        seen.append(masses)
+        return masses
+
+    monkeypatch.setattr(en, "recover_flux", with_roundoff_negative)
+    rep = sigma_max(FSolver(square4, p3), 2.0)
+    nodes, masses = zip(*rep.sigma_m.atoms)
+    assert list(nodes) == square4.boundary_nodes().tolist()
+    assert np.array_equal(masses, np.maximum(rep.xi_m * seen[0], 0.0))
+    assert masses[0] == 0.0
+
+
 def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, monkeypatch):
     recover_flux = en.recover_flux
 
     def off_by_1e8(*args, **kwargs):
-        flux = recover_flux(*args, **kwargs)
-        return en.NodalFlux(flux.mesh, flux.nodes, flux.masses * (1.0 + 1e-8))
+        masses = recover_flux(*args, **kwargs)
+        return masses * (1 + 1e-8)
 
     monkeypatch.setattr(en, "recover_flux", off_by_1e8)
     with pytest.raises(InvariantViolationError, match="does not reproduce F"):

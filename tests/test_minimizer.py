@@ -153,6 +153,12 @@ def test_concentration_bounds_and_monotonicity():
     assert concentration_demo(2.0, 1.0, [1000000]).q[0] < 0.12
 
 
+def test_concentration_alpha_is_exact():
+    # alpha = m 2^(j-1) is a power of two times m, with no roundoff
+    assert concentration_demo(1.5, 1.0, [10]).alpha == [512.0]
+    assert concentration_demo(1.5, 3.0, [2, 60]).alpha == [6.0, 3.0 * 2.0**59]
+
+
 def test_concentration_alpha_overflow_reported_as_inf():
     run = concentration_demo(1.5, 1.0, [100, 1000000])
     assert np.isfinite(run.alpha[0])
