@@ -14,7 +14,7 @@ from robinopt import FSolver, SolverParams, build_interval, sigma_max, solve_aux
 
 mesh = build_interval(200)
 params = SolverParams(p=2.0)
-solver = FSolver(mesh, params)  # the Dirichlet ceiling, the pinned problem, the warm starts
+solver = FSolver(mesh, params)  # the Dirichlet ceiling, the pinned problem, K and M
 lam_d = solver.lam_dirichlet
 
 print("=" * 64)
@@ -24,7 +24,7 @@ print(f"discrete Dirichlet ceiling: {lam_d:.6f}  (continuum pi^2 = {np.pi**2:.6f
 print()
 print(f"{'xi':>8} {'max u_xi':>10} {'F(xi)':>10} {'2 sqrt(xi) tan(sqrt(xi)/2)':>28}")
 for xi in (0.5, 1.0, 2.0, 4.0, 8.0):
-    sol = solve_aux(solver, xi)  # a cold start at each xi
+    sol = solve_aux(solver, xi)  # one factorization of K - xi M
     closed = 2 * np.sqrt(xi) * np.tan(np.sqrt(xi) / 2)
     print(f"{xi:8.2f} {sol.u_xi.values.max():10.6f} {sol.F_value:10.6f} {closed:28.6f}")
 

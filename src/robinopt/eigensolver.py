@@ -110,16 +110,18 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
         # (they differ by the factor q^{1/(p-1)}, which the renormalization
         # removes); a single working scale matters for p far from 2, where
         # the smoothed derivative is not homogeneous. The inner gradient at
-        # u_k for this load is the weak residual of (q, u_k).
+        # u_k for this load is the weak residual of (q, u_k), and the next
+        # inner solve's first Newton gradient.
         bv = qv * en.mass_action(mesh, vals, p)
-        return bv, p * float(np.max(np.abs(problem.gradient(vals, bv)[free])))
+        g = problem.gradient(vals, bv)
+        return bv, g, p * float(np.max(np.abs(g[free])))
 
     q = en.rayleigh(NodalField(mesh, u), weight, p)
     history = [q]
-    b, resid = load_and_residual(u, q)
+    b, g, resid = load_and_residual(u, q)
     for it in range(1, params.max_outer + 1):
         # a stalled inner solve returns its best iterate; the outer test judges it
-        w = problem.solve(b, w0=u, gtol_soft=np.inf)
+        w = problem.solve(b, w0=u, gtol_soft=np.inf, g0=g)
         w = np.maximum(w, 0.0)
         if not np.any(w > 0):
             raise ConvergenceError(
@@ -140,7 +142,7 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
                 u, q, it, resid, history,
             )
         history.append(q_new)
-        b, resid = load_and_residual(u_new, q_new)
+        b, g, resid = load_and_residual(u_new, q_new)
         stalled = abs(q - q_new) <= params.tol_rq * max(abs(q_new), 1e-300)
         u, q = u_new, q_new
         if stalled and resid <= params.tol_res:

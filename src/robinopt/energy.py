@@ -318,6 +318,13 @@ def assemble_load(mesh, vals):
     return term.scatter(term.c * vals)
 
 
+def mass_blocks(mesh):
+    """Consistent-mass element blocks (C, k, k), the mass term's Hessian blocks
+    at p = 2, built without keeping the term's k0."""
+    term = mass_term(mesh)
+    return np.einsum("eq,qk,ql->ekl", term.c, term.L, term.L)
+
+
 def mass_action(mesh, u, p):
     """Nodal assembly of phi_i -> integral |u|^{p-2} u phi_i (Gauss rule)."""
     return mass_term(mesh).action(u, p)

@@ -164,23 +164,29 @@ class ConvexPEnergyProblem:
 
     def hessian(self, w):
         """Free-free Hessian of J at w: its stored entries in self._pattern."""
-        vals = np.concatenate([t.blocks(w, self.p, self.eps).ravel() for t in self._terms])
+        return self.stored(np.concatenate([t.blocks(w, self.p, self.eps).ravel() for t in self._terms]))
+
+    def stored(self, blocks):
+        """Stored entries in self._pattern of the free-free matrix with element
+        blocks `blocks`, laid out like the terms' blocks in hessian."""
         pattern = self._pattern
-        return np.bincount(pattern.slot, weights=vals, minlength=pattern.size + 1)[: pattern.size]
+        return np.bincount(pattern.slot, weights=np.ravel(blocks), minlength=pattern.size + 1)[: pattern.size]
 
     # -- solve --------------------------------------------------------------
 
-    def solve(self, b, w0=None, gtol=None, gtol_soft=None):
+    def solve(self, b, w0=None, gtol=None, gtol_soft=None, g0=None):
         """Minimize J; returns the full nodal vector (pinned entries zero).
 
         For p = 2, J is quadratic: the result is one solve with the
-        factorization computed on the first call, and w0, gtol and gtol_soft
-        do not apply.
+        factorization computed on the first call, and w0, gtol, gtol_soft
+        and g0 do not apply.
 
         Otherwise Newton converges from w0 to max-norm gradient gtol. When
         progress stops above gtol, the best iterate is returned if its
         gradient is below gtol_soft (gtol_soft = inf leaves the judgment to
         the caller's own convergence test), else a ConvergenceError is raised.
+        A caller that holds gradient(w0, b) (w0 zero on the pinned nodes)
+        passes it as g0, and the first Newton step does not recompute it.
         """
         b = np.asarray(b, dtype=float)
         if self.p == 2.0:
@@ -197,7 +203,8 @@ class ConvexPEnergyProblem:
         fallback_step = 1.0
         j = None  # J(w), carried over from the accepted Armijo trial
         for _ in range(_MAX_NEWTON):
-            g = self.gradient(w, b)
+            g = self.gradient(w, b) if g0 is None else g0
+            g0 = None
             gn = float(np.max(np.abs(g[self.free])))
             if gn <= gtol:
                 return w

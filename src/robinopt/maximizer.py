@@ -4,8 +4,10 @@ For a target mass m the maximal first eigenvalue and its unique maximizer
 are produced constructively:
 
 1. solve the auxiliary semilinear problem for a spectral parameter xi below
-   the discrete Dirichlet eigenvalue (monotone Picard iteration, each step a
-   strictly convex minimization with zero boundary values),
+   the discrete Dirichlet eigenvalue: at p = 2 it is linear, (K - xi M) v =
+   M 1, and one banded Cholesky factorization solves it; otherwise by a
+   monotone Picard iteration, each step a strictly convex minimization with
+   zero boundary values,
 2. evaluate the strictly increasing function
    F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1},
 3. invert F(xi) = m by Illinois steps on the bracket [0, b], where b starts
@@ -21,8 +23,9 @@ eigenvalue xi(m) at machine level. An independent Robin solve cross-checks
 the eigenvalue; a mismatch beyond 1e-3 relative flags the report.
 
 FSolver(mesh, params) owns steps 1-3: the Dirichlet ceiling, the pinned
-convex problem, `solver(xi)` (one F evaluation, `solve_aux(solver, xi, v0)`)
-and `solver.invert(m)`; `sigma_max(solver, m)` adds step 4.
+convex problem (and at p = 2 its K and M), `solver(xi)` (one F evaluation,
+`solve_aux(solver, xi, v0)`) and `solver.invert(m)`; `sigma_max(solver, m)`
+adds step 4.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
 
 _PICARD_SLACK = 1e-12
 _TOL_AUX = 1e-9
+_TOL_DIRECT = 1e-13
 _MAX_PICARD = 500_000
 _CROSSCHECK_RTOL = 1e-3
 
@@ -115,15 +119,23 @@ def dirichlet_ceiling(mesh: Mesh, params: SolverParams) -> float:
 
 
 def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSolution:
-    """Monotone Picard iteration for the auxiliary problem at parameter xi.
+    """The auxiliary problem at parameter xi: one direct solve at p = 2, else
+    a monotone Picard iteration.
 
-    Starting from v0 = 0 (or a known subsolution for a smaller xi), each step
-    solves the solver's Dirichlet-pinned convex problem with the right-hand
-    side frozen at the previous iterate. Iterates are nondecreasing nodewise,
-    which is asserted at runtime; the iteration stops at a relative step below
-    _TOL_AUX and gives up after _MAX_PICARD steps. The returned solution and
-    dual load form a consistent pair: the interior residual is at inner-solver
-    level, so the recovered boundary flux reproduces F(xi) exactly.
+    At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes, and
+    v is one banded Cholesky solve with the solver's K and M; v0 does not
+    apply. Its free-node residual is checked against _TOL_DIRECT relative to
+    the scale of the residual's terms.
+
+    Otherwise, starting from v0 = 0 (or a known subsolution for a smaller
+    xi), each Picard step solves the solver's Dirichlet-pinned convex problem
+    with the right-hand side frozen at the previous iterate. Iterates are
+    nondecreasing nodewise, which is asserted at runtime; the iteration stops
+    at a relative step below _TOL_AUX and gives up after _MAX_PICARD steps.
+
+    Either way the returned solution and dual load form a consistent pair:
+    the interior residual is at solver level, so the recovered boundary flux
+    reproduces F(xi) exactly.
     """
     mesh, p, lam_dirichlet = solver.mesh, solver.params.p, solver.lam_dirichlet
     if not (0.0 < xi < lam_dirichlet):
@@ -131,6 +143,8 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
             f"xi={xi} rejected: the auxiliary iteration requires 0 < xi < "
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
+    if p == 2.0:
+        return _solve_linear_aux(solver, xi)
     scale = xi ** (1.0 / (p - 1.0))
     v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
     for it in range(1, _MAX_PICARD + 1):
@@ -157,13 +171,41 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     )
 
 
+def _solve_linear_aux(solver, xi):
+    """p = 2: v from one factorization of K - xi M in the problem's work band
+    (np.linalg.LinAlgError when it fails), F and the load from v itself."""
+    mesh, problem = solver.mesh, solver.problem
+    stiffness, mass, unit_load = solver._linear
+    v = np.zeros(mesh.n_nodes)
+    v[problem.free_idx] = problem._pattern.factor(stiffness - xi * mass)(unit_load)
+    rhs = xi * en.gauss_values(mesh, v) + 1.0
+    load = en.assemble_load(mesh, rhs)
+    worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
+    # a backward-stable solve leaves a few eps of the residual's terms, |load|
+    # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
+    k_scale = float(np.max(stiffness[problem._pattern.diag]))
+    if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + k_scale * float(np.max(np.abs(v)))):
+        raise InvariantViolationError(
+            f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
+        )
+    sol = AuxSolution(
+        xi=float(xi), u_xi=NodalField(mesh, v),
+        F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=0, load=load,
+    )
+    return sol.validate()
+
+
 class FSolver:
     """F evaluations and their inversion on one mesh, shared across masses.
 
-    Owns the Dirichlet ceiling, the Dirichlet-pinned convex problem every
-    Picard step reuses (at p = 2 its banded Cholesky factorization is
-    computed once) and the computed auxiliary solutions, sorted by xi: each
-    evaluation starts from the largest known subsolution below its xi.
+    Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem. At
+    p = 2 it also holds the free-free stiffness K and mass M as stored
+    entries of that problem's pattern (both terms' elements are the mesh
+    cells) and the free entries of the load M 1, so each evaluation is one
+    banded Cholesky of K - xi M in the pattern's work band. At p != 2 every
+    Picard step reuses the problem, and the computed auxiliary solutions are
+    kept sorted by xi: each evaluation starts from the largest known
+    subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):
@@ -171,7 +213,14 @@ class FSolver:
         self.params = params
         self.lam_dirichlet = dirichlet_ceiling(mesh, params)
         self.problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
-        self.solutions = []  # (xi, values) sorted by xi
+        self._linear = None
+        if params.p == 2.0:
+            self._linear = (
+                self.problem.hessian(np.zeros(mesh.n_nodes)),
+                self.problem.stored(en.mass_blocks(mesh)),
+                en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)[self.problem.free_idx],
+            )
+        self.solutions = []  # (xi, values) sorted by xi, the Picard warm starts
         self.evals = 0
 
     def __call__(self, xi: float) -> AuxSolution:
@@ -179,7 +228,8 @@ class FSolver:
         k = bisect.bisect_right(self.solutions, xi, key=itemgetter(0))
         sol = solve_aux(self, xi, v0=self.solutions[k - 1][1] if k else None)
         self.evals += 1
-        bisect.insort_right(self.solutions, (xi, sol.u_xi.values), key=itemgetter(0))
+        if self._linear is None:
+            bisect.insort_right(self.solutions, (xi, sol.u_xi.values), key=itemgetter(0))
         return sol
 
     def invert(self, m: float) -> AuxSolution:
@@ -190,12 +240,12 @@ class FSolver:
         stays below m there, approaches the ceiling geometrically, each end
         with F < m becoming the lower end; no evaluation lands nearer the
         ceiling than half the root's distance from it, where the Picard
-        iteration contracts slowly. Illinois
+        iteration contracts slowly and K - xi M nears singularity. Illinois
         steps (regula falsi that halves the value kept at an end retained
         twice) then shrink the bracket until |F(xi) - m| <= 1e-10 m or its
-        ends are adjacent floats; a non-finite F counts as above m and is
-        followed by a bisection step. Returns the better of the two
-        bracketing solutions.
+        ends are adjacent floats; a non-finite F or a failed factorization
+        counts as above m and is followed by a bisection step. Returns the
+        better of the two bracketing solutions.
         """
         if m <= 0:
             raise ConfigError("mass must be positive")
@@ -204,7 +254,7 @@ class FSolver:
         def excess(xi):
             try:
                 sol = self(xi)
-            except (OverflowError, FloatingPointError):
+            except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
                 return None, np.inf
             f = sol.F_value - m
             return (sol, f) if np.isfinite(f) else (None, np.inf)

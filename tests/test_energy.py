@@ -352,7 +352,8 @@ def test_mesh_terms_are_built_once():
     assert a._terms[0].k0 is b._terms[0].k0
 
 
-def test_F_inversion_builds_no_term_per_picard_step(monkeypatch):
+def _count_terms_and_picard_steps(monkeypatch, params):
+    """(PowerTerms built, Picard steps) after each of two inversions on one FSolver."""
     built, steps = [], []
     init, solve_aux = en.PowerTerm.__init__, mx.solve_aux
 
@@ -367,13 +368,24 @@ def test_F_inversion_builds_no_term_per_picard_step(monkeypatch):
 
     monkeypatch.setattr(en.PowerTerm, "__init__", counting_init)
     monkeypatch.setattr(mx, "solve_aux", counting_solve_aux)
-    solver = mx.FSolver(build_interval(50), SolverParams(p=2.0))
+    solver = mx.FSolver(build_interval(50), params)
     counts = []
     for m in (0.5, 5.0):
         solver.invert(m)
         counts.append((len(built), sum(steps)))
+    return counts
+
+
+def test_F_inversion_builds_no_term_per_picard_step(monkeypatch):
+    counts = _count_terms_and_picard_steps(monkeypatch, SolverParams(p=3.0))
     assert counts[1][1] > counts[0][1] > 0  # the second mass took more Picard steps
     assert counts[1][0] == counts[0][0] <= 2  # stiffness and mass, once each
+
+
+def test_direct_F_evaluations_build_no_term(monkeypatch):
+    counts = _count_terms_and_picard_steps(monkeypatch, SolverParams(p=2.0))
+    assert counts[1][1] == counts[0][1] == 0  # p = 2 solves directly
+    assert counts[1][0] == counts[0][0] <= 2
 
 
 def test_weight_is_immutable():

@@ -213,3 +213,19 @@ def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
     h = _expand(problem, problem.hessian(w))
     ref = np.linalg.solve(h, b[problem.free_idx])
     assert np.max(np.abs(w[problem.free_idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_given_first_gradient_is_not_recomputed(square4, p3, monkeypatch):
+    # the eigensolver passes its outer residual's gradient at w0 as g0: the
+    # result is bit for bit the one that computes it, with one gradient less
+    w = BoundaryWeight.constant(square4, 2.0)
+    problem = ConvexPEnergyProblem(square4, p3, weight=w)
+    w0 = 1.0 + square4.nodes[:, 0]
+    b = en.mass_action(square4, w0, 3.0)
+    g0 = problem.gradient(w0, b)
+    calls, gradient = [], problem.gradient
+    monkeypatch.setattr(problem, "gradient", lambda *a: calls.append(1) or gradient(*a))
+    ref = problem.solve(b, w0=w0)
+    n_ref = len(calls)
+    assert np.array_equal(problem.solve(b, w0=w0, g0=g0), ref)
+    assert len(calls) == 2 * n_ref - 1

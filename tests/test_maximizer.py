@@ -3,8 +3,10 @@ import pytest
 
 from robinopt import (
     ConfigError,
+    ConvergenceError,
     FSolver,
     InvariantViolationError,
+    RobinoptError,
     SolverParams,
     interval_robin_p2,
     random_weight,
@@ -13,6 +15,7 @@ from robinopt import (
     solve_aux,
     solve_robin,
 )
+import robinopt.cli as cli
 import robinopt.energy as en
 import robinopt.maximizer as mx
 from robinopt.energy import weak_residual
@@ -116,26 +119,26 @@ def test_inversion_evals_and_residual(interval200, p2):
     assert 50.0 / interval200.volume > solver.lam_dirichlet
     for m in (0.01, 0.5, 2.0, 8.0, 50.0):
         rep = sigma_max(solver, m)
-        assert rep.bisect_evals <= 20
-        assert rep.F_residual <= 1e-9
+        assert rep.bisect_evals <= 12
+        assert rep.F_residual <= 1e-10
 
 
 def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, monkeypatch):
-    # m just below lam_D |Omega|: the root (xi ~ 5.2) lies far below lam_D,
-    # where Picard contracts at about xi/lam_D; no evaluation may land there
-    picard = []
+    # m just below lam_D |Omega|: the root (xi ~ 5.2) lies far below lam_D;
+    # no evaluation may land nearer lam_D than half the root's distance from it
+    evaluated = []
     solve = mx.solve_aux
 
-    def counting_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        picard.append(sol.picard_iters)
-        return sol
+    def recording_solve(solver, xi, *args, **kwargs):
+        evaluated.append(xi)
+        return solve(solver, xi, *args, **kwargs)
 
-    monkeypatch.setattr(mx, "solve_aux", counting_solve)
+    monkeypatch.setattr(mx, "solve_aux", recording_solve)
     solver = FSolver(interval200, p2)
-    m = 0.9999 * solver.lam_dirichlet * interval200.volume
+    lam = solver.lam_dirichlet
+    m = 0.9999 * lam * interval200.volume
     rep = sigma_max(solver, m)
-    assert sum(picard) <= 2000
+    assert max(evaluated) < lam - 0.5 * (lam - rep.xi_m)
     assert rep.F_residual <= 1e-9
     assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
 
@@ -194,12 +197,51 @@ def test_Lambda_monotone_and_sandwiched(interval200, p2):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_picard_decrease_is_an_invariant_violation(interval200, p2, monkeypatch):
-    solver = FSolver(interval200, p2)
+def test_picard_decrease_is_an_invariant_violation(interval200, p3, monkeypatch):
+    solver = FSolver(interval200, p3)
     v0 = np.sin(np.pi * interval200.nodes[:, 0])
     monkeypatch.setattr(solver.problem, "solve", lambda b, w0, **kwargs: 0.5 * w0)
     with pytest.raises(InvariantViolationError, match="Picard iterate decreased at step 1"):
         solve_aux(solver, 1.0, v0=v0)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
+@pytest.mark.parametrize("mesh", ["interval200", "disk10"])
+def test_direct_solution_is_a_picard_fixed_point(mesh, frac, p2, request):
+    # one Picard step from the p = 2 direct solution, solved with the factor
+    # of K alone, neither moves it by _TOL_AUX nor lowers it
+    mesh = request.getfixturevalue(mesh)
+    solver = FSolver(mesh, p2)
+    sol = solve_aux(solver, frac * solver.lam_dirichlet)
+    assert sol.picard_iters == 0
+    v = sol.u_xi.values
+    step = solver.problem.solve(sol.load) - v
+    scale = 1.0 + np.max(np.abs(v))
+    assert np.max(np.abs(step)) < mx._TOL_AUX * scale
+    assert np.min(step) >= -mx._PICARD_SLACK * scale
+
+
+def test_direct_solve_residual_is_checked(interval200, p2):
+    # a K - xi M factor that does not match the load's operator leaves a
+    # free-node residual far above the roundoff floor
+    solver = FSolver(interval200, p2)
+    stiffness, mass, unit_load = solver._linear
+    solver._linear = (stiffness, 1.001 * mass, unit_load)
+    with pytest.raises(InvariantViolationError, match="direct auxiliary solve"):
+        solve_aux(solver, 5.0)
+
+
+@pytest.mark.parametrize("m", [1e8, 1e16])
+def test_huge_mass_ends_in_a_taxonomy_error(interval200, p2, m):
+    # the root lies within roundoff of lam_D, or beyond float reach, where the
+    # factorization of K - xi M fails: F counts as above m there
+    solver = FSolver(interval200, p2)
+    with pytest.raises(RobinoptError) as exc:
+        sigma_max(solver, m)
+    assert solver.evals <= 100
+    code = {ConvergenceError: 4, InvariantViolationError: 5}[exc.type]
+    argv = ["maximize", "--domain", "builtin:interval:200", "--p", "2", "--m", repr(m)]
+    assert cli.main(argv) == code
 
 
 def test_sigma_m_atoms_are_the_scaled_flux_clipped_at_zero(square4, p3, monkeypatch):
