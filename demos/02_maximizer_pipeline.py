@@ -14,7 +14,7 @@ from robinopt import FSolver, SolverParams, build_interval, sigma_max, solve_aux
 
 mesh = build_interval(200)
 params = SolverParams(p=2.0)
-solver = FSolver(mesh, params)  # the Dirichlet ceiling, the pinned problem, K and M
+solver = FSolver(mesh, params)  # the Dirichlet ceiling and the pinned problem
 lam_d = solver.lam_dirichlet
 
 print("=" * 64)

@@ -12,16 +12,18 @@ Strategy: up to _MAX_NEWTON Newton steps on the (eps-regularized for p < 2)
 system with a Levenberg ridge when the Hessian is rank-deficient (p > 2 at
 flat iterates), Armijo backtracking (factor 0.5, slope 1e-4), and a plain
 gradient-descent fallback when the Newton direction fails the descent test.
-For p = 2 the problem is quadratic: the factorization computed on the first
-solve makes every solve one pair of triangular solves, with no refinement
-(in working precision it lowers the residual, not the cond * eps error).
+For p = 2 the problem is quadratic: linear_solve keeps one factorization per
+problem, refreshed only when its shift changes, so each solve is one pair of
+triangular solves, with no refinement (in working precision it lowers the
+residual, not the cond * eps error).
 
 J's energy is the Rayleigh numerator, the energy.numerator_terms PowerTerms,
 each built once with its c L^T L blocks. Each problem lays out a free-free
 Hessian pattern from their element arrays, with the free nodes in the mesh's
 Cuthill-McKee order, and each Hessian is one scatter of the element blocks
-into it. Every Newton direction and every p = 2 solve is one banded Cholesky
-factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes).
+into it. Every Newton direction and every p = 2 factor is one banded Cholesky
+factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes)
+in the problem's work band, which no other module sees.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import energy as en
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
@@ -99,7 +101,7 @@ class _Pattern:
         self.diag = stored[len(stored) - n:]
         # the work band: made by the first factorization and reused by the
         # later ones (a fresh (kd + 1) x n array per Newton direction costs
-        # more in page faults than dpbtrf) until kept_factor keeps it
+        # more in page faults than dpbtrf)
         self._flat = None
 
     def factor(self, h, tau=0.0):
@@ -119,13 +121,6 @@ class _Pattern:
             raise np.linalg.LinAlgError(f"banded Cholesky failed at pivot {info}")
         return lambda r: dpbtrs(c, r, lower=1)[0]
 
-    def kept_factor(self, h):
-        """factor(h), valid for good: it keeps the work band, and the next
-        factor call allocates a new one."""
-        solve = self.factor(h)
-        self._flat = None
-        return solve
-
 
 class ConvexPEnergyProblem:
     """min_w (1/p) R(w) - <b, w> with optional boundary weight and pinned nodes."""
@@ -142,15 +137,16 @@ class ConvexPEnergyProblem:
         # Cuthill-McKee order: the order of every free-node vector and Hessian row
         order = _node_order(mesh)
         self.free_idx = order[self.free[order]]
+        self._shift, self._factor = None, None  # the p = 2 factor in the work band and its shift
 
     @cached_property
     def _pattern(self):
         return _Pattern(self.mesh.n_nodes, [t.elems for t in self._terms], self.free_idx)
 
     @cached_property
-    def _quadratic_solve(self):
-        # p = 2: the Hessian is the same at every w
-        return self._pattern.kept_factor(self.hessian(np.zeros(self.mesh.n_nodes)))
+    def _pencil(self):
+        # p = 2 shifted solves: H (the same at every w) and M; unshifted ones keep neither
+        return self.hessian(np.zeros(self.mesh.n_nodes)), self.stored(en.mass_blocks(self.mesh))
 
     # -- functional pieces -------------------------------------------------
 
@@ -174,12 +170,32 @@ class ConvexPEnergyProblem:
 
     # -- solve --------------------------------------------------------------
 
+    def linear_solve(self, b, shift=0.0):
+        """p = 2 only: the full nodal w (pinned entries zero) with (H - shift M) w
+        = b on the free nodes, H the constant Hessian of J and M the consistent
+        mass matrix. The factor is redone only when the shift changes; a failed
+        factorization (H - shift M not positive definite) raises LinAlgError.
+        """
+        if self.p != 2.0:
+            raise ConfigError(f"linear_solve needs p = 2, not p = {self.p}")
+        if shift != self._shift:
+            pattern = self._pattern  # built before H's element blocks: a lower peak RSS
+            if shift == 0.0:
+                h = self.hessian(np.zeros(self.mesh.n_nodes))
+            else:
+                h = self._pencil[0] - shift * self._pencil[1]
+            self._shift = None  # the work band is rewritten below
+            self._factor = pattern.factor(h)
+            self._shift = shift
+        w = np.zeros(self.mesh.n_nodes)
+        w[self.free_idx] = self._factor(np.asarray(b, dtype=float)[self.free_idx])
+        return w
+
     def solve(self, b, w0=None, gtol=None, gtol_soft=None, g0=None):
         """Minimize J; returns the full nodal vector (pinned entries zero).
 
-        For p = 2, J is quadratic: the result is one solve with the
-        factorization computed on the first call, and w0, gtol, gtol_soft
-        and g0 do not apply.
+        For p = 2, J is quadratic: the result is linear_solve(b), and w0,
+        gtol, gtol_soft and g0 do not apply.
 
         Otherwise Newton converges from w0 to max-norm gradient gtol. When
         progress stops above gtol, the best iterate is returned if its
@@ -188,11 +204,9 @@ class ConvexPEnergyProblem:
         A caller that holds gradient(w0, b) (w0 zero on the pinned nodes)
         passes it as g0, and the first Newton step does not recompute it.
         """
-        b = np.asarray(b, dtype=float)
         if self.p == 2.0:
-            w = np.zeros(self.mesh.n_nodes)
-            w[self.free_idx] = self._quadratic_solve(b[self.free_idx])
-            return w
+            return self.linear_solve(b)
+        b = np.asarray(b, dtype=float)
         if gtol is None:
             gtol = 1e-12 * (1.0 + float(np.max(np.abs(b))))
         if gtol_soft is None:

@@ -10,9 +10,9 @@ are produced constructively:
    zero boundary values,
 2. evaluate the strictly increasing function
    F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1},
-3. invert F(xi) = m by Illinois steps on the bracket [0, b], where b starts
-   at min(m/|Omega|, lam_D/2) and walks halfway up to the Dirichlet
-   eigenvalue lam_D while F(b) < m,
+3. invert F(xi) = m on the bracket [0, lam_D], lam_D the Dirichlet
+   eigenvalue, whose ends F = 0 and F = +inf need no evaluation: one loop of
+   Illinois steps that bisects while the upper end is infinite,
 4. recover the optimal weight as the variational boundary flux of the
    auxiliary solution, scaled by xi(m).
 
@@ -23,9 +23,8 @@ eigenvalue xi(m) at machine level. An independent Robin solve cross-checks
 the eigenvalue; a mismatch beyond 1e-3 relative flags the report.
 
 FSolver(mesh, params) owns steps 1-3: the Dirichlet ceiling, the pinned
-convex problem (and at p = 2 its K and M), `solver(xi)` (one F evaluation,
-`solve_aux(solver, xi, v0)`) and `solver.invert(m)`; `sigma_max(solver, m)`
-adds step 4.
+convex problem, `solver(xi)` (one F evaluation, `solve_aux(solver, xi, v0)`)
+and `solver.invert(m)`; `sigma_max(solver, m)` adds step 4.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ __all__ = [
 _PICARD_SLACK = 1e-12
 _TOL_AUX = 1e-9
 _TOL_DIRECT = 1e-13
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 _MAX_PICARD = 500_000
 _CROSSCHECK_RTOL = 1e-3
 
@@ -123,9 +123,9 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     a monotone Picard iteration.
 
     At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes, and
-    v is one banded Cholesky solve with the solver's K and M; v0 does not
-    apply. Its free-node residual is checked against _TOL_DIRECT relative to
-    the scale of the residual's terms.
+    v is the pinned problem's linear_solve at shift xi; v0 does not apply.
+    Its free-node residual is checked against _TOL_DIRECT relative to the
+    scale of the residual's terms.
 
     Otherwise, starting from v0 = 0 (or a known subsolution for a smaller
     xi), each Picard step solves the solver's Dirichlet-pinned convex problem
@@ -172,19 +172,16 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
 
 
 def _solve_linear_aux(solver, xi):
-    """p = 2: v from one factorization of K - xi M in the problem's work band
-    (np.linalg.LinAlgError when it fails), F and the load from v itself."""
+    """p = 2: v from the problem's linear_solve at shift xi (LinAlgError when
+    K - xi M is not positive definite), F and the load from v itself."""
     mesh, problem = solver.mesh, solver.problem
-    stiffness, mass, unit_load = solver._linear
-    v = np.zeros(mesh.n_nodes)
-    v[problem.free_idx] = problem._pattern.factor(stiffness - xi * mass)(unit_load)
+    v = problem.linear_solve(solver._unit_load, xi)
     rhs = xi * en.gauss_values(mesh, v) + 1.0
     load = en.assemble_load(mesh, rhs)
     worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
     # a backward-stable solve leaves a few eps of the residual's terms, |load|
     # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
-    k_scale = float(np.max(stiffness[problem._pattern.diag]))
-    if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + k_scale * float(np.max(np.abs(v)))):
+    if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + solver._k_scale * float(np.max(np.abs(v)))):
         raise InvariantViolationError(
             f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
         )
@@ -199,13 +196,11 @@ class FSolver:
     """F evaluations and their inversion on one mesh, shared across masses.
 
     Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem. At
-    p = 2 it also holds the free-free stiffness K and mass M as stored
-    entries of that problem's pattern (both terms' elements are the mesh
-    cells) and the free entries of the load M 1, so each evaluation is one
-    banded Cholesky of K - xi M in the pattern's work band. At p != 2 every
-    Picard step reuses the problem, and the computed auxiliary solutions are
-    kept sorted by xi: each evaluation starts from the largest known
-    subsolution below its xi.
+    p = 2 it also holds the load M 1 and max K_ii, the scale of the direct
+    solve's residual check (for a positive semidefinite K the largest stored
+    entry is the largest diagonal one). At p != 2 every Picard step reuses
+    the problem, and the computed auxiliary solutions are kept sorted by xi:
+    each evaluation starts from the largest known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):
@@ -213,13 +208,9 @@ class FSolver:
         self.params = params
         self.lam_dirichlet = dirichlet_ceiling(mesh, params)
         self.problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
-        self._linear = None
         if params.p == 2.0:
-            self._linear = (
-                self.problem.hessian(np.zeros(mesh.n_nodes)),
-                self.problem.stored(en.mass_blocks(mesh)),
-                en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)[self.problem.free_idx],
-            )
+            self._unit_load = en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)
+            self._k_scale = float(np.max(self.problem.hessian(np.zeros(mesh.n_nodes))))
         self.solutions = []  # (xi, values) sorted by xi, the Picard warm starts
         self.evals = 0
 
@@ -228,28 +219,27 @@ class FSolver:
         k = bisect.bisect_right(self.solutions, xi, key=itemgetter(0))
         sol = solve_aux(self, xi, v0=self.solutions[k - 1][1] if k else None)
         self.evals += 1
-        if self._linear is None:
+        if self.params.p != 2.0:
             bisect.insort_right(self.solutions, (xi, sol.u_xi.values), key=itemgetter(0))
         return sol
 
     def invert(self, m: float) -> AuxSolution:
         """The auxiliary solution at the root xi(m) of F(xi) = m in (0, lam_dirichlet).
 
-        F is strictly increasing with F(0) = 0 and F(xi) >= xi |Omega|, so
-        the upper end starts at min(m/|Omega|, lam_dirichlet/2) and, while F
-        stays below m there, approaches the ceiling geometrically, each end
-        with F < m becoming the lower end; no evaluation lands nearer the
-        ceiling than half the root's distance from it, where the Picard
-        iteration contracts slowly and K - xi M nears singularity. Illinois
-        steps (regula falsi that halves the value kept at an end retained
-        twice) then shrink the bracket until |F(xi) - m| <= 1e-10 m or its
-        ends are adjacent floats; a non-finite F or a failed factorization
-        counts as above m and is followed by a bisection step. Returns the
-        better of the two bracketing solutions.
+        F is strictly increasing from F(0) = 0 to +inf at the ceiling, so the
+        bracket starts at its two ends with no evaluation; the first trial is
+        min(m/|Omega|, lam_dirichlet/2), as F(xi) >= xi |Omega|. While the
+        upper end's F is infinite (the ceiling, an overflow or a failed
+        factorization) each step bisects: trials below m walk halfway up to
+        the ceiling, and none lands nearer it than half the root's distance.
+        Otherwise Illinois steps (regula falsi that halves the value kept at
+        an end two secant steps in a row retained) shrink the bracket until
+        |F(xi) - m| <= 1e-10 m. Returns the better bracketing solution, also
+        when the ends are adjacent floats if it is within sqrt(eps) m there;
+        otherwise m is unreachable on this mesh (ConvergenceError).
         """
         if m <= 0:
             raise ConfigError("mass must be positive")
-        lam = self.lam_dirichlet
 
         def excess(xi):
             try:
@@ -259,41 +249,35 @@ class FSolver:
             f = sol.F_value - m
             return (sol, f) if np.isfinite(f) else (None, np.inf)
 
-        a, fa, sol_a = 0.0, -m, None  # F(0) = 0 needs no evaluation
-        b = min(m / self.mesh.volume, 0.5 * lam)
-        sol_b, fb = excess(b)
-        while fb < 0.0:
-            a, fa, sol_a = b, fb, sol_b
-            b = lam - 0.5 * (lam - b)
-            if lam - b < 1e-15 * lam:
-                raise ConvergenceError(
-                    f"mass m={m} unreachable within the bracket cap; F near the "
-                    "singular end exceeds float range -- refine the mesh",
-                    diagnostics={"lam_dirichlet": lam},
-                )
-            sol_b, fb = excess(b)
-
-        side = 0  # which end the last step moved: +1 for b, -1 for a
+        a, fa, sol_a = 0.0, -m, None  # F(0) = 0
+        b, fb, sol_b = self.lam_dirichlet, np.inf, None  # F = +inf at the ceiling
+        x, secant, side = min(m / self.mesh.volume, 0.5 * b), False, 0
         while True:
-            best = min((s for s in (sol_a, sol_b) if s is not None),
-                       key=lambda s: abs(s.F_value - m), default=None)
-            if best is not None and abs(best.F_value - m) <= 1e-10 * m:
-                return best
-            x = a - fa * (b - a) / (fb - fa) if np.isfinite(fb) else 0.5 * (a + b)
-            x = min(max(x, np.nextafter(a, b)), np.nextafter(b, a))
-            if not a < x < b:
-                return best
             sol, fx = excess(x)
             if fx >= 0.0:
                 if side > 0:
                     fa *= 0.5
-                b, fb, side = x, fx, 1
-                if sol is not None:
-                    sol_b = sol
+                b, fb, sol_b = x, fx, sol or sol_b
             else:
                 if side < 0:
                     fb *= 0.5
-                a, fa, sol_a, side = x, fx, sol, -1
+                a, fa, sol_a = x, fx, sol
+            side = (1 if fx >= 0.0 else -1) if secant else 0  # the end a secant step moved
+            miss, best = min(((abs(s.F_value - m), s) for s in (sol_a, sol_b) if s is not None),
+                             key=itemgetter(0), default=(np.inf, None))
+            if miss <= 1e-10 * m:
+                return best
+            secant = np.isfinite(fb)
+            x = a - fa * (b - a) / (fb - fa) if secant else b - 0.5 * (b - a)
+            x = min(max(x, np.nextafter(a, b)), np.nextafter(b, a))
+            if not a < x < b:  # a and b are adjacent floats
+                if miss <= _SQRT_EPS * m:
+                    return best
+                raise ConvergenceError(
+                    f"mass m={m} unreachable on this mesh: F near the singular end exceeds float "
+                    f"resolution (|F - m|/m = {miss / m:.1e} at xi = {float(a)!r}) -- refine the mesh",
+                    best=best, diagnostics={"lam_dirichlet": self.lam_dirichlet, "xi": float(a)},
+                )
 
 
 def sigma_max(solver: FSolver, m: float) -> MaxReport:

@@ -56,6 +56,16 @@ def test_owner_taking_callables_do_not_take_what_the_owner_holds():
     assert bad == []
 
 
+def test_band_storage_and_factor_stay_inside_innersolve():
+    # innersolve owns the Hessian pattern, its work band and the factor's
+    # lifetime; another module naming them could outlive or overwrite a factor
+    src = Path(robinopt.__file__).resolve().parent
+    names = ("_pattern", "_Pattern", "dpbtrf", "dpbtrs")
+    bad = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "innersolve.py"
+           for name in names if name in path.read_text()]
+    assert bad == []
+
+
 def test_readme_quick_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tour = readme.split("## Library quick tour", 1)[1]

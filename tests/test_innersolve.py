@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import robinopt.energy as en
 import robinopt.innersolve as ins
-from robinopt import BoundaryWeight, SolverParams, build_disk, build_interval, build_square
+from robinopt import BoundaryWeight, ConfigError, SolverParams, build_disk, build_interval, build_square
 from robinopt.innersolve import ConvexPEnergyProblem
 
 MESHES = {
@@ -177,14 +177,32 @@ def test_band_width_on_disk_is_order_sqrt_n():
 
 
 def test_quadratic_factor_survives_later_factorizations():
-    # the p = 2 factor keeps its own band; a factorization in the work band
-    # (a Newton direction's) must leave later p = 2 solves unchanged
+    # the p = 2 problem keeps one factor and redoes it when the shift changes:
+    # a shifted solve, or a failed factorization, in between must leave later
+    # p = 2 solves unchanged
     mesh = build_disk(0.2)
-    problem = ConvexPEnergyProblem(mesh, SolverParams(p=2.0), fixed_nodes=mesh.boundary_nodes())
+    params = SolverParams(p=2.0)
+    problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
     b = en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)
+    xi = 3.0  # below the disk's Dirichlet eigenvalue, about 5.8
     before = problem.solve(b)
-    problem._pattern.factor(2.0 * problem.hessian(np.zeros(mesh.n_nodes)))
+    shifted = problem.linear_solve(b, xi)
     assert np.array_equal(problem.solve(b), before)
+    with pytest.raises(np.linalg.LinAlgError):
+        problem.linear_solve(b, 100.0)  # above the Dirichlet eigenvalue
+    assert np.array_equal(problem.solve(b), before)
+    fresh = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
+    assert np.array_equal(fresh.linear_solve(b, xi), shifted)
+    assert not np.allclose(shifted, before)
+    # the shifted solve is the one of K - xi M
+    r = problem.gradient(shifted, b) - xi * en.mass_action(mesh, shifted, 2.0)
+    assert np.max(np.abs(r[problem.free])) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_linear_solve_needs_p2(square4, p3):
+    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=square4.boundary_nodes())
+    with pytest.raises(ConfigError, match="p = 2"):
+        problem.linear_solve(np.ones(square4.n_nodes))
 
 
 def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):

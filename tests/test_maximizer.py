@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from robinopt import (
     ConvergenceError,
     FSolver,
     InvariantViolationError,
-    RobinoptError,
     SolverParams,
     interval_robin_p2,
     random_weight,
@@ -19,6 +20,7 @@ import robinopt.cli as cli
 import robinopt.energy as en
 import robinopt.maximizer as mx
 from robinopt.energy import weak_residual
+from robinopt.innersolve import ConvexPEnergyProblem
 from robinopt.oracle import bisect_root
 
 
@@ -124,23 +126,35 @@ def test_inversion_evals_and_residual(interval200, p2):
 
 
 def test_inversion_near_mass_ceiling_stays_off_the_ceiling(interval200, p2, monkeypatch):
-    # m just below lam_D |Omega|: the root (xi ~ 5.2) lies far below lam_D;
-    # no evaluation may land nearer lam_D than half the root's distance from it
+    # m just below lam_D |Omega| (the root xi ~ 5.2 lies far below lam_D) and
+    # m = 50 > lam_D |Omega|, whose trials walk up from lam_D / 2: no
+    # evaluation may land nearer lam_D than half the root's distance from it
     evaluated = []
     solve = mx.solve_aux
 
     def recording_solve(solver, xi, *args, **kwargs):
-        evaluated.append(xi)
-        return solve(solver, xi, *args, **kwargs)
+        sol = solve(solver, xi, *args, **kwargs)
+        evaluated.append((xi, sol.F_value))
+        return sol
 
     monkeypatch.setattr(mx, "solve_aux", recording_solve)
     solver = FSolver(interval200, p2)
     lam = solver.lam_dirichlet
-    m = 0.9999 * lam * interval200.volume
-    rep = sigma_max(solver, m)
-    assert max(evaluated) < lam - 0.5 * (lam - rep.xi_m)
-    assert rep.F_residual <= 1e-9
-    assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
+    for m in (0.9999 * lam * interval200.volume, 50.0):
+        evaluated.clear()
+        rep = sigma_max(solver, m)
+        xs = [xi for xi, _ in evaluated]
+        assert max(xs) < lam - 0.5 * (lam - rep.xi_m)
+        assert rep.F_residual <= 1e-9
+        assert abs(rep.xi_m - closed_form_F_root(m)) <= 1e-3 * rep.xi_m
+    # m = 50: the bracket's upper end is the ceiling until some F reaches m,
+    # so each trial after one with F < m bisects toward lam_D
+    assert m / interval200.volume > lam
+    assert xs[0] == 0.5 * lam
+    walk = [k for k, (_, f) in enumerate(evaluated) if f >= m][0]
+    assert walk >= 2
+    for k in range(1, walk + 1):
+        assert np.isclose(xs[k], 0.5 * (xs[k - 1] + lam), rtol=1e-15, atol=0.0)
 
 
 def test_pipeline_eigenfunction_is_one_on_boundary(interval200, p2):
@@ -221,27 +235,38 @@ def test_direct_solution_is_a_picard_fixed_point(mesh, frac, p2, request):
     assert np.min(step) >= -mx._PICARD_SLACK * scale
 
 
-def test_direct_solve_residual_is_checked(interval200, p2):
-    # a K - xi M factor that does not match the load's operator leaves a
+def test_direct_solve_residual_is_checked(interval200, p2, monkeypatch):
+    # a solve that does not match the load's operator K - xi M leaves a
     # free-node residual far above the roundoff floor
-    solver = FSolver(interval200, p2)
-    stiffness, mass, unit_load = solver._linear
-    solver._linear = (stiffness, 1.001 * mass, unit_load)
+    linear_solve = ConvexPEnergyProblem.linear_solve
+    monkeypatch.setattr(ConvexPEnergyProblem, "linear_solve",
+                        lambda problem, b, shift=0.0: 1.001 * linear_solve(problem, b, shift))
     with pytest.raises(InvariantViolationError, match="direct auxiliary solve"):
-        solve_aux(solver, 5.0)
+        solve_aux(FSolver(interval200, p2), 5.0)
 
 
 @pytest.mark.parametrize("m", [1e8, 1e16])
 def test_huge_mass_ends_in_a_taxonomy_error(interval200, p2, m):
     # the root lies within roundoff of lam_D, or beyond float reach, where the
-    # factorization of K - xi M fails: F counts as above m there
+    # factorization of K - xi M fails: F counts as above m there, and the
+    # bracket closes on adjacent floats far from m
     solver = FSolver(interval200, p2)
-    with pytest.raises(RobinoptError) as exc:
-        sigma_max(solver, m)
+    with pytest.raises(ConvergenceError, match=re.escape(f"mass m={m!r} unreachable on this mesh")) as exc:
+        solver.invert(m)
+    assert "refine the mesh" in str(exc.value)
+    assert 0.0 < exc.value.diagnostics["xi"] < solver.lam_dirichlet
     assert solver.evals <= 100
-    code = {ConvergenceError: 4, InvariantViolationError: 5}[exc.type]
     argv = ["maximize", "--domain", "builtin:interval:200", "--p", "2", "--m", repr(m)]
-    assert cli.main(argv) == code
+    assert cli.main(argv) == 4
+
+
+def test_invert_near_the_ceiling_accepts_adjacent_floats_within_sqrt_eps(interval200, p2):
+    # at m = 1e4 (xi ~ lam_D - 8e-3) F carries the roundoff of the factored
+    # K - xi M: the bracket may close above the 1e-10 stop, but within sqrt(eps)
+    solver = FSolver(interval200, p2)
+    sol = solver.invert(1e4)
+    assert abs(sol.F_value - 1e4) / 1e4 <= np.sqrt(np.finfo(float).eps)
+    assert solver.evals <= 100
 
 
 def test_sigma_m_atoms_are_the_scaled_flux_clipped_at_zero(square4, p3, monkeypatch):
