@@ -13,10 +13,20 @@ the next iterate minimizes the strictly convex functional
 |u_k|^{p-2} u_k, and is then truncated to its positive part and renormalized.
 Each step provably does not increase the Rayleigh quotient, which the solver
 asserts at runtime (rq_history is nonincreasing up to 1e-13).
+
+solve_point and solve_dirac may start from a neighbouring node's result: its
+pair is first polished by Newton on the eigenpair (Keller's bordering,
+ConvexPEnergyProblem.eigenpair_newton), and the outer loop then starts from
+it, so that its first step closes the solve and certifies it exactly as a cold
+one. If the LU fails, Newton does not converge, or the polished eigenfunction
+is not positive on the free nodes (only the first eigenfunction is; Lindqvist,
+Proc. AMS 109, 1990), a DEBUG event on the robinopt logger records the
+fallback and the solve starts cold.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +47,8 @@ __all__ = [
 ]
 
 _MONOTONE_SLACK = 1e-13
+
+log = logging.getLogger("robinopt")
 
 
 @dataclass
@@ -75,7 +87,24 @@ def _normalize(mesh, vals, p):
     return vals / nrm ** (1.0 / p)
 
 
-def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
+def _continued(problem, start):
+    """The start pair polished by Newton on the eigenpair (the
+    eigenfunction), or None, for a cold start, when that fails or leaves a
+    free node that is not positive: only the first eigenfunction is positive."""
+    if start.u.mesh is not problem.mesh:
+        raise ConfigError("the start pair lives on a different mesh")
+    try:
+        u, _ = problem.eigenpair_newton(start.u.values, start.lam)
+    except (np.linalg.LinAlgError, ConvergenceError) as exc:
+        log.debug("continuation from %s failed (%s); cold start", start.mode, exc)
+        return None
+    if not np.all(u[problem.free] > 0):
+        log.debug("continuation from %s left a free node <= 0; cold start", start.mode)
+        return None
+    return u
+
+
+def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
     if weight is not None and weight.total_mass <= 0:
         raise MathRefusalError(
             "weight has zero mass: the first eigenvalue is 0 with constant "
@@ -85,6 +114,8 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=()):
     p = params.p
     problem = ConvexPEnergyProblem(mesh, params, weight=weight, fixed_nodes=pinned)
     free = problem.free
+    if start is not None:
+        u0 = _continued(problem, start)
 
     w = np.ones(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
     w[~free] = 0.0
@@ -172,8 +203,13 @@ def solve_dirichlet(mesh: Mesh, params: SolverParams, u0=None) -> EigenResult:
     return _minimize(mesh, None, "dirichlet", params, u0=u0, pinned=pinned)
 
 
-def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenResult:
+def solve_point(mesh: Mesh, node: int, params: SolverParams,
+                start: EigenResult | None = None) -> EigenResult:
     """Eigenvalue with the single nodal constraint u(node) = 0.
+
+    `start`, a neighbouring node's result on the same mesh, is polished by
+    Newton on the eigenpair into the first iterate; if that fails, the solve
+    starts cold. Either way the outer loop certifies the result.
 
     Meaningful in the continuum only for p > dim: for p <= dim points have
     zero capacity, the continuum value is exactly 0 and a discrete value
@@ -188,13 +224,15 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams, u0=None) -> EigenRe
             "points have zero capacity, so the eigenvalue is exactly 0",
             exact_value=0.0,
         )
-    return _minimize(mesh, None, f"point:{node}", params, u0=u0, pinned=(node,))
+    return _minimize(mesh, None, f"point:{node}", params, pinned=(node,), start=start)
 
 
-def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams, u0=None) -> EigenResult:
-    """Robin solve with all the (positive) boundary mass at one node."""
+def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams,
+                start: EigenResult | None = None) -> EigenResult:
+    """Robin solve with all the (positive) boundary mass at one node; `start`
+    as in solve_point."""
     w = BoundaryWeight.dirac(mesh, int(node), mass)
-    return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, u0=u0)
+    return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, start=start)
 
 
 def verify_weak_residual(result: EigenResult):

@@ -24,6 +24,13 @@ Cuthill-McKee order, and each Hessian is one scatter of the element blocks
 into it. Every Newton direction and every p = 2 factor is one banded Cholesky
 factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes)
 in the problem's work band, which no other module sees.
+
+eigenpair_newton polishes a nearby eigenpair of the eigensolver's problem by
+Newton on (u, lambda), bordered by the constraint on integral |u|^p (Keller's
+bordering algorithm; Govaerts, Numerical Methods for Bifurcations of Dynamical
+Equilibria, SIAM 2000). Its matrix H_N - lambda H_D, with H_D the mass term's
+cell blocks scattered into the same pattern, is indefinite in general, so
+each step is one banded LU (LAPACK dgbtrf, kl = ku = kd) in a second work band.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import logging
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from . import energy as en
 from .errors import ConfigError, ConvergenceError
@@ -40,8 +47,14 @@ from .errors import ConfigError, ConvergenceError
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
 _MAX_NEWTON = 200
+_MAX_BORDERED = 16
 
 log = logging.getLogger("robinopt")
+
+
+def _default_gtol(b):
+    """The max-norm gradient at which a solve for the load b stops by default."""
+    return 1e-12 * (1.0 + float(np.max(np.abs(b))))
 
 
 @en._built_once
@@ -82,6 +95,9 @@ class _Pattern:
     is the stored entry of element entry k, in ConvexPEnergyProblem.hessian's
     order; upper-triangle entries (the blocks are symmetric) and pinned nodes
     go to the extra slot `size`. `diag` holds the diagonal's stored entries.
+
+    An indefinite matrix of the same pattern is factored by banded LU in
+    LAPACK general band storage instead (`lu`).
     """
 
     def __init__(self, n_nodes, elems, free_idx):
@@ -103,6 +119,40 @@ class _Pattern:
         # later ones (a fresh (kd + 1) x n array per Newton direction costs
         # more in page faults than dpbtrf)
         self._flat = None
+        self._gb_flat = None  # the same for lu, in general band storage
+
+    @cached_property
+    def _general_band(self):
+        """Flat positions in general band storage, a Fortran-ordered
+        (3 kd + 1, n) array ab with ab[2 kd + i - j, j] = H[i, j] and kd rows
+        left free for the pivoting's fill-in, of every stored entry and of the
+        mirror of every off-diagonal one, and the stored entry each takes."""
+        col, off = np.divmod(self.band_pos, self.kd + 1)  # H[col + off, col]
+        ld = 3 * self.kd + 1
+        mirror = np.flatnonzero(off > 0)
+        pos = np.concatenate([col * ld + 2 * self.kd + off,
+                              (col + off)[mirror] * ld + 2 * self.kd - off[mirror]])
+        return pos, np.concatenate([np.arange(self.size), mirror])
+
+    def lu(self, h):
+        """A solve function for the symmetric, possibly indefinite matrix with
+        stored entries h, by banded LU with partial pivoting (LAPACK dgbtrf,
+        kl = ku = kd), valid until the next call; it takes one right-hand side
+        per column.
+
+        Raises np.linalg.LinAlgError when a pivot is zero.
+        """
+        kd = self.kd
+        pos, src = self._general_band
+        if self._gb_flat is None:
+            self._gb_flat = np.zeros((3 * kd + 1) * self.n)
+        self._gb_flat[:] = 0.0
+        self._gb_flat[pos] = h[src]
+        ab = self._gb_flat.reshape((3 * kd + 1, self.n), order="F")
+        lu, ipiv, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded LU failed at pivot {info}")
+        return lambda r: dgbtrs(lu, kd, kd, r, ipiv)[0]
 
     def factor(self, h, tau=0.0):
         """A solve function for the matrix with stored entries h plus tau I,
@@ -164,9 +214,12 @@ class ConvexPEnergyProblem:
 
     def stored(self, blocks):
         """Stored entries in self._pattern of the free-free matrix with element
-        blocks `blocks`, laid out like the terms' blocks in hessian."""
+        blocks `blocks`, laid out like the terms' blocks in hessian, or cell
+        blocks alone (the stiffness term's cells come first there)."""
         pattern = self._pattern
-        return np.bincount(pattern.slot, weights=np.ravel(blocks), minlength=pattern.size + 1)[: pattern.size]
+        blocks = np.ravel(blocks)
+        return np.bincount(pattern.slot[: len(blocks)], weights=blocks,
+                           minlength=pattern.size + 1)[: pattern.size]
 
     # -- solve --------------------------------------------------------------
 
@@ -191,6 +244,48 @@ class ConvexPEnergyProblem:
         w[self.free_idx] = self._factor(np.asarray(b, dtype=float)[self.free_idx])
         return w
 
+    def eigenpair_newton(self, u, lam):
+        """Newton on the eigenpair (w, lam) from (u, lam): grad N(w) = lam
+        grad D(w) on the free nodes and D(w) = 1/p, with N(w) = R(w)/p the
+        energy of J, D(w) = integral |w|^p / p and w's pinned entries zero.
+
+        Each step is Keller's bordering: with A = H_N - lam H_D, g = grad D(w),
+        r the residual and c = D(w) - 1/p, one banded LU of A gives A z1 = -r
+        and A z2 = g, then dlam = (-c - g.z1) / (g.z2) and dw = z1 + dlam z2.
+        A is indefinite whenever lam lies above the first eigenvalue of the
+        linearization, so LU, not Cholesky. Returns (w, lam) once the residual
+        is within the gtol that solve(lam g) takes by default, so that a solve
+        from w takes no Newton step.
+
+        Raises np.linalg.LinAlgError when a factorization fails or a step is
+        not finite, and ConvergenceError after _MAX_BORDERED steps.
+        """
+        mass = en.mass_term(self.mesh)
+        free = self.free_idx
+        w = np.array(u, dtype=float)
+        w[~self.free] = 0.0
+        for step in range(_MAX_BORDERED + 1):
+            g = mass.action(w, self.p)
+            b = lam * g
+            r = self.gradient(w, b)[free]
+            rn = float(np.max(np.abs(r)))
+            if rn <= _default_gtol(b):
+                return w, lam
+            if step == _MAX_BORDERED:
+                break
+            a = self.hessian(w) - lam * self.stored(mass.blocks(w, self.p))
+            z = self._pattern.lu(a)(np.column_stack([-r, g[free]]))
+            c = (mass.value(w, self.p) - 1.0) / self.p
+            dlam = (-c - g[free] @ z[:, 0]) / (g[free] @ z[:, 1])
+            if not (np.isfinite(dlam) and np.all(np.isfinite(z))):
+                raise np.linalg.LinAlgError("bordered Newton step is not finite")
+            w[free] += z[:, 0] + dlam * z[:, 1]
+            lam += dlam
+        raise ConvergenceError(
+            f"eigenpair Newton stalled at |r|={rn:.3e} after {_MAX_BORDERED} steps",
+            diagnostics={"rnorm": rn, "lam": lam},
+        )
+
     def solve(self, b, w0=None, gtol=None, gtol_soft=None, g0=None):
         """Minimize J; returns the full nodal vector (pinned entries zero).
 
@@ -208,7 +303,7 @@ class ConvexPEnergyProblem:
             return self.linear_solve(b)
         b = np.asarray(b, dtype=float)
         if gtol is None:
-            gtol = 1e-12 * (1.0 + float(np.max(np.abs(b))))
+            gtol = _default_gtol(b)
         if gtol_soft is None:
             gtol_soft = gtol
         w = np.zeros(self.mesh.n_nodes) if w0 is None else np.array(w0, dtype=float)

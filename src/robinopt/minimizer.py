@@ -15,6 +15,13 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
   direct radial quadrature near a flat boundary point (no FEM involved, so
   concentration indices up to 1e6 are cheap).
 
+A scan walks the boundary loop in arcs, maximal runs of loop nodes joined by
+boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
+of an arc after the first starts from its predecessor's eigenpair, which
+Newton polishes (see eigensolver); the closing outer step certifies it. The
+jobs of `workers` processes are whole arcs, so pooled and serial tables are
+bit-identical, and every table comes back in ascending node order.
+
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
 value instead of producing a mesh artifact.
@@ -54,30 +61,52 @@ def _pmap(worker, jobs, workers):
 
     # one chunk per worker: each worker unpickles the mesh once per chunk and
     # keeps its per-mesh caches (node order, stiffness term) for every job
+    workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, jobs, chunksize=-(-len(jobs) // workers)))
 
 
-def _node_job(args):
-    mesh, node, params, mass = args
-    try:
-        if mass is None:
-            return solve_point(mesh, node, params).lam, None
-        return solve_dirac(mesh, node, mass, params).lam, None
-    except ConvergenceError as exc:
-        return math.nan, str(exc)
+def _arcs(mesh):
+    """The boundary loop cut into arcs, maximal runs of loop nodes joined by
+    boundary facets: the whole loop in 2D, each end alone in 1D."""
+    loop = [int(n) for n in mesh.boundary_loop]
+    return [loop] if mesh.dim == 2 else [[n] for n in loop]
+
+
+def _arc_job(args):
+    """Point (mass None) or Dirac solve at each node of an arc, each started
+    from its predecessor's pair (the first, and one after a failure, cold):
+    (eigenvalue or nan, failure message or None) per node."""
+    mesh, arc, params, mass = args
+    out, prev = [], None
+    for node in arc:
+        try:
+            if mass is None:
+                prev = solve_point(mesh, node, params, start=prev)
+            else:
+                prev = solve_dirac(mesh, node, mass, params, start=prev)
+        except ConvergenceError as exc:
+            prev = None
+            out.append((math.nan, str(exc)))
+        else:
+            out.append((prev.lam, None))
+    return out
 
 
 def _scan(mesh, params, workers, mass=None):
-    """Point (mass None) or Dirac eigenvalue per boundary node, and the failures.
+    """Point (mass None) or Dirac eigenvalue per boundary node, in ascending
+    node order, and the failures. The jobs are the arcs, whatever `workers`,
+    so a pooled scan equals a serial one bit for bit.
 
     A failed node solve is recorded and the scan goes on; only a scan in
     which every node failed raises.
     """
+    arcs = _arcs(mesh)
+    out = _pmap(_arc_job, [(mesh, arc, params, mass) for arc in arcs], workers)
+    solved = {n: r for arc, rs in zip(arcs, out) for n, r in zip(arc, rs)}
     nodes = mesh.boundary_nodes()
-    out = _pmap(_node_job, [(mesh, int(n), params, mass) for n in nodes], workers)
-    values = np.array([v for v, _ in out])
-    failures = {int(n): msg for n, (_, msg) in zip(nodes, out) if msg is not None}
+    values = np.array([solved[int(n)][0] for n in nodes])
+    failures = {int(n): solved[int(n)][1] for n in nodes if solved[int(n)][1] is not None}
     if not np.isfinite(values).any():
         what = "point" if mass is None else "Dirac"
         raise ConvergenceError(f"every {what} solve failed", diagnostics=failures)

@@ -60,7 +60,7 @@ def test_band_storage_and_factor_stay_inside_innersolve():
     # innersolve owns the Hessian pattern, its work band and the factor's
     # lifetime; another module naming them could outlive or overwrite a factor
     src = Path(robinopt.__file__).resolve().parent
-    names = ("_pattern", "_Pattern", "dpbtrf", "dpbtrs")
+    names = ("_pattern", "_Pattern", "dpbtrf", "dpbtrs", "dgbtrf", "dgbtrs")
     bad = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "innersolve.py"
            for name in names if name in path.read_text()]
     assert bad == []

@@ -247,3 +247,56 @@ def test_given_first_gradient_is_not_recomputed(square4, p3, monkeypatch):
     n_ref = len(calls)
     assert np.array_equal(problem.solve(b, w0=w0, g0=g0), ref)
     assert len(calls) == 2 * n_ref - 1
+
+
+def _dense_assembly(mesh, blocks, elems):
+    full = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    k = elems.shape[1]
+    np.add.at(full, (np.repeat(elems, k, axis=1).ravel(), np.tile(elems, (1, k)).ravel()), blocks.ravel())
+    return full
+
+
+def test_shifted_solve_on_a_weighted_problem():
+    # stored(mass blocks) scatters the cell blocks alone through the
+    # stiffness term's slots, so the Robin pencil K + B - shift M is solved
+    # (shift 0.5 is below its first eigenvalue, about 0.9)
+    mesh = build_interval(20)
+    weight = BoundaryWeight.constant(mesh, 1.0)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=2.0), weight=weight)
+    b = en.mass_action(mesh, 1.0 + mesh.nodes[:, 0], 2.0)
+    w = problem.linear_solve(b, 0.5)
+    kb = _reference_hessian(problem, np.zeros(mesh.n_nodes), "dense")
+    m = _dense_assembly(mesh, en.mass_blocks(mesh), mesh.cells)[problem.free_idx][:, problem.free_idx]
+    ref = np.linalg.solve(kb - 0.5 * m, b[problem.free_idx])
+    assert np.max(np.abs(w[problem.free_idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_banded_lu_solves_an_indefinite_matrix(square4, p3):
+    # H_N - lam H_D above the linearization's first eigenvalue, the matrix of
+    # the bordered step, against a dense solve; two right-hand sides at once
+    weight = _weights(square4)["mixed"]
+    problem = ConvexPEnergyProblem(square4, p3, weight=weight, fixed_nodes=_pins(square4)["point"])
+    w = np.random.default_rng(4).uniform(0.5, 1.5, square4.n_nodes)
+    h = problem.hessian(w) - 40.0 * problem.stored(en.mass_term(square4).blocks(w, 3.0))
+    dense = _expand(problem, h)
+    assert np.min(np.linalg.eigvalsh(dense)) < 0 < np.max(np.linalg.eigvalsh(dense))
+    rhs = np.random.default_rng(5).standard_normal((problem._pattern.n, 2))
+    x = problem._pattern.lu(h)(rhs)
+    ref = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_eigenpair_newton_from_a_neighbours_pair(square4, p3):
+    # the point eigenpair at one boundary node, started from the next node's:
+    # a positive pair whose residual is within the inner solve's tolerance
+    from robinopt import solve_point
+
+    loop = square4.boundary_loop
+    ref = solve_point(square4, int(loop[1]), p3)
+    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=[int(loop[1])])
+    u, lam = problem.eigenpair_newton(solve_point(square4, int(loop[0]), p3).u.values, ref.lam * 1.1)
+    b = lam * en.mass_action(square4, u, 3.0)
+    assert np.max(np.abs(problem.gradient(u, b)[problem.free])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+    assert np.all(u[problem.free] > 0)
+    assert abs(en.lp_norm_p(en.NodalField(square4, u), 3.0) - 1.0) <= 1e-12
+    assert abs(lam - ref.lam) <= 1e-8 * ref.lam

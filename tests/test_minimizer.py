@@ -1,4 +1,6 @@
+import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,14 +61,23 @@ def test_disk_scan_symmetry_orbits(p3):
     assert spreads[1] < 0.05
 
 
-def test_pooled_scan_equals_serial_scan(p3):
-    # the jobs are independent, so the chunked pool changes nothing
-    square = build_square(0.25)
-    serial = scan_point_eigen(square, p3, workers=1)
-    pooled = scan_point_eigen(square, p3, workers=2)
+@pytest.mark.parametrize("case", ["square-point", "disk-dirac"])
+def test_pooled_scan_equals_serial_scan(case, p3):
+    # the jobs are the arcs whatever the worker count, so the pool changes
+    # nothing; on the disk, one continued arc of 60 nodes runs in a worker
+    if case == "square-point":
+        square = build_square(0.25)
+        serial, pooled = [scan_point_eigen(square, p3, workers=w) for w in (1, 2)]
+        tables = [r.values for r in (serial, pooled)]
+        argmins = [r.tie_set for r in (serial, pooled)]
+    else:
+        scan = scan_point_eigen(build_disk(0.1), p3)
+        serial, pooled = [lambda_inf(scan, 1.0, workers=w) for w in (1, 2)]
+        tables = [r.lambda_dirac for r in (serial, pooled)]
+        argmins = [r.x_m_node for r in (serial, pooled)]
     assert np.array_equal(pooled.nodes, serial.nodes)
-    assert np.array_equal(pooled.values, serial.values)
-    assert pooled.tie_set == serial.tie_set and pooled.failures == serial.failures
+    assert np.array_equal(tables[1], tables[0])
+    assert argmins[1] == argmins[0] and pooled.failures == serial.failures
 
 
 def test_scan_refused_when_points_have_no_capacity(square4, p2):
@@ -206,8 +217,123 @@ def test_x_m_node_ignores_roundoff_below_the_minimum(interval200, p2, monkeypatc
 
     last = interval200.n_nodes - 1
     low = np.nextafter(1.0, 0.0)
-    monkeypatch.setattr(mn, "_node_job", lambda job: (low if job[1] == last else 1.0, None))
+
+    def fake(node):
+        return SimpleNamespace(lam=low if node == last else 1.0)
+
+    monkeypatch.setattr(mn, "solve_point", lambda mesh, node, params, start=None: fake(node))
+    monkeypatch.setattr(mn, "solve_dirac", lambda mesh, node, mass, params, start=None: fake(node))
     rep = lambda_inf(scan_point_eigen(interval200, p2), 1.0)
     assert rep.x_m_node == 0
     assert rep.lambda_inf == low
     assert rep.to_dict()["lambda1_argmin"] == 0
+
+
+# -- continued scans ----------------------------------------------------------
+
+def _record_node_solves(monkeypatch):
+    """Wrap the scan's node solves; the list collects (start, result) pairs."""
+    import robinopt.minimizer as mn
+
+    calls = []
+    for name in ("solve_point", "solve_dirac"):
+        solve = getattr(mn, name)
+
+        def recording(*args, start=None, _solve=solve):
+            res = _solve(*args, start=start)
+            calls.append((start, res))
+            return res
+
+        monkeypatch.setattr(mn, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("domain, p", [("square", 3.0), ("square", 6.0), ("disk", 3.0)])
+def test_continued_scans_agree_with_cold_solves(domain, p, monkeypatch, caplog):
+    # each node after the first starts from its loop predecessor's pair; the
+    # tables match node-by-node cold solves, every result is certified by the
+    # outer loop in at most two steps (a cold solve takes about seven), and
+    # no node falls back to a cold start
+    from robinopt import solve_dirac, solve_point, verify_weak_residual
+
+    mesh = build_square(0.25) if domain == "square" else build_disk(0.1)
+    params = SolverParams(p=p)
+    calls = _record_node_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="robinopt"):
+        scan = scan_point_eigen(mesh, params)
+        reports = {m: lambda_inf(scan, m) for m in (0.01, 1.0, 100.0)}
+    monkeypatch.undo()
+    nodes = [int(n) for n in mesh.boundary_nodes()]
+    cold = np.array([solve_point(mesh, n, params).lam for n in nodes])
+    assert np.max(np.abs(scan.values - cold) / cold) <= 1e-10
+    for m, rep in reports.items():
+        cold = np.array([solve_dirac(mesh, n, m, params).lam for n in nodes])
+        assert np.max(np.abs(rep.lambda_dirac - cold) / cold) <= 1e-10, m
+    assert not [r for r in caplog.records if "cold start" in r.getMessage()]
+    assert len(calls) == 4 * len(nodes)
+    assert sum(start is None for start, _ in calls) == 4  # one cold start per arc
+    for start, res in calls:
+        assert all(b <= a + 1e-13 for a, b in zip(res.rq_history, res.rq_history[1:]))
+        assert verify_weak_residual(res)["ok"]
+        assert start is None or res.outer_iters <= 2
+
+
+def _raise_linalg(pattern, h):
+    raise np.linalg.LinAlgError("banded LU failed at pivot 1")
+
+
+@pytest.mark.parametrize("force", ["negated start", "failed LU", "step cap"])
+def test_bad_start_falls_back_to_a_cold_solve(square4, p3, force, monkeypatch, caplog):
+    import dataclasses
+
+    import robinopt.innersolve as ins
+    from robinopt import NodalField, solve_dirac
+
+    first, second = (int(n) for n in square4.boundary_loop[:2])
+    start = solve_dirac(square4, first, 1.0, p3)
+    expected = {"negated start": "free node <= 0", "failed LU": "banded LU failed",
+                "step cap": "eigenpair Newton stalled"}[force]
+    if force == "negated start":
+        # Newton converges to the negated eigenpair, which is not positive
+        start = dataclasses.replace(start, u=NodalField(square4, -start.u.values))
+    elif force == "failed LU":
+        monkeypatch.setattr(ins._Pattern, "lu", _raise_linalg)
+    else:
+        monkeypatch.setattr(ins, "_MAX_BORDERED", 1)
+    with caplog.at_level(logging.DEBUG, logger="robinopt"):
+        res = solve_dirac(square4, second, 1.0, p3, start=start)
+    events = [r.getMessage() for r in caplog.records if "cold start" in r.getMessage()]
+    assert len(events) == 1 and expected in events[0]
+    cold = solve_dirac(square4, second, 1.0, p3)
+    assert res.lam == cold.lam and res.rq_history == cold.rq_history
+    assert np.array_equal(res.u.values, cold.u.values)
+
+
+def test_failed_node_is_recorded_and_the_next_starts_cold(square4, p3, monkeypatch):
+    import robinopt.minimizer as mn
+    from robinopt import ConvergenceError
+
+    loop = [int(n) for n in square4.boundary_loop]
+    starts, solve = {}, mn.solve_point
+
+    def failing(mesh, node, params, start=None):
+        starts[node] = start
+        if node == loop[3]:
+            raise ConvergenceError("forced failure")
+        return solve(mesh, node, params, start=start)
+
+    monkeypatch.setattr(mn, "solve_point", failing)
+    scan = scan_point_eigen(square4, p3)
+    assert scan.failures == {loop[3]: "forced failure"}
+    assert np.isnan(scan.values[list(scan.nodes).index(loop[3])])
+    assert [n for n in loop if starts[n] is None] == [loop[0], loop[4]]
+
+
+def test_interval_scan_is_bit_identical_to_cold_solves(interval200, p2, interval_scan):
+    # each end of an interval is an arc of its own, so no node is continued
+    from robinopt import solve_dirac, solve_point
+
+    nodes = [int(n) for n in interval200.boundary_nodes()]
+    assert interval_scan.values.tolist() == [solve_point(interval200, n, p2).lam for n in nodes]
+    rep = lambda_inf(interval_scan, 1.0)
+    assert rep.lambda_dirac.tolist() == [solve_dirac(interval200, n, 1.0, p2).lam for n in nodes]
