@@ -3,10 +3,10 @@
     python3 .github/scripts/seed0_identity.py BASE_DIR HEAD_DIR OUT_DIR
 
 Each checkout runs every seed-0 CLI call of its own perfbench/workloads.py
-with --out, in one process per checkout; `minimize` runs at --workers 1 and
-at --workers 2.  Each call's report.json, CSV and weight files, plus its
-exit code, land under OUT_DIR/base and OUT_DIR/head, and `diff -r` of the
-two trees goes to $GITHUB_STEP_SUMMARY (stdout when that is unset).
+with --out, in one process per checkout.  Each call's report.json, CSV and
+weight files, plus its exit code, land under OUT_DIR/base and OUT_DIR/head,
+and `diff -r` of the two trees goes to $GITHUB_STEP_SUMMARY (stdout when
+that is unset).
 
 The comparison is informational: a change may alter roundoff on purpose,
 so the script exits 0 whatever the diff says.
@@ -31,17 +31,11 @@ def collect(root, out):
     inputs = tempfile.mkdtemp(prefix="seed0-inputs-")
     for name, workload in workloads.WORKLOADS.items():
         for i, op in enumerate(workload.ops(0, inputs)):
-            argv = list(op.argv)
-            variants = {"": argv}
-            if "--workers" in argv:
-                k = argv.index("--workers") + 1
-                variants = {f"-w{n}": argv[:k] + [n] + argv[k + 1:] for n in ("1", "2")}
-            for suffix, args in variants.items():
-                d = os.path.join(out, name, f"{i}-{op.kind}{suffix}")
-                os.makedirs(d, exist_ok=True)
-                code = main(args + ["--out", d])
-                with open(os.path.join(d, "exit_code"), "w") as fh:
-                    fh.write(f"{code}\n")
+            d = os.path.join(out, name, f"{i}-{op.kind}")
+            os.makedirs(d, exist_ok=True)
+            code = main(list(op.argv) + ["--out", d])
+            with open(os.path.join(d, "exit_code"), "w") as fh:
+                fh.write(f"{code}\n")
 
 
 def main():

@@ -115,15 +115,15 @@ class BoundsReport:
         return lines
 
 
-def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> BoundsReport:
+def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
     """Run the maximizer (and minimizer when p > dim) over a mass grid and
     verify both closed-form sandwiches at 1e-3 relative slack; a row also
     fails when its maximizer's Robin cross-check does. One FSolver serves
-    every mass; `workers` goes to the minimizer's boundary scans."""
+    every mass, and one point scan serves every Dirac scan."""
     p = params.p
     solver = FSolver(mesh, params)
     lam_d = solver.lam_dirichlet
-    scan = scan_point_eigen(mesh, params, workers=workers) if p > mesh.dim else None
+    scan = scan_point_eigen(mesh, params) if p > mesh.dim else None
     lam1 = scan.lambda1_omega if scan is not None else None
     note = None if p > mesh.dim else (
         "p <= dim: the infimum side is exactly 0 and not attained; "
@@ -147,7 +147,7 @@ def check_all(mesh: Mesh, m_list, params: SolverParams, workers: int = 1) -> Bou
             ok = ok and (rb <= big * (1.0 + _SLACK))
         low = lam = up2 = None
         if scan is not None:
-            lam = lambda_inf(scan, m, workers=workers).lambda_inf
+            lam = lambda_inf(scan, m).lambda_inf
             low = inflow(m, lam1, mesh.volume, p)
             up2 = min(lam1, m / mesh.volume)
             ok = ok and (low <= lam * (1.0 + _SLACK)) and (lam <= up2 * (1.0 + _SLACK))

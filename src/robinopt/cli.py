@@ -131,12 +131,6 @@ def _check_masses(masses, flag):
         raise ConfigError(f"mass {bad[0]} ({flag}) must be positive")
 
 
-def _workers(args):
-    if args.workers < 1:
-        raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
-    return args.workers
-
-
 def _json_safe(obj):
     """Non-finite floats have no JSON representation; map them to null."""
     if isinstance(obj, float):
@@ -235,9 +229,8 @@ def _cmd_maximize(args):
 def _cmd_minimize(args):
     mesh = _parse_domain(args.domain)
     _check_masses([args.m], "--m")
-    workers = _workers(args)
-    scan = mn.scan_point_eigen(mesh, _params(args), workers=workers)
-    rep = mn.lambda_inf(scan, args.m, workers=workers)
+    scan = mn.scan_point_eigen(mesh, _params(args))
+    rep = mn.lambda_inf(scan, args.m)
     lines = ["node,x,y,lambda1_x,ell1_dirac"]
     for n, lx, ld in zip(rep.nodes, scan.values, rep.lambda_dirac):
         xy = mesh.nodes[n]
@@ -250,7 +243,7 @@ def _cmd_minimize(args):
 
 def _cmd_scan(args):
     mesh = _parse_domain(args.domain)
-    scan = mn.scan_point_eigen(mesh, _params(args), workers=_workers(args))
+    scan = mn.scan_point_eigen(mesh, _params(args))
     rep = {
         "p": scan.params.p,
         "lambda1_omega": scan.lambda1_omega,
@@ -267,7 +260,7 @@ def _mass_sweep(args):
     mesh = _parse_domain(args.domain)
     masses = _parse_list(args.m_list)
     _check_masses(masses, "--m-list")
-    return bnd.check_all(mesh, masses, _params(args), workers=_workers(args))
+    return bnd.check_all(mesh, masses, _params(args))
 
 
 def _cmd_bounds(args):
@@ -358,7 +351,9 @@ def build_parser():
             sp.add_argument("--eps-reg", type=float, dest="eps_reg")
         sp.add_argument("--out", help="output directory (default: JSON to stdout)")
         if workers:
-            sp.add_argument("--workers", type=int, default=1, help="worker processes for scans")
+            sp.add_argument("--workers", type=int, default=1,
+                            help="selects nothing: every scan runs in this process "
+                                 "(kept for compatibility; must be at least 1)")
 
     sp = sub.add_parser("dirichlet", help="first Dirichlet eigenvalue")
     common(sp)
@@ -417,6 +412,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # --workers selects nothing (every scan runs in this process), but a
+        # count below 1 is still refused
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -541,6 +541,8 @@ def read_mesh(path) -> Mesh:
         if len(head) != 3 or head[0] != "pmesh" or head[1] != "1":
             raise ConfigError(f"not a pmesh-1 file: {path}")
         dim = int(head[2])
+        if dim not in (1, 2):
+            raise ConfigError(f"unsupported mesh dimension {dim} in {path}: pmesh 1 has dim 1 or 2")
         pos = 1
 
         def section(name):

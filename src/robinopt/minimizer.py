@@ -18,9 +18,8 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
 A scan walks the boundary loop in arcs, maximal runs of loop nodes joined by
 boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
 of an arc after the first starts from its predecessor's eigenpair, which
-Newton polishes (see eigensolver); the closing outer step certifies it. The
-jobs of `workers` processes are whole arcs, so pooled and serial tables are
-bit-identical, and every table comes back in ascending node order.
+Newton polishes (see eigensolver); the closing outer step certifies it. Every
+table comes back in ascending node order.
 
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
@@ -54,18 +53,6 @@ __all__ = [
 _TIE_RTOL = 1e-6
 
 
-def _pmap(worker, jobs, workers):
-    if workers <= 1:
-        return [worker(j) for j in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # one chunk per worker: each worker unpickles the mesh once per chunk and
-    # keeps its per-mesh caches (node order, stiffness term) for every job
-    workers = min(workers, len(jobs))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, jobs, chunksize=-(-len(jobs) // workers)))
-
-
 def _arcs(mesh):
     """The boundary loop cut into arcs, maximal runs of loop nodes joined by
     boundary facets: the whole loop in 2D, each end alone in 1D."""
@@ -73,40 +60,33 @@ def _arcs(mesh):
     return [loop] if mesh.dim == 2 else [[n] for n in loop]
 
 
-def _arc_job(args):
-    """Point (mass None) or Dirac solve at each node of an arc, each started
-    from its predecessor's pair (the first, and one after a failure, cold):
-    (eigenvalue or nan, failure message or None) per node."""
-    mesh, arc, params, mass = args
-    out, prev = [], None
-    for node in arc:
-        try:
-            if mass is None:
-                prev = solve_point(mesh, node, params, start=prev)
-            else:
-                prev = solve_dirac(mesh, node, mass, params, start=prev)
-        except ConvergenceError as exc:
-            prev = None
-            out.append((math.nan, str(exc)))
-        else:
-            out.append((prev.lam, None))
-    return out
-
-
-def _scan(mesh, params, workers, mass=None):
+def _scan(mesh, params, mass=None):
     """Point (mass None) or Dirac eigenvalue per boundary node, in ascending
-    node order, and the failures. The jobs are the arcs, whatever `workers`,
-    so a pooled scan equals a serial one bit for bit.
+    node order, and the failures. Each node of an arc starts from its
+    predecessor's pair; the first node of an arc, and one after a failure,
+    starts cold.
 
     A failed node solve is recorded and the scan goes on; only a scan in
     which every node failed raises.
     """
-    arcs = _arcs(mesh)
-    out = _pmap(_arc_job, [(mesh, arc, params, mass) for arc in arcs], workers)
-    solved = {n: r for arc, rs in zip(arcs, out) for n, r in zip(arc, rs)}
     nodes = mesh.boundary_nodes()
-    values = np.array([solved[int(n)][0] for n in nodes])
-    failures = {int(n): solved[int(n)][1] for n in nodes if solved[int(n)][1] is not None}
+    slot = {int(n): k for k, n in enumerate(nodes)}
+    values = np.full(len(nodes), math.nan)
+    failures = {}
+    for arc in _arcs(mesh):
+        prev = None
+        for node in arc:
+            try:
+                if mass is None:
+                    prev = solve_point(mesh, node, params, start=prev)
+                else:
+                    prev = solve_dirac(mesh, node, mass, params, start=prev)
+            except ConvergenceError as exc:
+                prev = None
+                failures[node] = str(exc)
+            else:
+                values[slot[node]] = prev.lam
+    failures = dict(sorted(failures.items()))
     if not np.isfinite(values).any():
         what = "point" if mass is None else "Dirac"
         raise ConvergenceError(f"every {what} solve failed", diagnostics=failures)
@@ -163,7 +143,7 @@ class MinReport:
         }
 
 
-def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> PointScan:
+def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
     """Point-constrained eigenvalue at every boundary node (p > dim only).
 
     Individual solver failures are recorded per node and the scan continues.
@@ -180,7 +160,7 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
             "for the vanishing sequence.",
             exact_value=0.0,
         )
-    nodes, values, failures = _scan(mesh, params, workers)
+    nodes, values, failures = _scan(mesh, params)
     vmin, ties = _ties(nodes, values)
     return PointScan(
         mesh=mesh, params=params, nodes=nodes, values=values, lambda1_omega=vmin,
@@ -188,13 +168,13 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams, workers: int = 1) -> Poin
     )
 
 
-def lambda_inf(scan: PointScan, m: float, workers: int = 1) -> MinReport:
+def lambda_inf(scan: PointScan, m: float) -> MinReport:
     """Minimal Dirac eigenvalue over the boundary nodes at mass m, on the
     scan's mesh and params (a point scan exists only for p > dim)."""
     if m <= 0:
         raise ConfigError("mass must be positive")
     mesh = scan.mesh
-    nodes, values, failures = _scan(mesh, scan.params, workers, float(m))
+    nodes, values, failures = _scan(mesh, scan.params, float(m))
     lam, ties = _ties(nodes, values)
     return MinReport(
         m=float(m), scan=scan, nodes=nodes, lambda_dirac=values,
@@ -213,7 +193,7 @@ class XmTrack:
     reports: list = field(repr=False, default_factory=list)
 
 
-def track_xm(scan: PointScan, m_list, workers: int = 1) -> XmTrack:
+def track_xm(scan: PointScan, m_list) -> XmTrack:
     """x_m over increasing masses and its distance to the scan's argmin set.
 
     Raises unless the distances are nonincreasing over the largest decade
@@ -226,7 +206,7 @@ def track_xm(scan: PointScan, m_list, workers: int = 1) -> XmTrack:
     argmin_pts = scan.mesh.nodes[np.asarray(scan.tie_set, dtype=int)]
     reports, nodes, dist = [], [], []
     for m in m_list:
-        rep = lambda_inf(scan, m, workers=workers)
+        rep = lambda_inf(scan, m)
         reports.append(rep)
         nodes.append(rep.x_m_node)
         d = float(np.min(np.linalg.norm(argmin_pts - rep.x_m[None, :], axis=1)))

@@ -58,6 +58,21 @@ def test_workers_flag_below_one_exit_code(workers, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1"],
+    ["bounds", "--domain", "builtin:square:0.25", "--p", "3", "--m-list", "0.1,10"],
+])
+def test_workers_flag_selects_nothing(tmp_path, argv):
+    outs = [tmp_path / f"w{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert run([*argv, "--workers", str(n), "--out", str(out)]) == 0
+    files = sorted(f.name for f in outs[0].iterdir())
+    assert "report.json" in files and any(f.endswith(".csv") for f in files)
+    assert sorted(f.name for f in outs[1].iterdir()) == files
+    for name in files:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 @pytest.mark.parametrize("knob", [
     ["--tol-res", "inf"],
     ["--tol-rq", "nan"],
@@ -160,6 +175,14 @@ def test_bad_input_file_exit_code(tmp_path, damage, capsys):
         argv[4] = f"file:{tmp_path / 'absent.bw'}"
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unsupported_mesh_dimension_exit_code(tmp_path, capsys):
+    path = _mesh_file(tmp_path, None)
+    path.write_text(path.read_text().replace("pmesh 1 1", "pmesh 1 3", 1))
+    assert run(["mesh", "--domain", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported mesh dimension 3")
 
 
 def test_unknown_oracle_exit_code(capsys):

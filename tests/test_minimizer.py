@@ -61,23 +61,23 @@ def test_disk_scan_symmetry_orbits(p3):
     assert spreads[1] < 0.05
 
 
-@pytest.mark.parametrize("case", ["square-point", "disk-dirac"])
-def test_pooled_scan_equals_serial_scan(case, p3):
-    # the jobs are the arcs whatever the worker count, so the pool changes
-    # nothing; on the disk, one continued arc of 60 nodes runs in a worker
-    if case == "square-point":
-        square = build_square(0.25)
-        serial, pooled = [scan_point_eigen(square, p3, workers=w) for w in (1, 2)]
-        tables = [r.values for r in (serial, pooled)]
-        argmins = [r.tie_set for r in (serial, pooled)]
-    else:
-        scan = scan_point_eigen(build_disk(0.1), p3)
-        serial, pooled = [lambda_inf(scan, 1.0, workers=w) for w in (1, 2)]
-        tables = [r.lambda_dirac for r in (serial, pooled)]
-        argmins = [r.x_m_node for r in (serial, pooled)]
-    assert np.array_equal(pooled.nodes, serial.nodes)
-    assert np.array_equal(tables[1], tables[0])
-    assert argmins[1] == argmins[0] and pooled.failures == serial.failures
+def test_scans_run_in_the_calling_process(tmp_path):
+    # --workers is still accepted, but no scan starts a process pool
+    import os
+    import subprocess
+    import sys
+
+    import robinopt
+
+    src = os.path.dirname(os.path.dirname(robinopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1",
+            "--workers", "2", "--out", str(tmp_path)]
+    code = (f"import sys; from robinopt import cli; code = cli.main({argv!r}); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_scan_refused_when_points_have_no_capacity(square4, p2):
