@@ -117,13 +117,13 @@ class BoundaryWeight:
             dens = np.array(dens, dtype=float).ravel()
             if dens.shape[0] != len(self.mesh.boundary_facets):
                 raise ConfigError("facet density length does not match facet count")
-            if np.any(dens < 0):
-                raise ConfigError("facet densities must be nonnegative")
+            if not np.all((dens >= 0) & np.isfinite(dens)):
+                raise ConfigError("facet densities must be finite and nonnegative")
             dens.setflags(write=False)
         atoms = tuple((int(n), float(m)) for n, m in self.atoms)
         for n, m in atoms:
-            if m < 0:
-                raise ConfigError("atom masses must be nonnegative")
+            if not 0 <= m < np.inf:
+                raise ConfigError("atom masses must be finite and nonnegative")
             if not (0 <= n < self.mesh.n_nodes and self.mesh.node_is_boundary[n]):
                 raise ConfigError(f"atom node {n} is not a boundary node")
         object.__setattr__(self, "facet_density", dens)
@@ -464,8 +464,8 @@ def read_weight(mesh, path) -> BoundaryWeight:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     w = BoundaryWeight(mesh, facet_density=dens, atoms=atoms)
-    if abs(w.total_mass - declared) > 1e-12 * max(1.0, abs(declared)):
-        raise ConfigError("declared mass does not match record sum")
+    if not (np.isfinite(declared) and abs(w.total_mass - declared) <= 1e-12 * max(1.0, abs(declared))):
+        raise ConfigError(f"declared mass {declared!r} does not match the record sum {w.total_mass!r}")
     return w
 
 

@@ -15,8 +15,10 @@ Conventions
 * The discrete 2D domain is the polygon spanned by the mesh itself; the disk
   boundary is polygonal and circle geometry enters only through oracle
   comparisons.
-* Meshes are immutable after construction (arrays are write-protected),
-  compared by identity and safe to share across parallel solves.
+* Meshes are immutable after construction (arrays are write-protected)
+  and compared by identity. Their inradius is computed on construction, for
+  a convex 2D domain by the straight skeleton of its boundary polygon
+  (Aichholzer, Aurenhammer, Alberts and Gaertner, J. UCS 1, 1995).
 """
 
 from __future__ import annotations
@@ -227,47 +229,46 @@ def _boundary_loop(dim, nodes, facets):
 
 
 def _inradius(dim, nodes, loop):
-    """Inradius: half-length in 1D, Chebyshev center radius for convex polygons."""
+    """Half the length in 1D; in 2D the exact inradius of a convex polygon,
+    None for any other.
+
+    Straight skeleton: edge lines n.x = c (n the inward unit normal) move
+    inward at unit speed, and the edge that first meets both neighbours'
+    lines in one point goes. A convex polygon has edge events only, so the
+    last three lines meet at the inradius.
+    """
     if dim == 1:
         return 0.5 * float(abs(nodes[loop[1], 0] - nodes[loop[0], 0]))
     pts = nodes[loop]
     if _signed_area(pts) < 0:
         pts = pts[::-1]
-    if not _is_convex(pts):
+    e = np.roll(pts, -1, axis=0) - pts  # edge i runs from vertex i to i + 1
+    turn = np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0]
+    if np.any(turn < -_GEOM_TOL):
         return None
-    from scipy.optimize import linprog
+    pts = pts[turn > _GEOM_TOL]  # a collinear run becomes one edge
+    e = np.roll(pts, -1, axis=0) - pts
+    n = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.linalg.norm(e, axis=1)[:, None]
+    c, n, m = np.einsum("ij,ij->i", n, pts).tolist(), n.tolist(), len(pts)
+    prev, nxt = [(i - 1) % m for i in range(m)], [(i + 1) % m for i in range(m)]
 
-    # maximize r s.t. n_i . x + r <= n_i . p_i for inward-normalized edges
-    m = len(pts)
-    a = pts
-    b = pts[(np.arange(m) + 1) % m]
-    t = b - a
-    ln = np.linalg.norm(t, axis=1)
-    keep = ln > _GEOM_TOL
-    a, b, t, ln = a[keep], b[keep], t[keep], ln[keep]
-    n = np.stack([t[:, 1], -t[:, 0]], axis=1) / ln[:, None]  # outward for ccw
-    A_ub = np.concatenate([n, np.ones((len(n), 1))], axis=1)
-    b_ub = np.einsum("ij,ij->i", n, a)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 3, method="highs")
-    if not res.success:
-        return None
-    return float(res.x[2])
+    def vanish(i):
+        # n_j.x - t = c_j for j = prev, i, next: subtract row i, Cramer's rule;
+        # an edge whose system is singular or gives t <= 0 never vanishes
+        j, k, (x, y) = prev[i], nxt[i], n[i]
+        a1, b1, r1 = n[j][0] - x, n[j][1] - y, c[j] - c[i]
+        a2, b2, r2 = n[k][0] - x, n[k][1] - y, c[k] - c[i]
+        det = a1 * b2 - a2 * b1
+        t = x * (r1 * b2 - r2 * b1) / det + y * (a1 * r2 - a2 * r1) / det - c[i] if det else 0.0
+        return t if t > 0 else np.inf
 
-
-def _is_convex(pts):
-    m = len(pts)
-    sign = 0
-    for i in range(m):
-        a, b, c = pts[i], pts[(i + 1) % m], pts[(i + 2) % m]
-        cr = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cr) <= _GEOM_TOL:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
+    times = np.array([vanish(i) for i in range(m)])
+    for _ in range(m - 3):
+        i = int(np.argmin(times))
+        times[i] = np.inf
+        nxt[prev[i]], prev[nxt[i]] = nxt[i], prev[i]
+        times[prev[i]], times[nxt[i]] = vanish(prev[i]), vanish(nxt[i])
+    return float(np.min(times))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +467,6 @@ def _point_in_tri(p, a, b, c):
 
 
 def _max_edge(mesh):
-    if mesh.dim == 1:
-        return float(np.max(mesh.cell_measures))
     p = mesh.nodes[mesh.cells]
     e = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
     return float(np.max(e))

@@ -150,8 +150,8 @@ def brute_force_1d(
     'point' (single end pinned at pin_x in {0.0, 1.0}), 'dirac'
     (alias for robin with one-sided mass).
     """
-    if n_grid < 16:
-        raise ConfigError("n_grid too small")
+    if not (16 <= n_grid < np.inf and n_grid == int(n_grid)):
+        raise ConfigError(f"n_grid must be an integer >= 16, got {n_grid!r}")
     n = int(n_grid)
     h = 1.0 / n
     free = np.ones(n + 1, dtype=bool)

@@ -62,10 +62,11 @@ def test_inradius_bound_interval():
 
 def test_inradius_bound_below_constant_weight_eigenvalue(square4):
     sigma = 2.0
-    bound = inradius_bound(sigma, square4.inradius, 3.0)
-    w = BoundaryWeight.constant(square4, sigma * square4.boundary_measure)
-    lam = solve_robin(square4, w, SolverParams(p=3.0)).lam
-    assert bound <= lam + 1e-9
+    for mesh in (square4, build_polygon([(0, 0), (4, 0), (0, 3)], 1.0)):
+        bound = inradius_bound(sigma, mesh.inradius, 3.0)
+        w = BoundaryWeight.constant(mesh, sigma * mesh.boundary_measure)
+        lam = solve_robin(mesh, w, SolverParams(p=3.0)).lam
+        assert bound <= lam + 1e-9
 
 
 def test_inradius_bound_needs_convexity():

@@ -151,6 +151,19 @@ def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("sigma", ["const:nan", "dirac:0:inf", "nan-density", "nan-declared"])
+def test_non_finite_weight_exit_code(tmp_path, sigma, capsys):
+    path = tmp_path / "w.bw"
+    if sigma == "nan-density":
+        path.write_text("bw 1 1\nfacet 0 nan\nfacet 1 1\n")
+        sigma = f"file:{path}"
+    elif sigma == "nan-declared":
+        path.write_text("bw 1 nan\nfacet 0 0.5\nfacet 1 0.5\n")
+        sigma = f"file:{path}"
+    assert run(["robin", "--domain", "builtin:interval:20", "--sigma", sigma]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _mesh_file(tmp_path, damage):
     from robinopt import build_interval, write_mesh
 
@@ -193,6 +206,9 @@ def test_unknown_oracle_exit_code(capsys):
     ["interval-robin-p2", "1"],
     ["interval-robin-p2", "x", "1"],
     ["brute-force-1d", "2"],
+    ["brute-force-1d", "2", "1", "1", "nan"],
+    ["brute-force-1d", "2", "1", "1", "inf"],
+    ["brute-force-1d", "2", "1", "1", "50.5"],
     ["interval-dirichlet-p"],
     ["disk-robin-p2", "1", "2"],
 ])

@@ -27,9 +27,14 @@ def test_interval_rejects_single_cell():
 def test_disk_volume_and_boundary():
     d = build_disk(0.1)
     assert abs(d.volume - np.pi) / np.pi < 0.01
-    assert abs(d.inradius - 1.0) < 0.02
     d5 = build_disk(0.05)
     assert abs(d5.boundary_measure - 2 * np.pi) / (2 * np.pi) < 0.005
+
+
+@pytest.mark.parametrize("h", [0.1, 0.025])
+def test_disk_inradius_is_the_apothem_of_its_6k_gon(h):
+    exact = np.cos(np.pi / (6 * round(1 / h)))
+    assert abs(build_disk(h).inradius - exact) <= 4 * np.spacing(exact)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, 1.0, 2.0])
@@ -42,12 +47,26 @@ def test_square_exact_measures():
     s = build_square(0.125)
     assert abs(s.volume - 1.0) < 1e-12
     assert abs(s.boundary_measure - 4.0) < 1e-12
-    assert abs(s.inradius - 0.5) < 1e-9
+    assert s.inradius == 0.5
+    assert build_square(0.25).inradius == 0.5
+
+
+@pytest.mark.parametrize("vertices, inradius", [
+    ([(0, 0), (4, 0), (0, 3)], 1.0),  # 3-4-5 right triangle
+    ([(0, 0), (3.5, 0), (3.6, 0.3), (0, 3)], 1.0),  # its corner cut clear of the incircle
+    ([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)], 0.5),  # 2 x 1, collinear runs
+    ([(0, 0), (10, 0), (10.5, 0.3), (0.2, 0.3)], 0.15),  # thin: half its width
+])
+def test_convex_polygon_inradius_is_exact(vertices, inradius):
+    m = build_polygon(vertices, 2.0)
+    for mesh in (m, refine(m)):
+        assert abs(mesh.inradius - inradius) <= 4 * np.spacing(inradius)
 
 
 def test_nonconvex_polygon_has_no_inradius():
     L = build_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], 0.5)
     assert L.inradius is None
+    assert refine(L).inradius is None
     assert abs(L.volume - 3.0) < 1e-12
 
 
@@ -129,3 +148,26 @@ def test_text_format_round_trip(tmp_path, builder):
 def test_mesh_arrays_write_protected(disk10):
     with pytest.raises(ValueError):
         disk10.nodes[0, 0] = 99.0
+
+
+def test_building_meshes_does_not_import_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import robinopt
+
+    src = os.path.dirname(os.path.dirname(robinopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from robinopt import build_polygon, build_square\n"
+        "from robinopt.cli import main\n"
+        "assert main(['mesh', '--domain', 'builtin:disk:0.1']) == 0\n"
+        "assert build_square(0.25).inradius == 0.5\n"
+        "assert build_polygon([(0, 0), (4, 0), (0, 3)], 1.0).inradius is not None\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split()[-1] == "False"
