@@ -157,6 +157,8 @@ class BoundaryWeight:
     def dirac(cls, mesh, where, mass):
         """Dirac mass at a boundary node; `where` is a node index or a point."""
         if np.ndim(where) == 0:
+            if not (np.isfinite(where) and float(where).is_integer()):
+                raise ConfigError(f"Dirac node {where!r} is not a finite integer")
             node, snap = int(where), 0.0
         else:
             node, snap = mesh.nearest_boundary_node(where)

@@ -64,9 +64,8 @@ def _node_order(mesh):
     index, so the order is the natural one on an interval), each level's new
     nodes grouped by the first node of the previous level they touch and
     sorted by degree, then index, within a group."""
-    n, k = mesh.n_nodes, mesh.cells.shape[1]
-    pairs = np.unique(np.repeat(mesh.cells, k, axis=1).ravel() * n + np.tile(mesh.cells, (1, k)).ravel())
-    src, dst = np.divmod(pairs, n)  # every node is its own neighbour too
+    n, (lo, hi) = mesh.n_nodes, mesh.edges.T
+    src, dst = np.divmod(np.sort(np.concatenate([lo * n + hi, hi * n + lo])), n)
     indptr = np.searchsorted(src, np.arange(n + 1))
     degree = np.diff(indptr)
     order, seen = [], np.zeros(n, dtype=bool)

@@ -19,6 +19,14 @@ Conventions
   and compared by identity. Their inradius is computed on construction, for
   a convex 2D domain by the straight skeleton of its boundary polygon
   (Aichholzer, Aurenhammer, Alberts and Gaertner, J. UCS 1, 1995).
+* Which nodes are neighbours is decided once per mesh, by its edge table
+  `Mesh.edges`: the node pairs sharing a cell, one `np.unique` over integer
+  keys lo * n + hi. The boundary facets (sides in one cell), `refine`'s
+  midpoints, the longest edge and the Cuthill-McKee node order of
+  `innersolve` all read it.
+* Every cell has positive area, so every 2D boundary facet, kept as its cell
+  orients it, runs counter-clockwise; the boundary loop follows the facets
+  from the lowest boundary node, first towards its lower neighbour.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class Mesh:
     dim : 1 or 2
     nodes : (N, dim) float array of node coordinates
     cells : (C, dim+1) int array, node indices per simplex
+    edges : (E, 2) int array, the node pairs that share a cell, each
+        ascending, rows in lexicographic order (the cells themselves in 1D)
     boundary_facets : (B, dim) int array, node indices per boundary facet
         (a single node in 1D, an edge in 2D)
     facet_measures : (B,) facet measures (1 in 1D, edge length in 2D)
@@ -67,6 +77,7 @@ class Mesh:
     dim: int
     nodes: np.ndarray
     cells: np.ndarray
+    edges: np.ndarray
     boundary_facets: np.ndarray
     facet_measures: np.ndarray
     node_is_boundary: np.ndarray
@@ -76,7 +87,7 @@ class Mesh:
     boundary_measure: float
     inradius: float | None
     # boundary nodes ordered along the boundary (loop in 2D, pair in 1D)
-    boundary_loop: np.ndarray = field(repr=False, default=None)
+    boundary_loop: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self):
@@ -93,6 +104,8 @@ class Mesh:
     def nearest_boundary_node(self, point):
         """Index of the boundary node closest to `point` and the snap distance."""
         pt = np.atleast_1d(np.asarray(point, dtype=float))
+        if not np.all(np.isfinite(pt)):
+            raise ConfigError(f"point {pt.tolist()} is not finite")
         bnodes = self.boundary_nodes()
         d = np.linalg.norm(self.nodes[bnodes] - pt[None, :], axis=1)
         k = int(np.argmin(d))
@@ -108,11 +121,14 @@ def _freeze(a):
 def _build_mesh(dim, nodes, cells, bfacets=None):
     """Assemble a Mesh from raw arrays, deriving all boundary structure.
 
-    Validates the construction invariants: positive cell measures and
-    declared boundary facets (if any) matching the mesh topology.
+    Validates the construction invariants: at least one cell, cell indices
+    within the node list, positive cell measures and declared boundary
+    facets (if any) matching the mesh topology.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1, dim)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim + 1)
+    if not (cells.size and 0 <= cells.min() <= cells.max() < len(nodes)):
+        raise ConfigError("mesh has no cells or its cells refer to nodes that do not exist")
 
     if dim == 1:
         meas, grads = _interval_geometry(nodes, cells)
@@ -121,7 +137,11 @@ def _build_mesh(dim, nodes, cells, bfacets=None):
     if np.any(meas <= 0):
         raise ConfigError("mesh has degenerate or inverted cells")
 
-    facets = _boundary_facets(dim, cells, bfacets)
+    edges, facets = _edge_table(dim, cells, len(nodes))
+    if bfacets is not None:
+        given = {tuple(sorted(f)) for f in np.asarray(bfacets).reshape(-1, dim)}
+        if given != {tuple(sorted(f)) for f in facets}:
+            raise ConfigError("declared boundary facets do not match mesh topology")
     if dim == 1:
         fmeas = np.ones(len(facets))
     else:
@@ -132,13 +152,14 @@ def _build_mesh(dim, nodes, cells, bfacets=None):
 
     volume = float(np.sum(meas))
     bmeasure = float(np.sum(fmeas))
-    loop = _boundary_loop(dim, nodes, facets)
+    loop = _boundary_loop(dim, facets)
     inr = _inradius(dim, nodes, loop)
 
     return Mesh(
         dim=dim,
         nodes=_freeze(nodes),
         cells=_freeze(cells),
+        edges=_freeze(edges),
         boundary_facets=_freeze(facets),
         facet_measures=_freeze(fmeas),
         node_is_boundary=_freeze(flags),
@@ -177,55 +198,37 @@ def _triangle_geometry(nodes, cells):
     return area, grads
 
 
-def _boundary_facets(dim, cells, bfacets):
-    """Facets appearing in exactly one cell, in lexicographic order of their
-    sorted node tuples."""
+def _edge_table(dim, cells, n):
+    """The edge table (node pairs sharing a cell, each ascending, in
+    lexicographic order: key lo * n + hi) and the boundary facets in the same
+    order: in 2D the sides in exactly one cell, each as its cell orients it,
+    in 1D the nodes in exactly one cell."""
+    sides = cells if dim == 1 else np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
+    keys, first, counts = np.unique(sides.min(axis=1) * n + sides.max(axis=1),
+                                    return_index=True, return_counts=True)
     if dim == 1:
-        faces = cells.reshape(-1, 1)
+        facets = np.flatnonzero(np.bincount(cells.ravel(), minlength=n) == 1)[:, None]
     else:
-        faces = np.concatenate(
-            [cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]], axis=0
-        )
-
-    # np.unique returns the sorted node tuples in lexicographic order, and a
-    # boundary facet's first occurrence is its only one
-    _, first, counts = np.unique(
-        np.sort(faces, axis=1), axis=0, return_index=True, return_counts=True
-    )
-    facets = faces[first[counts == 1]]
-
-    if bfacets is not None:
-        given = {tuple(sorted(f)) for f in np.asarray(bfacets).reshape(-1, dim)}
-        found = {tuple(sorted(f)) for f in facets}
-        if given != found:
-            raise ConfigError("declared boundary facets do not match mesh topology")
-    return facets
+        facets = sides[first[counts == 1]]
+    return np.stack(np.divmod(keys, n), axis=1), facets
 
 
-def _boundary_loop(dim, nodes, facets):
-    """Boundary nodes in traversal order (single loop assumed in 2D)."""
+def _boundary_loop(dim, facets):
+    """Boundary nodes in traversal order: the two ends in 1D; in 2D the single
+    loop from the lowest boundary node, first to its lower neighbour. Every
+    cell has positive area, so each 2D facet runs counter-clockwise and maps
+    its first node to its second."""
     if dim == 1:
-        ends = np.sort(facets[:, 0])
-        return ends
-    nbr = {}
-    for a, b in facets:
-        nbr.setdefault(int(a), []).append(int(b))
-        nbr.setdefault(int(b), []).append(int(a))
-    start = min(nbr)
-    loop = [start]
-    prev = None
-    cur = start
-    for _ in range(len(nbr)):
-        nxt = [v for v in sorted(nbr[cur]) if v != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        loop.append(cur)
-    if len(loop) != len(nbr):
+        return np.sort(facets[:, 0])
+    succ = np.full(facets.max() + 2, -1)  # -1: no facet starts here; the spare last entry keeps -1 at -1
+    succ[facets[:, 0]] = facets[:, 1]
+    nxt, loop = succ.tolist(), [int(facets[:, 0].min())]
+    for _ in range(len(facets)):
+        loop.append(nxt[loop[-1]])
+    if loop[-1] != loop[0] or len(set(loop)) != len(facets):
         raise ConfigError("boundary is not a single closed loop")
-    return np.asarray(loop, dtype=np.int64)
+    loop = np.asarray(loop[:-1], dtype=np.int64)
+    return loop if loop[1] < loop[-1] else np.roll(loop[::-1], 1)
 
 
 def _inradius(dim, nodes, loop):
@@ -467,49 +470,36 @@ def _point_in_tri(p, a, b, c):
 
 
 def _max_edge(mesh):
-    p = mesh.nodes[mesh.cells]
-    e = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
-    return float(np.max(e))
+    p = mesh.nodes[mesh.edges]
+    return float(np.max(np.linalg.norm(p[:, 1] - p[:, 0], axis=1)))
 
 
 def refine(mesh: Mesh) -> Mesh:
     """Uniform refinement by edge-midpoint subdivision.
 
-    Splits every 1D cell in two, every triangle into four. Volume is
-    preserved exactly for polygonal domains and boundary facets are split
-    consistently with the parent facets.
+    Splits every 1D cell in two, every triangle into four. The midpoint of
+    the parent's edge k is node n_nodes + k, so the new nodes follow the
+    parent's edge order (in 1D all nodes are then renumbered by coordinate).
+    Volume is preserved exactly for polygonal domains and boundary facets are
+    split consistently with the parent facets.
     """
+    n, (lo, hi) = mesh.n_nodes, mesh.edges.T
+    nodes = np.concatenate([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
+    keys = lo * n + hi
+
+    def mid(u, v):
+        return n + np.searchsorted(keys, np.minimum(u, v) * n + np.maximum(u, v))
+
     if mesh.dim == 1:
-        x = mesh.nodes[:, 0]
-        mids = 0.5 * (x[mesh.cells[:, 0]] + x[mesh.cells[:, 1]])
-        nodes = np.concatenate([x, mids])[:, None]
-        n0 = mesh.n_nodes
-        cells = []
-        for k, (a, b) in enumerate(mesh.cells):
-            m = n0 + k
-            cells += [[a, m], [m, b]]
+        a, b = mesh.cells.T
+        m = mid(a, b)
         order = np.argsort(nodes[:, 0], kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        cells = rank[np.asarray(cells)]
-        return _build_mesh(1, nodes[order], cells)
-
-    edges = set()
-    for tri in mesh.cells:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edges.add((min(a, b), max(a, b)))
-    edges = sorted(edges)
-    mid_index = {e: mesh.n_nodes + k for k, e in enumerate(edges)}
-    mids = 0.5 * (mesh.nodes[[e[0] for e in edges]] + mesh.nodes[[e[1] for e in edges]])
-    nodes = np.concatenate([mesh.nodes, mids], axis=0)
-
-    cells = []
-    for a, b, c in mesh.cells:
-        ab = mid_index[(min(a, b), max(a, b))]
-        bc = mid_index[(min(b, c), max(b, c))]
-        ca = mid_index[(min(c, a), max(c, a))]
-        cells += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return _build_mesh(2, nodes, np.asarray(cells))
+        rank = np.argsort(order)  # a node's position in coordinate order
+        return _build_mesh(1, nodes[order], rank[np.stack([a, m, m, b], axis=1).reshape(-1, 2)])
+    a, b, c = mesh.cells.T
+    ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+    cells = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    return _build_mesh(2, nodes, cells)
 
 
 # ---------------------------------------------------------------------------

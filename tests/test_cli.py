@@ -164,6 +164,15 @@ def test_non_finite_weight_exit_code(tmp_path, sigma, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("domain, sigma", [
+    ("builtin:interval:20", "dirac:nan:1"),
+    ("builtin:disk:0.1", "dirac:inf,0:1"),
+])
+def test_non_finite_dirac_point_exit_code(domain, sigma, capsys):
+    assert run(["robin", "--domain", domain, "--sigma", sigma]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _mesh_file(tmp_path, damage):
     from robinopt import build_interval, write_mesh
 

@@ -294,6 +294,13 @@ def test_dirac_snaps_to_nearest_boundary_node():
     assert abs(w.snap_distance - 0.01) < 1e-12
 
 
+@pytest.mark.parametrize("where", [np.nan, np.inf, 2.5, [np.nan, 0.0], [0.5, np.inf]],
+                         ids=["node-nan", "node-inf", "node-2.5", "point-nan", "point-inf"])
+def test_dirac_refuses_a_non_finite_point_or_a_non_integer_node(where):
+    with pytest.raises(ConfigError, match="finite"):
+        BoundaryWeight.dirac(build_square(0.25), where, 1.0)
+
+
 def test_random_weight_mass(mesh):
     w = random_weight(mesh, 2.5, np.random.default_rng(3))
     assert abs(w.total_mass - 2.5) < 1e-12 * 2.5

@@ -174,6 +174,7 @@ def test_band_width_on_disk_is_order_sqrt_n():
     weight = BoundaryWeight.constant(mesh, 1.0)
     problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=weight)
     assert problem._pattern.kd <= 2.0 * np.sqrt(len(problem.free_idx))
+    assert problem._pattern.kd == 81
 
 
 def test_quadratic_factor_survives_later_factorizations():

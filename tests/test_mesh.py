@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robinopt import ConfigError, build_disk, build_interval, build_polygon, build_square, read_mesh, refine, write_mesh
+from robinopt.mesh import _build_mesh
 
 
 def test_interval_nodes_and_facets():
@@ -125,6 +126,73 @@ def test_every_boundary_facet_owned_once(disk10):
         assert np.array_equal(np.lexsort(ordered.T[::-1]), np.arange(len(ordered)))
 
 
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+TOPOLOGY_MESHES = {
+    "interval": lambda: build_interval(7),
+    "disk": lambda: build_disk(0.2),
+    "square": lambda: build_square(0.25),
+    "triangle": lambda: build_polygon([(0, 0), (4, 0), (0, 3)], 1.0),
+    "L-shape": lambda: build_polygon(L_SHAPE, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", TOPOLOGY_MESHES)
+def test_edge_table_is_the_cells_node_pairs(name):
+    m = TOPOLOGY_MESHES[name]()
+    for mesh in (m, refine(m)):
+        e = mesh.edges
+        assert np.all(e[:, 0] < e[:, 1])
+        keys = e[:, 0] * mesh.n_nodes + e[:, 1]
+        assert np.all(np.diff(keys) > 0)  # strictly lexicographic
+        if mesh.dim == 1:
+            assert np.array_equal(e, mesh.cells[np.lexsort(mesh.cells.T[::-1])])
+            continue
+        assert mesh.n_nodes - len(e) + mesh.n_cells == 1  # Euler, simply connected
+        sides = {}
+        for a, b, c in mesh.cells.tolist():
+            for side in ((a, b), (b, c), (c, a)):
+                sides[tuple(sorted(side))] = sides.get(tuple(sorted(side)), 0) + 1
+        assert sorted(sides) == [tuple(r) for r in e.tolist()]
+        once = sorted(s for s, count in sides.items() if count == 1)
+        assert sorted(tuple(sorted(f)) for f in mesh.boundary_facets.tolist()) == once
+    if m.dim == 2:  # the midpoint of edge k is node n_nodes + k
+        r = refine(m)
+        mids = 0.5 * (m.nodes[m.edges[:, 0]] + m.nodes[m.edges[:, 1]])
+        assert r.nodes[m.n_nodes:].tobytes() == mids.tobytes()
+        # cell k's children are cells 4k..4k+3: corner a, b, c, then the middle one
+        for corner in range(3):
+            assert np.array_equal(r.cells[corner::4, corner], m.cells[:, corner])
+        assert np.all(r.cells[3::4] >= m.n_nodes)
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "L-shape"])
+def test_boundary_loop_walks_from_the_lowest_node_to_its_lower_neighbour(name):
+    m = TOPOLOGY_MESHES[name]()
+    loop = m.boundary_loop.tolist()
+    assert sorted(loop) == m.boundary_nodes().tolist()
+    facets = {tuple(sorted(f)) for f in m.boundary_facets.tolist()}
+    steps = {tuple(sorted(s)) for s in zip(loop, loop[1:] + loop[:1])}
+    assert steps == facets
+    nbrs = [b if a == loop[0] else a for a, b in facets if loop[0] in (a, b)]
+    assert loop[0] == min(loop) and loop[1] == min(nbrs) and loop[-1] == max(nbrs)
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, 1, 2], [3, 4, 5]],  # two disjoint triangles
+    [[0, 1, 2], [0, 6, 7]],  # a bowtie pinched at node 0
+])
+def test_boundary_that_is_not_one_loop_is_refused(cells):
+    nodes = [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1), (-1, 0), (0, -1)]
+    with pytest.raises(ConfigError, match="boundary is not a single closed loop"):
+        _build_mesh(2, nodes, cells)
+
+
+@pytest.mark.parametrize("cells", [[[0, 1, -1]], [[0, 1, 3]], []])
+def test_cells_outside_the_node_list_are_refused(cells):
+    with pytest.raises(ConfigError, match="nodes that do not exist"):
+        _build_mesh(2, [(0, 0), (1, 0), (0, 1)], cells)
+
+
 def test_cell_measures_positive_and_sum(disk10):
     assert np.all(disk10.cell_measures > 0)
     assert abs(np.sum(disk10.cell_measures) - disk10.volume) <= 1e-10 * disk10.volume
@@ -140,6 +208,8 @@ def test_text_format_round_trip(tmp_path, builder):
     assert np.array_equal(m2.nodes, m.nodes)
     assert np.array_equal(m2.cells, m.cells)
     assert np.array_equal(m2.boundary_facets, m.boundary_facets)
+    assert np.array_equal(m2.edges, m.edges)
+    assert np.array_equal(m2.boundary_loop, m.boundary_loop)
     assert m2.volume == m.volume
     assert m2.boundary_measure == m.boundary_measure
     assert m2.inradius == m.inradius
