@@ -120,15 +120,15 @@ def _parse_sigma(mesh, spec):
 def _params(args):
     """SolverParams at --p with the knobs given on the command line; the
     others keep SolverParams' defaults."""
-    knobs = {k: getattr(args, k) for k in ("tol_rq", "tol_res", "max_outer", "eps_reg")}
+    knobs = {k: getattr(args, k) for k in ("tol_res", "max_outer", "eps_reg")}
     return SolverParams(p=args.p, **{k: v for k, v in knobs.items() if v is not None})
 
 
 def _check_masses(masses, flag):
-    """Refuse, before any solve, a mass that is not positive."""
-    bad = [m for m in masses if not m > 0]
+    """Refuse, before any solve, a mass that is not positive and finite."""
+    bad = [m for m in masses if not 0 < m < np.inf]
     if bad:
-        raise ConfigError(f"mass {bad[0]} ({flag}) must be positive")
+        raise ConfigError(f"mass {bad[0]} ({flag}) must be positive and finite")
 
 
 def _json_safe(obj):
@@ -146,7 +146,6 @@ def _emit(args, report, files=None):
     """Print the JSON report, or write it (and side files) under --out."""
     text = json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w") as fh:
             fh.write(text + "\n")
         for name, lines in (files or {}).items():
@@ -219,7 +218,6 @@ def _cmd_maximize(args):
     rep = mx.sigma_max(mx.FSolver(mesh, _params(args)), args.m)
     files = {}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         en.write_weight(rep.sigma_m, os.path.join(args.out, "sigma_m.bw"))
         files["sigma_m.csv"] = _boundary_csv(rep.sigma_m)
     _emit(args, rep.to_dict(), files)
@@ -326,7 +324,6 @@ def _cmd_mesh(args):
         "inradius": mesh.inradius,
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_mesh(mesh, os.path.join(args.out, "mesh.pmesh"))
     _emit(args, rep)
     return EXIT_OK
@@ -345,7 +342,6 @@ def build_parser():
         if solver:
             sp.add_argument("--p", type=float, default=2.0)
             # unset knobs keep the SolverParams defaults
-            sp.add_argument("--tol-rq", type=float, dest="tol_rq")
             sp.add_argument("--tol-res", type=float, dest="tol_res")
             sp.add_argument("--max-outer", type=int, dest="max_outer")
             sp.add_argument("--eps-reg", type=float, dest="eps_reg")
@@ -416,6 +412,11 @@ def main(argv=None):
         # count below 1 is still refused
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,18 @@ the next iterate minimizes the strictly convex functional
 Each step provably does not increase the Rayleigh quotient, which the solver
 asserts at runtime (rq_history is nonincreasing up to 1e-13).
 
+The one acceptance test, before every step, is the weak residual of
+(Q[u_k], u_k) within params.tol_res (a start that passes takes no step); the
+quotient is stationary at an eigenfunction, so the eigenvalue is then
+accurate to second order. A step that would raise the quotient ends the
+solve ("quotient stalled"). verify_weak_residual recomputes the same test.
+
 solve_point and solve_dirac may start from a neighbouring node's result: its
 pair is first polished by Newton on the eigenpair (Keller's bordering,
 ConvexPEnergyProblem.eigenpair_newton), and the outer loop then starts from
-it, so that its first step closes the solve and certifies it exactly as a cold
-one. If the LU fails, Newton does not converge, or the polished eigenfunction
-is not positive on the free nodes (only the first eigenfunction is; Lindqvist,
+it, where the residual test accepts it like any other iterate. If the LU
+fails, Newton does not converge, or the polished eigenfunction is not
+positive on the free nodes (only the first eigenfunction is; Lindqvist,
 Proc. AMS 109, 1990), a DEBUG event on the robinopt logger records the
 fallback and the solve starts cold.
 """
@@ -87,6 +93,19 @@ def _normalize(mesh, vals, p):
     return vals / nrm ** (1.0 / p)
 
 
+def _load_and_residual(problem, vals, q):
+    """The load q m(u) at the iterate vals, the inner gradient there (the weak
+    residual of (q, u), and the next inner solve's first Newton gradient) and
+    p times its max-norm over the free nodes.
+
+    The load puts the inner minimizer at the scale of u itself (the factor
+    q^{1/(p-1)} between them matters for p far from 2, where the smoothed
+    derivative is not homogeneous); the renormalization removes it."""
+    b = q * en.mass_action(problem.mesh, vals, problem.p)
+    g = problem.gradient(vals, b)
+    return b, g, problem.p * float(np.max(np.abs(g[problem.free])))
+
+
 def _continued(problem, start):
     """The start pair polished by Newton on the eigenpair (the
     eigenfunction), or None, for a cold start, when that fails or leaves a
@@ -113,44 +132,37 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
         )
     p = params.p
     problem = ConvexPEnergyProblem(mesh, params, weight=weight, fixed_nodes=pinned)
-    free = problem.free
     if start is not None:
         u0 = _continued(problem, start)
 
     w = np.ones(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
-    w[~free] = 0.0
+    w[~problem.free] = 0.0
     if not np.any(w > 0):
         raise ConfigError("initial guess vanishes on the free nodes")
     u = _normalize(mesh, np.maximum(w, 0.0), p)
 
-    def result(vals, qv, it, resid, history):
+    def result():  # the current iterate
         return EigenResult(
-            lam=qv, u=NodalField(mesh, vals), mode=mode, outer_iters=it,
+            lam=q, u=NodalField(mesh, u), mode=mode, outer_iters=it,
             residual=resid, params=params, rq_history=history, weight=weight, pinned=pinned,
         )
 
-    def failure(msg, vals, qv, it, resid, history):
+    def failure(msg):
         hint = (
             " (the energy degenerates as p -> 1; a larger eps_reg usually "
             "restores convergence there)" if p < 1.5 else ""
         )
-        return ConvergenceError(msg + hint, best=result(vals, qv, it, resid, history))
-
-    def load_and_residual(vals, qv):
-        # load q * m(u_k) puts the inner minimizer at the scale of u_k itself
-        # (they differ by the factor q^{1/(p-1)}, which the renormalization
-        # removes); a single working scale matters for p far from 2, where
-        # the smoothed derivative is not homogeneous. The inner gradient at
-        # u_k for this load is the weak residual of (q, u_k), and the next
-        # inner solve's first Newton gradient.
-        bv = qv * en.mass_action(mesh, vals, p)
-        g = problem.gradient(vals, bv)
-        return bv, g, p * float(np.max(np.abs(g[free])))
+        return ConvergenceError(msg + hint, best=result())
 
     q = en.rayleigh(NodalField(mesh, u), weight, p)
     history = [q]
-    b, g, resid = load_and_residual(u, q)
-    for it in range(1, params.max_outer + 1):
+    b, g, resid = _load_and_residual(problem, u, q)
+    it = 0
+    while resid > params.tol_res:
+        if it == params.max_outer:
+            raise failure(f"no convergence in {it} outer iterations "
+                          f"(residual {resid:.3e}, target {params.tol_res:.1e})")
+        it += 1
         # a stalled inner solve returns its best iterate; the outer test judges it
         w = problem.solve(b, w0=u, gtol_soft=np.inf, g0=g)
         w = np.maximum(w, 0.0)
@@ -163,27 +175,13 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
         q_new = en.rayleigh(NodalField(mesh, u_new), weight, p)
         if q_new > q + _MONOTONE_SLACK:
             # the quotient cannot be decreased further at the attainable inner
-            # accuracy: the step is not recorded and the current iterate is
-            # judged as is
-            if resid <= params.tol_res:
-                return result(u, q, it, resid, history).validate()
-            raise failure(
-                f"quotient stalled at residual {resid:.3e} "
-                f"(target {params.tol_res:.1e}) at outer step {it}",
-                u, q, it, resid, history,
-            )
+            # accuracy, and the current iterate failed the residual test
+            raise failure(f"quotient stalled at residual {resid:.3e} "
+                          f"(target {params.tol_res:.1e}) at outer step {it}")
         history.append(q_new)
-        b, g, resid = load_and_residual(u_new, q_new)
-        stalled = abs(q - q_new) <= params.tol_rq * max(abs(q_new), 1e-300)
         u, q = u_new, q_new
-        if stalled and resid <= params.tol_res:
-            return result(u, q, it, resid, history).validate()
-
-    raise failure(
-        f"no convergence in {params.max_outer} outer iterations "
-        f"(residual {resid:.3e}, target {params.tol_res:.1e})",
-        u, q, params.max_outer, resid, history,
-    )
+        b, g, resid = _load_and_residual(problem, u, q)
+    return result().validate()
 
 
 def solve_robin(mesh: Mesh, w: BoundaryWeight, params: SolverParams, u0=None) -> EigenResult:
@@ -209,7 +207,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams,
 
     `start`, a neighbouring node's result on the same mesh, is polished by
     Newton on the eigenpair into the first iterate; if that fails, the solve
-    starts cold. Either way the outer loop certifies the result.
+    starts cold. Either way the weak-residual test accepts the result.
 
     Meaningful in the continuum only for p > dim: for p <= dim points have
     zero capacity, the continuum value is exactly 0 and a discrete value
@@ -240,18 +238,18 @@ def verify_weak_residual(result: EigenResult):
     that was solved: result.weight at result.params, with the rows of
     result.pinned excluded.
 
-    Reports the max-norm of the nodal weak-form residual over the free nodes;
-    the pair is accepted when it is below result.params.tol_res.
+    Reports the max-norm of the nodal weak-form residual over the free nodes,
+    by the solver's own acceptance test (so it equals result.residual); the
+    pair is accepted when it is at most result.params.tol_res.
     """
-    mesh, params = result.u.mesh, result.params
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[list(result.pinned)] = False
-    r = en.weak_residual(result.u, result.weight, params.p, result.lam, params.eps_reg)
-    worst = params.p * float(np.max(np.abs(r[free])))
+    params = result.params
+    problem = ConvexPEnergyProblem(result.u.mesh, params, weight=result.weight,
+                                   fixed_nodes=result.pinned)
+    _, _, worst = _load_and_residual(problem, result.u.values, result.lam)
     return {
         "max_residual": worst,
         "tol_res": params.tol_res,
         "ok": bool(worst <= params.tol_res),
-        "n_free": int(np.sum(free)),
+        "n_free": int(np.sum(problem.free)),
         "mode": result.mode,
     }

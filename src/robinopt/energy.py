@@ -81,17 +81,15 @@ class SolverParams:
     one place their defaults are stated."""
 
     p: float
-    tol_rq: float = 1e-9       # relative Rayleigh-quotient stall
-    tol_res: float = 1e-8      # weak-residual max-norm
+    tol_res: float = 1e-8      # weak-residual max-norm: the eigensolve's one acceptance test
     max_outer: int = 500
     eps_reg: float = 1e-10     # derivative smoothing for p < 2
 
     def __post_init__(self):
         if not (1.1 <= self.p <= 10.0):
             raise ConfigError(f"p={self.p} outside the supported range [1.1, 10]")
-        tol_ok = 0 < self.tol_rq < np.inf and 0 < self.tol_res < np.inf
-        if not (tol_ok and 0 <= self.eps_reg < np.inf):
-            raise ConfigError("tolerances must be positive and eps_reg nonnegative, all finite")
+        if not (0 < self.tol_res < np.inf and 0 <= self.eps_reg < np.inf):
+            raise ConfigError("tol_res must be positive and eps_reg nonnegative, both finite")
         if self.max_outer < 1:
             raise ConfigError("max_outer must be at least 1")
 

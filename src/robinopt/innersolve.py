@@ -253,8 +253,8 @@ class ConvexPEnergyProblem:
         and A z2 = g, then dlam = (-c - g.z1) / (g.z2) and dw = z1 + dlam z2.
         A is indefinite whenever lam lies above the first eigenvalue of the
         linearization, so LU, not Cholesky. Returns (w, lam) once the residual
-        is within the gtol that solve(lam g) takes by default, so that a solve
-        from w takes no Newton step.
+        is within the gtol that solve(lam g) takes by default, so that the
+        eigensolver's outer residual test accepts w without a step.
 
         Raises np.linalg.LinAlgError when a factorization fails or a step is
         not finite, and ConvergenceError after _MAX_BORDERED steps.

@@ -238,8 +238,8 @@ class FSolver:
         when the ends are adjacent floats if it is within sqrt(eps) m there;
         otherwise m is unreachable on this mesh (ConvergenceError).
         """
-        if m <= 0:
-            raise ConfigError("mass must be positive")
+        if not 0 < m < np.inf:
+            raise ConfigError(f"mass {m} must be positive and finite")
 
         def excess(xi):
             try:

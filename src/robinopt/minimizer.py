@@ -18,8 +18,8 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
 A scan walks the boundary loop in arcs, maximal runs of loop nodes joined by
 boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
 of an arc after the first starts from its predecessor's eigenpair, which
-Newton polishes (see eigensolver); the closing outer step certifies it. Every
-table comes back in ascending node order.
+Newton polishes (see eigensolver); the residual test then accepts it, mostly
+with no outer step. Every table comes back in ascending node order.
 
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
@@ -171,8 +171,8 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
 def lambda_inf(scan: PointScan, m: float) -> MinReport:
     """Minimal Dirac eigenvalue over the boundary nodes at mass m, on the
     scan's mesh and params (a point scan exists only for p > dim)."""
-    if m <= 0:
-        raise ConfigError("mass must be positive")
+    if not 0 < m < np.inf:
+        raise ConfigError(f"mass {m} must be positive and finite")
     mesh = scan.mesh
     nodes, values, failures = _scan(mesh, scan.params, float(m))
     lam, ties = _ties(nodes, values)

@@ -81,8 +81,16 @@ def test_workers_flag_selects_nothing(tmp_path, argv):
 ])
 def test_bad_solver_knob_exit_code(knob, capsys):
     argv = ["robin", "--domain", "builtin:interval:20", "--p", "1.5", "--sigma", "const:1", *knob]
-    assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    if knob[0] == "--tol-rq":
+        # no such knob: the residual test is the only stopping test, and
+        # argparse refuses an unknown flag with its usage exit code
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-rq" in capsys.readouterr().err
+    else:
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.fixture
@@ -95,7 +103,7 @@ def no_eigensolve(monkeypatch):
     monkeypatch.setattr(es, "_minimize", no_solve)
 
 
-@pytest.mark.parametrize("mass", ["0", "-1", "nan"])
+@pytest.mark.parametrize("mass", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["maximize", "minimize"])
 def test_bad_mass_refused_before_any_solve(command, mass, no_eigensolve, capsys):
     argv = [command, "--domain", "builtin:square:0.25", "--p", "3", "--m", mass]
@@ -103,12 +111,28 @@ def test_bad_mass_refused_before_any_solve(command, mass, no_eigensolve, capsys)
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("m_list", ["lin:0:1:3", "lin:-1:1:3", "1,nan"])
+@pytest.mark.parametrize("m_list", ["lin:0:1:3", "lin:-1:1:3", "1,nan", "1,inf"])
 @pytest.mark.parametrize("command", ["bounds", "sweep"])
 def test_bad_mass_list_refused_before_any_solve(command, m_list, no_eigensolve, capsys):
     argv = [command, "--domain", "builtin:square:0.25", "--p", "3", "--m-list", m_list]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["robin", "--domain", "builtin:interval:20", "--sigma", "const:1"],
+    ["maximize", "--domain", "builtin:interval:20", "--m", "1"],
+])
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_solve(argv, where, tmp_path,
+                                                                    no_eigensolve, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "run"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_bare_command_uses_the_solver_params_defaults():

@@ -182,14 +182,24 @@ def _zigzag_inner_solve(monkeypatch):
     monkeypatch.setattr(ConvexPEnergyProblem, "solve", zigzag)
 
 
-def test_quotient_increase_at_converged_iterate_returns_it(robin11, interval200, p2, monkeypatch):
+def test_start_that_passes_the_residual_test_takes_no_step(robin11, interval200, p2, square4, p3,
+                                                           monkeypatch):
+    # the residual test runs before every step: a converged u0 and a continued
+    # node polished by bordered Newton are returned without an inner solve
     ref, w = robin11
-    _zigzag_inner_solve(monkeypatch)
-    res = solve_robin(interval200, w, p2, u0=ref.u.values)
-    # the increasing step is not recorded; the start is judged as is
-    assert res.outer_iters == 1 and res.rq_history == [res.lam]
-    assert res.residual <= p2.tol_res
-    assert res.lam == pytest.approx(ref.lam, rel=1e-12)
+    first, second = (int(n) for n in square4.boundary_loop[:2])
+    neighbour = solve_point(square4, first, p3)
+
+    def no_solve(problem, b, **kwargs):
+        raise AssertionError("an outer step ran")
+
+    monkeypatch.setattr(ConvexPEnergyProblem, "solve", no_solve)
+    warm = solve_robin(interval200, w, p2, u0=ref.u.values)
+    continued = solve_point(square4, second, p3, start=neighbour)
+    for res in (warm, continued):
+        assert res.outer_iters == 0 and res.rq_history == [res.lam]
+        assert res.residual <= res.params.tol_res
+    assert warm.lam == pytest.approx(ref.lam, rel=1e-12)
 
 
 def test_quotient_increase_above_tolerance_raises(robin11, interval200, p2, monkeypatch):
@@ -247,11 +257,33 @@ def test_weak_residual_is_judged_at_the_params_of_the_solve(interval200):
     assert not verify_weak_residual(dataclasses.replace(res, params=SolverParams(p=3.0)))["ok"]
 
 
-def test_residual_vector_definition(robin11, p2, interval200):
-    # the reported residual is the weak form tested against every hat function
-    res, w = robin11
-    r = weak_residual(res.u, w, 2.0, res.lam, p2.eps_reg)
-    assert 2.0 * np.max(np.abs(r)) == pytest.approx(res.residual, rel=1e-6, abs=1e-12)
+@pytest.mark.parametrize("start", ["cold", "continued"])
+@pytest.mark.parametrize("mode", ["robin", "dirichlet", "point", "dirac"])
+@pytest.mark.parametrize("mesh_name, p", [("interval200", 2.0), ("interval200", 3.0), ("square4", 3.0)],
+                         ids=["interval-p2", "interval-p3", "square-p3"])
+def test_residual_vector_definition(mesh_name, p, mode, start, request):
+    # the solver's acceptance test is the public re-check, bit for bit, and the
+    # weak form tested against every free hat function
+    mesh = request.getfixturevalue(mesh_name)
+    params = SolverParams(p=p)
+    first, second = (int(n) for n in mesh.boundary_loop[:2])
+    continued = start == "continued"
+    u0 = solve_robin(mesh, BoundaryWeight.constant(mesh, 1.0), params).u.values if continued else None
+    if mode == "robin":
+        res = solve_robin(mesh, BoundaryWeight.constant(mesh, 2.0), params, u0=u0)
+    elif mode == "dirichlet":
+        res = solve_dirichlet(mesh, params, u0=u0)
+    elif mode == "point":
+        res = solve_point(mesh, second, params,
+                          start=solve_point(mesh, first, params) if continued else None)
+    else:
+        res = solve_dirac(mesh, second, 1.0, params,
+                          start=solve_dirac(mesh, first, 1.0, params) if continued else None)
+    assert verify_weak_residual(res)["max_residual"] == res.residual
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[list(res.pinned)] = False
+    r = weak_residual(res.u, res.weight, p, res.lam, params.eps_reg)
+    assert p * np.max(np.abs(r[free])) == pytest.approx(res.residual, rel=1e-12, abs=1e-15)
 
 
 def test_small_exponent_with_stronger_smoothing():

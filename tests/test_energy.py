@@ -414,8 +414,10 @@ def test_solver_params_validation():
     with pytest.raises(ConfigError):
         SolverParams(p=11.0)
     with pytest.raises(ConfigError):
-        SolverParams(p=2.0, tol_rq=0.0)
-    for bad in ({"tol_res": np.inf}, {"tol_rq": np.nan}, {"eps_reg": -1e-10},
+        SolverParams(p=2.0, tol_res=0.0)
+    for bad in ({"tol_res": np.inf}, {"tol_res": np.nan}, {"eps_reg": -1e-10},
                 {"eps_reg": np.nan}, {"max_outer": 0}):
         with pytest.raises(ConfigError):
             SolverParams(p=2.0, **bad)
+    with pytest.raises(TypeError):  # the residual test is the only stopping test
+        SolverParams(p=2.0, tol_rq=1e-9)

@@ -92,6 +92,13 @@ def test_invert_F_monotone(interval200, p2):
 def test_invert_F_rejects_nonpositive_mass(interval200, p2):
     with pytest.raises(ConfigError):
         FSolver(interval200, p2).invert(0.0)
+    # nor a non-finite one: an infinite mass would pass |F - m| <= 1e-10 m at
+    # once, with no solution
+    for m in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            FSolver(interval200, p2).invert(m)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            sigma_max(FSolver(interval200, p2), m)
 
 
 def test_pipeline_interval_symmetric(interval200, p2):

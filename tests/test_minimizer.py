@@ -93,6 +93,12 @@ def test_lambda_inf_interval(interval200, p2, interval_scan):
     assert rep.lambda_inf <= 1.0 / interval200.volume + 1e-9
 
 
+@pytest.mark.parametrize("m", [0.0, -1.0, np.nan, np.inf])
+def test_lambda_inf_refuses_a_mass_that_is_not_positive_and_finite(interval_scan, m):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        lambda_inf(interval_scan, m)
+
+
 def test_lambda_inf_monotone_in_mass(interval200, p2, interval_scan):
     vals = [lambda_inf(interval_scan, m).lambda_inf for m in (1.0, 2.0, 4.0)]
     assert vals[0] < vals[1] < vals[2]
@@ -251,8 +257,8 @@ def _record_node_solves(monkeypatch):
 @pytest.mark.parametrize("domain, p", [("square", 3.0), ("square", 6.0), ("disk", 3.0)])
 def test_continued_scans_agree_with_cold_solves(domain, p, monkeypatch, caplog):
     # each node after the first starts from its loop predecessor's pair; the
-    # tables match node-by-node cold solves, every result is certified by the
-    # outer loop in at most two steps (a cold solve takes about seven), and
+    # tables match node-by-node cold solves, every result passes the residual
+    # test after at most two outer steps (a cold solve takes about seven), and
     # no node falls back to a cold start
     from robinopt import solve_dirac, solve_point, verify_weak_residual
 
