@@ -16,6 +16,7 @@ silent pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .energy import SolverParams
@@ -29,22 +30,26 @@ __all__ = ["belsup", "inflow", "inradius_bound", "check_all", "BoundsReport", "B
 _SLACK = 1e-3
 
 
+def _positive_finite(*values):
+    return all(0 < v < math.inf for v in values)
+
+
 def _lower_bound_form(m, level, volume, p):
     return m * level / ((volume * level) ** (1.0 / (p - 1.0)) + m ** (1.0 / (p - 1.0))) ** (p - 1.0)
 
 
 def belsup(m: float, lam_dirichlet: float, volume: float, p: float) -> float:
     """Lower bound for the maximal eigenvalue Lambda(m)."""
-    if min(m, lam_dirichlet, volume) <= 0 or p <= 1:
-        raise ConfigError("belsup needs positive m, eigenvalue, volume and p > 1")
+    if not _positive_finite(m, lam_dirichlet, volume, p - 1):
+        raise ConfigError("belsup needs finite positive m, eigenvalue, volume and a finite p > 1")
     return _lower_bound_form(m, lam_dirichlet, volume, p)
 
 
 def inflow(m: float, lambda1_omega: float, volume: float, p: float) -> float:
     """Lower bound for the minimal eigenvalue lambda(m) (p > dim, where the
     minimal point-constrained eigenvalue lambda1_omega exists)."""
-    if min(m, lambda1_omega, volume) <= 0 or p <= 1:
-        raise ConfigError("inflow needs positive m, eigenvalue, volume and p > 1")
+    if not _positive_finite(m, lambda1_omega, volume, p - 1):
+        raise ConfigError("inflow needs finite positive m, eigenvalue, volume and a finite p > 1")
     return _lower_bound_form(m, lambda1_omega, volume, p)
 
 
@@ -52,8 +57,9 @@ def inradius_bound(sigma_const: float, inradius: float | None, p: float) -> floa
     """Convex-domain lower bound for a constant weight in terms of the inradius."""
     if inradius is None:
         raise ConfigError("inradius bound needs a convex domain (inradius unset)")
-    if sigma_const < 0:
-        raise ConfigError("constant weight must be nonnegative")
+    if not (0 <= sigma_const < math.inf and _positive_finite(inradius, p - 1)):
+        raise ConfigError("inradius bound needs a finite nonnegative weight, a finite positive "
+                          "inradius and a finite p > 1")
     if sigma_const == 0.0:
         return 0.0
     r = float(inradius)
@@ -64,6 +70,8 @@ def inradius_bound(sigma_const: float, inradius: float | None, p: float) -> floa
 
 @dataclass
 class BoundsRow:
+    """One mass of check_all: both sandwiches and whether they hold."""
+
     m: float
     belsup: float
     Lambda: float
@@ -75,17 +83,12 @@ class BoundsRow:
     slack_used: float
     inradius_bound: float | None = None   # constant-weight bound, convex domains
 
-    def to_dict(self):
-        return {
-            "m": self.m, "belsup": self.belsup, "Lambda": self.Lambda,
-            "upper": self.upper, "inflow": self.inflow, "lambda": self.lam,
-            "upper2": self.upper2, "ok": self.ok, "slack_used": self.slack_used,
-            "inradius_bound": self.inradius_bound,
-        }
-
 
 @dataclass
 class BoundsReport:
+    """check_all over a mass grid: the mesh's constants and one row per mass.
+    The CLI's `bounds` and `sweep` commands render it."""
+
     p: float
     dim: int
     volume: float
@@ -95,24 +98,6 @@ class BoundsReport:
     rows: list = field(default_factory=list)
     all_pass: bool = True
     note: str | None = None
-
-    def to_dict(self):
-        return {
-            "p": self.p, "dim": self.dim, "volume": self.volume,
-            "lam_dirichlet": self.lam_dirichlet,
-            "lambda1_omega": self.lambda1_omega,
-            "inradius": self.inradius,
-            "all_pass": self.all_pass, "note": self.note,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    def csv_lines(self):
-        lines = ["m,belsup,Lambda,upper,inflow,lambda,upper2,pass"]
-        for r in self.rows:
-            vals = [r.m, r.belsup, r.Lambda, r.upper, r.inflow, r.lam, r.upper2]
-            cells = ["" if v is None else repr(float(v)) for v in vals]
-            lines.append(",".join(cells + [str(int(r.ok))]))
-        return lines
 
 
 def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:

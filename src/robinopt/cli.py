@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: dirichlet, robin, maximize, minimize, scan-lambda1, bounds,
-sweep, concentrate, oracle. Structured reports are emitted as JSON with
+sweep, concentrate, oracle, mesh. Structured reports are emitted as JSON with
 stable key order (to stdout, or into --out DIR together with the CSV and
-weight/field files); sweep-style tables are CSV.
+weight/mesh files); sweep-style tables are CSV. This module alone knows both
+formats: each command builds its report from explicit key tuples, and every
+table goes through one CSV writer.
+
+Every number on the command line must be finite.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 mathematically
 refused request (the exact answer is known and a discrete run would be a
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,11 +51,14 @@ def _fields(spec, n):
 
 
 def _num(conv, text, spec):
-    """conv(text), as a ConfigError naming spec when text is not a number."""
+    """conv(text), as a ConfigError naming spec when text is not a finite number."""
     try:
-        return conv(text)
+        value = conv(text)
     except ValueError:
         raise ConfigError(f"malformed spec {spec!r}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"malformed spec {spec!r}: {text!r} is not finite")
+    return value
 
 
 def _parse_domain(spec):
@@ -91,7 +99,7 @@ def _parse_ints(spec, flag):
     """A sweep spec of integers: each entry within 1e-9 relative of one is
     rounded to it, any other entry is refused."""
     vals = _parse_list(spec)
-    bad = [v for v in vals if not (np.isfinite(v) and abs(v - round(v)) <= 1e-9 * abs(v))]
+    bad = [v for v in vals if not abs(v - round(v)) <= 1e-9 * abs(v)]
     if bad:
         raise ConfigError(f"{flag} entry {bad[0]!r} is not an integer")
     ints = [round(v) for v in vals]
@@ -125,16 +133,37 @@ def _params(args):
 
 
 def _check_masses(masses, flag):
-    """Refuse, before any solve, a mass that is not positive and finite."""
-    bad = [m for m in masses if not 0 < m < np.inf]
+    """Refuse, before any solve, a mass that is not positive (main and _num
+    have refused every non-finite number already)."""
+    bad = [m for m in masses if not m > 0]
     if bad:
-        raise ConfigError(f"mass {bad[0]} ({flag}) must be positive and finite")
+        raise ConfigError(f"mass {bad[0]} ({flag}) must be positive")
+
+
+def _entries(obj, keys):
+    """The report entries named by keys, each read from the attribute of that
+    name, except "lambda", which reads `lam`."""
+    return {k: getattr(obj, "lam" if k == "lambda" else k) for k in keys}
+
+
+def _csv(header, rows):
+    """CSV lines: None is an empty cell, an integer (a bool too) is written as
+    one, and any other number as repr(float(v))."""
+    def cell(v):
+        if v is None:
+            return ""
+        return str(int(v)) if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v))
+
+    return [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
 
 
 def _json_safe(obj):
-    """Non-finite floats have no JSON representation; map them to null."""
+    """Python values for JSON: numpy scalars and arrays become Python numbers
+    and lists, and non-finite floats, which JSON cannot represent, null."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -156,13 +185,7 @@ def _emit(args, report, files=None):
 
 
 def _eig_report(res, extra=None):
-    rep = {
-        "lambda": res.lam,
-        "mode": res.mode,
-        "outer_iters": res.outer_iters,
-        "residual": res.residual,
-        "rq_history": [float(v) for v in res.rq_history],
-    }
+    rep = _entries(res, ("lambda", "mode", "outer_iters", "residual", "rq_history"))
     rep.update(extra or {})
     return rep
 
@@ -180,12 +203,9 @@ def _boundary_csv(w):
     degree = np.maximum(np.bincount(facets.ravel(), minlength=mesh.n_nodes), 1)
     dens_f = np.repeat(w.spread_atoms(), facets.shape[1])
     dens = np.bincount(facets.ravel(), weights=dens_f, minlength=mesh.n_nodes) / degree
-    cols = "node," + ("x," if mesh.dim == 1 else "x,y,") + "arclength,mass,density"
-    lines = [cols]
-    for a, n in zip(arc, loop):
-        coord = ",".join(repr(float(c)) for c in mesh.nodes[n])
-        lines.append(f"{int(n)},{coord},{float(a)!r},{nodal.get(int(n), 0.0)!r},{float(dens[n])!r}")
-    return lines
+    header = ("node", "x", "y")[:1 + mesh.dim] + ("arclength", "mass", "density")
+    return _csv(header, [(n, *mesh.nodes[n], a, nodal.get(n, 0.0), dens[n])
+                         for a, n in zip(arc, loop.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +240,9 @@ def _cmd_maximize(args):
     if args.out:
         en.write_weight(rep.sigma_m, os.path.join(args.out, "sigma_m.bw"))
         files["sigma_m.csv"] = _boundary_csv(rep.sigma_m)
-    _emit(args, rep.to_dict(), files)
+    keys = ("m", "p", "xi_m", "Lambda", "sigma_mass", "crosscheck_lambda", "crosscheck_ok",
+            "lam_dirichlet", "F_residual", "bisect_evals")
+    _emit(args, _entries(rep, keys), files)
     return EXIT_OK if rep.crosscheck_ok else EXIT_INVARIANT
 
 
@@ -229,13 +251,16 @@ def _cmd_minimize(args):
     _check_masses([args.m], "--m")
     scan = mn.scan_point_eigen(mesh, _params(args))
     rep = mn.lambda_inf(scan, args.m)
-    lines = ["node,x,y,lambda1_x,ell1_dirac"]
-    for n, lx, ld in zip(rep.nodes, scan.values, rep.lambda_dirac):
-        xy = mesh.nodes[n]
-        x = repr(float(xy[0]))
-        y = repr(float(xy[1])) if mesh.dim == 2 else ""
-        lines.append(f"{int(n)},{x},{y},{float(lx)!r},{float(ld)!r}")
-    _emit(args, rep.to_dict(), {"minimize.csv": lines})
+    report = {
+        **_entries(rep, ("m", "lambda_inf", "x_m_node", "x_m")),
+        "p": scan.params.p, "lambda1_omega": scan.lambda1_omega,
+        "lambda1_argmin": scan.argmin_node, "lambda1_ties": scan.tie_set,
+        "n_nodes": len(rep.nodes), "n_failures": len(rep.failures),
+    }
+    # (node, x, y) with y None in 1D, then the two eigenvalues
+    table = [(n, *mesh.nodes[n], None)[:3] + (lx, ld)
+             for n, lx, ld in zip(rep.nodes, scan.values, rep.lambda_dirac)]
+    _emit(args, report, {"minimize.csv": _csv(("node", "x", "y", "lambda1_x", "ell1_dirac"), table)})
     return EXIT_OK
 
 
@@ -243,11 +268,9 @@ def _cmd_scan(args):
     mesh = _parse_domain(args.domain)
     scan = mn.scan_point_eigen(mesh, _params(args))
     rep = {
+        **_entries(scan, ("lambda1_omega", "argmin_node", "tie_set")),
         "p": scan.params.p,
-        "lambda1_omega": scan.lambda1_omega,
-        "argmin_node": int(scan.argmin_node),
-        "tie_set": [int(t) for t in scan.tie_set],
-        "values": {str(int(n)): float(v) for n, v in zip(scan.nodes, scan.values)},
+        "values": {str(n): v for n, v in zip(scan.nodes, scan.values)},
         "failures": {str(k): v for k, v in scan.failures.items()},
     }
     _emit(args, rep)
@@ -263,7 +286,12 @@ def _mass_sweep(args):
 
 def _cmd_bounds(args):
     rep = _mass_sweep(args)
-    _emit(args, rep.to_dict(), {"bounds.csv": rep.csv_lines()})
+    keys = ("p", "dim", "volume", "lam_dirichlet", "lambda1_omega", "inradius", "all_pass", "note")
+    cols = ("m", "belsup", "Lambda", "upper", "inflow", "lambda", "upper2")
+    row_keys = (*cols, "ok", "slack_used", "inradius_bound")
+    report = {**_entries(rep, keys), "rows": [_entries(r, row_keys) for r in rep.rows]}
+    table = [[*_entries(r, cols).values(), r.ok] for r in rep.rows]
+    _emit(args, report, {"bounds.csv": _csv((*cols, "pass"), table)})
     return EXIT_OK if rep.all_pass else EXIT_INVARIANT
 
 
@@ -271,9 +299,8 @@ def _cmd_sweep(args):
     rep = _mass_sweep(args)
     cols = ["m", "Lambda", "lambda", "belsup", "inflow", "upper_Lambda", "upper_lambda"]
     table = [[r.m, r.Lambda, r.lam, r.belsup, r.inflow, r.upper, r.upper2] for r in rep.rows]
-    lines = [",".join(cols)]
-    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in table]
-    _emit(args, {"p": args.p, "rows": [dict(zip(cols, row)) for row in table]}, {"sweep.csv": lines})
+    _emit(args, {"p": args.p, "rows": [dict(zip(cols, row)) for row in table]},
+          {"sweep.csv": _csv(cols, table)})
     return EXIT_OK if rep.all_pass else EXIT_INVARIANT
 
 
@@ -282,15 +309,11 @@ def _cmd_concentrate(args):
     if args.domain:
         volume = _parse_domain(args.domain).volume
     run = mn.concentration_demo(args.p, args.m, _parse_ints(args.j_list, "--j-list"), volume=volume)
-    lines = ["j,alpha,Q,bound"]
-    for j, a, q, b in run.rows():
-        lines.append(f"{j},{a!r},{q!r},{b!r}")
     rep = {
-        "p": run.p, "m": run.m, "volume": run.volume, "profile": run.profile,
-        "monotone_tail": run.monotone_tail,
-        "rows": [{"j": j, "alpha": a, "q": q, "bound": b} for j, a, q, b in run.rows()],
+        **_entries(run, ("p", "m", "volume", "profile", "monotone_tail")),
+        "rows": [dict(zip(("j", "alpha", "q", "bound"), row)) for row in run.rows()],
     }
-    _emit(args, rep, {"concentrate.csv": lines})
+    _emit(args, rep, {"concentrate.csv": _csv(("j", "alpha", "Q", "bound"), run.rows())})
     return EXIT_OK
 
 
@@ -318,11 +341,7 @@ def _cmd_oracle(args):
 
 def _cmd_mesh(args):
     mesh = _parse_domain(args.domain)
-    rep = {
-        "dim": mesh.dim, "n_nodes": mesh.n_nodes, "n_cells": mesh.n_cells,
-        "volume": mesh.volume, "boundary_measure": mesh.boundary_measure,
-        "inradius": mesh.inradius,
-    }
+    rep = _entries(mesh, ("dim", "n_nodes", "n_cells", "volume", "boundary_measure", "inradius"))
     if args.out:
         write_mesh(mesh, os.path.join(args.out, "mesh.pmesh"))
     _emit(args, rep)
@@ -408,6 +427,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # one rule for every float flag (--p, --m, --tol-res, --eps-reg)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} {value} is not finite")
         # --workers selects nothing (every scan runs in this process), but a
         # count below 1 is still refused
         if getattr(args, "workers", 1) < 1:

@@ -83,7 +83,8 @@ class AuxSolution:
 
 @dataclass
 class MaxReport:
-    """Output of the full maximizer pipeline at one mass."""
+    """Output of the full maximizer pipeline at one mass. The CLI's
+    `maximize` command renders it, the weight and its table included."""
 
     m: float
     p: float
@@ -97,20 +98,6 @@ class MaxReport:
     lam_dirichlet: float
     F_residual: float          # |F(xi_m) - m| / m
     bisect_evals: int
-
-    def to_dict(self):
-        return {
-            "m": self.m,
-            "p": self.p,
-            "xi_m": self.xi_m,
-            "Lambda": self.Lambda,
-            "sigma_mass": self.sigma_mass,
-            "crosscheck_lambda": self.crosscheck_lambda,
-            "crosscheck_ok": self.crosscheck_ok,
-            "lam_dirichlet": self.lam_dirichlet,
-            "F_residual": self.F_residual,
-            "bisect_evals": self.bisect_evals,
-        }
 
 
 def dirichlet_ceiling(mesh: Mesh, params: SolverParams) -> float:

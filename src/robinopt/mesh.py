@@ -345,8 +345,8 @@ def build_square(h: float) -> Mesh:
     triangles around its center node. Volume is exactly 1 and boundary
     measure exactly 4 up to rounding.
     """
-    if h <= 0:
-        raise ConfigError("build_square requires h > 0")
+    if not 0 < h < np.inf:
+        raise ConfigError("build_square requires a finite h > 0")
     n = max(1, int(round(1.0 / h)))
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -380,8 +380,8 @@ def build_polygon(vertices, h: float) -> Mesh:
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
     if len(verts) < 3:
         raise ConfigError("polygon needs at least 3 vertices")
-    if h <= 0:
-        raise ConfigError("build_polygon requires h > 0")
+    if not (0 < h < np.inf and np.isfinite(verts).all()):
+        raise ConfigError("build_polygon requires finite vertices and a finite h > 0")
     if _signed_area(verts) <= 0:
         raise ConfigError("polygon must be counter-clockwise")
     if _self_intersects(verts):

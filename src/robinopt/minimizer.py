@@ -116,7 +116,8 @@ class PointScan:
 
 @dataclass
 class MinReport:
-    """Dirac minimization table at one mass, beside the point scan it used."""
+    """Dirac minimization table at one mass, beside the point scan it used.
+    The CLI's `minimize` command renders both."""
 
     m: float
     scan: PointScan = field(repr=False)
@@ -126,21 +127,6 @@ class MinReport:
     x_m_node: int
     x_m: np.ndarray
     failures: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        scan = self.scan
-        return {
-            "m": self.m,
-            "p": scan.params.p,
-            "lambda_inf": self.lambda_inf,
-            "x_m_node": int(self.x_m_node),
-            "x_m": [float(c) for c in self.x_m],
-            "lambda1_omega": scan.lambda1_omega,
-            "lambda1_argmin": int(scan.argmin_node),
-            "lambda1_ties": [int(t) for t in scan.tie_set],
-            "n_nodes": int(len(self.nodes)),
-            "n_failures": len(self.failures),
-        }
 
 
 def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
@@ -261,6 +247,8 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
     (gradient term with the full-ball measure plus the boundary term) and
     decrease along the sequence.
     """
+    if not all(map(math.isfinite, (p, m, volume))):
+        raise ConfigError(f"p, m and volume must be finite (got {p}, {m}, {volume})")
     if not (1.0 < p <= 2.0):
         raise MathRefusalError(
             f"concentration_demo covers 1 < p <= dim = 2 (got p={p}); for "

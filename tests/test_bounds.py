@@ -69,6 +69,33 @@ def test_inradius_bound_below_constant_weight_eigenvalue(square4):
         assert bound <= lam + 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    (np.nan, 9.8, 1.0, 2.0), (np.inf, 9.8, 1.0, 2.0), (1.0, np.nan, 1.0, 2.0),
+    (1.0, 9.8, np.inf, 2.0), (1.0, 9.8, 1.0, np.nan), (1.0, 9.8, 1.0, np.inf),
+])
+def test_belsup_refuses_non_finite_input(args):
+    with pytest.raises(ConfigError):
+        belsup(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, np.nan, 1.0, 3.0), (np.nan, 9.8, 1.0, 3.0), (1.0, np.inf, 1.0, 3.0),
+    (1.0, 9.8, np.nan, 3.0), (1.0, 9.8, 1.0, np.inf),
+])
+def test_inflow_refuses_non_finite_input(args):
+    with pytest.raises(ConfigError):
+        inflow(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (np.nan, 0.5, 2.0), (np.inf, 0.5, 2.0), (1.0, np.nan, 2.0), (1.0, np.inf, 2.0),
+    (1.0, 0.5, np.nan), (1.0, 0.5, np.inf),
+])
+def test_inradius_bound_refuses_non_finite_input(args):
+    with pytest.raises(ConfigError):
+        inradius_bound(*args)
+
+
 def test_inradius_bound_needs_convexity():
     L = build_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], 0.5)
     with pytest.raises(ConfigError):
@@ -93,9 +120,13 @@ def test_check_all_square_p2_skips_infimum(square4):
     assert rep.rows[0].lam is None
 
 
-def test_check_all_csv_layout(interval200):
-    rep = check_all(interval200, [1.0], SolverParams(p=2.0))
-    lines = rep.csv_lines()
+def test_check_all_csv_layout(tmp_path):
+    # the table is the CLI's: check_all's rows rendered by `bounds --out`
+    from robinopt.cli import main
+
+    argv = ["bounds", "--domain", "builtin:interval:200", "--p", "2", "--m-list", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "bounds.csv").read_text().splitlines()
     assert lines[0] == "m,belsup,Lambda,upper,inflow,lambda,upper2,pass"
     assert lines[1].endswith(",1")
 

@@ -45,6 +45,12 @@ def test_bad_domain_exit_code(capsys):
     ["robin", "--domain", "builtin:interval:10", "--sigma", "const:"],
     ["robin", "--domain", "builtin:interval:10", "--sigma", "dirac:"],
     ["sweep", "--domain", "builtin:interval:10", "--m-list", "log:1:2"],
+    # every number on the command line must be finite
+    ["concentrate", "--p", "1.5", "--m", "nan", "--j-list", "100,1000"],
+    ["concentrate", "--p", "1.5", "--m", "inf", "--j-list", "100,1000"],
+    ["concentrate", "--p", "nan", "--j-list", "100"],
+    ["mesh", "--domain", "builtin:square:nan"],
+    ["mesh", "--domain", "builtin:square:inf"],
 ])
 def test_malformed_spec_exit_code(argv, capsys):
     assert run(argv) == 2
@@ -109,6 +115,20 @@ def test_bad_mass_refused_before_any_solve(command, mass, no_eigensolve, capsys)
     argv = [command, "--domain", "builtin:square:0.25", "--p", "3", "--m", mass]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "nan"), ("--m", "inf"), ("--p", "nan")])
+def test_non_finite_concentrate_flag_refused_before_any_quadrature(flag, value, monkeypatch,
+                                                                   capsys):
+    import robinopt.minimizer as mn
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the concentration run started before its flags were checked")
+
+    monkeypatch.setattr(mn, "concentration_demo", no_run)
+    argv = ["concentrate", "--p", "1.5", "--m", "1", "--j-list", "100", flag, value]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
 
 
 @pytest.mark.parametrize("m_list", ["lin:0:1:3", "lin:-1:1:3", "1,nan", "1,inf"])
@@ -244,6 +264,10 @@ def test_unknown_oracle_exit_code(capsys):
     ["brute-force-1d", "2", "1", "1", "50.5"],
     ["interval-dirichlet-p"],
     ["disk-robin-p2", "1", "2"],
+    ["disk-robin-p2", "nan"],
+    ["interval-robin-p2", "nan", "1"],
+    ["interval-robin-p2", "inf", "1"],
+    ["brute-force-1d", "2", "nan", "1", "100"],
 ])
 def test_oracle_argument_error_exit_code(args, capsys):
     assert run(["oracle", *args]) == 2

@@ -76,6 +76,24 @@ def test_polygon_rejects_self_intersection():
         build_polygon([(0, 0), (1, 1), (1, 0), (0, 1)], 0.5)
 
 
+def test_polygon_with_positive_area_rejects_self_intersection():
+    # counter-clockwise by signed area (+1), so only the crossing check refuses it
+    with pytest.raises(ConfigError, match="self-intersecting"):
+        build_polygon([(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)], 0.5)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_square_refuses_non_finite_h(h):
+    with pytest.raises(ConfigError):
+        build_square(h)
+
+
+@pytest.mark.parametrize("h, vertex", [(np.nan, (0, 1)), (np.inf, (0, 1)), (0.5, (0, np.inf))])
+def test_polygon_refuses_non_finite_input(h, vertex):
+    with pytest.raises(ConfigError):
+        build_polygon([(0, 0), (1, 0), (1, 1), vertex], h)
+
+
 def test_polygon_rejects_clockwise():
     with pytest.raises(ConfigError):
         build_polygon([(0, 0), (0, 1), (1, 1), (1, 0)], 0.5)
@@ -213,6 +231,27 @@ def test_text_format_round_trip(tmp_path, builder):
     assert m2.volume == m.volume
     assert m2.boundary_measure == m.boundary_measure
     assert m2.inradius == m.inradius
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("inverted cell", "degenerate or inverted cells"),
+    ("dropped facet", "boundary facets do not match"),
+])
+def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
+    path = tmp_path / "m.pmesh"
+    write_mesh(build_square(0.5), path)
+    lines = path.read_text().splitlines()
+    if damage == "inverted cell":
+        k = next(k for k, t in enumerate(lines) if t.startswith("cells")) + 1
+        a, b, c = lines[k].split()
+        lines[k] = f"{b} {a} {c}"
+    else:  # the last boundary facet goes, and its section count drops by one
+        k = next(k for k, t in enumerate(lines) if t.startswith("bfacets"))
+        lines[k] = f"bfacets {int(lines[k].split()[1]) - 1}"
+        lines.pop()
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_mesh(path)
 
 
 def test_mesh_arrays_write_protected(disk10):

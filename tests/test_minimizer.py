@@ -7,6 +7,8 @@ import pytest
 
 from robinopt import (
     ConfigError,
+    ConvergenceError,
+    InvariantViolationError,
     MathRefusalError,
     SolverParams,
     brute_force_1d,
@@ -134,6 +136,23 @@ def test_track_xm_requires_increasing_masses(interval_scan):
         track_xm(interval_scan, [1.0, 1.0])
 
 
+def test_track_xm_refuses_x_m_moving_away_over_the_top_decade(interval200, monkeypatch):
+    # x_m sits on the argmin node up to m = 5 and jumps to the far end at
+    # m = 10: its distance to the argmin set grows within the largest decade
+    import robinopt.minimizer as mn
+
+    far = interval200.n_nodes - 1
+    scan = SimpleNamespace(mesh=interval200, tie_set=[0])
+
+    def fake(scan, m):
+        node = far if m >= 10.0 else 0
+        return SimpleNamespace(x_m_node=node, x_m=interval200.nodes[node])
+
+    monkeypatch.setattr(mn, "lambda_inf", fake)
+    with pytest.raises(InvariantViolationError, match="increased over the largest mass decade"):
+        track_xm(scan, [1.0, 5.0, 10.0])
+
+
 # -- concentration ------------------------------------------------------------
 
 def ramp_quotient_closed_form(p, m, j, volume):
@@ -187,6 +206,14 @@ def test_concentration_refuses_large_p():
         concentration_demo(3.0, 1.0, [100])
 
 
+@pytest.mark.parametrize("p, m, volume", [
+    (1.5, math.inf, 1.0), (1.5, math.nan, 1.0), (math.nan, 1.0, 1.0), (1.5, 1.0, math.inf),
+])
+def test_concentration_refuses_non_finite_input(p, m, volume):
+    with pytest.raises(ConfigError):
+        concentration_demo(p, m, [100], volume=volume)
+
+
 # -- Hoelder continuity ----------------------------------------------------------
 
 def test_hoelder_interval_degenerate(interval_scan):
@@ -232,7 +259,7 @@ def test_x_m_node_ignores_roundoff_below_the_minimum(interval200, p2, monkeypatc
     rep = lambda_inf(scan_point_eigen(interval200, p2), 1.0)
     assert rep.x_m_node == 0
     assert rep.lambda_inf == low
-    assert rep.to_dict()["lambda1_argmin"] == 0
+    assert rep.scan.argmin_node == 0
 
 
 # -- continued scans ----------------------------------------------------------
@@ -333,6 +360,24 @@ def test_failed_node_is_recorded_and_the_next_starts_cold(square4, p3, monkeypat
     assert scan.failures == {loop[3]: "forced failure"}
     assert np.isnan(scan.values[list(scan.nodes).index(loop[3])])
     assert [n for n in loop if starts[n] is None] == [loop[0], loop[4]]
+
+
+def test_scan_in_which_every_node_solve_fails_raises(square4, p3, monkeypatch):
+    import robinopt.minimizer as mn
+
+    def failing(*args, start=None):
+        raise ConvergenceError("forced failure")
+
+    boundary = {int(n) for n in square4.boundary_nodes()}
+    scan = scan_point_eigen(square4, p3)
+    monkeypatch.setattr(mn, "solve_dirac", failing)
+    with pytest.raises(ConvergenceError, match="every Dirac solve failed") as exc:
+        lambda_inf(scan, 1.0)
+    assert set(exc.value.diagnostics) == boundary
+    monkeypatch.setattr(mn, "solve_point", failing)
+    with pytest.raises(ConvergenceError, match="every point solve failed") as exc:
+        scan_point_eigen(square4, p3)
+    assert set(exc.value.diagnostics) == boundary
 
 
 def test_interval_scan_is_bit_identical_to_cold_solves(interval200, p2, interval_scan):
