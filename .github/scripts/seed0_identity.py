@@ -43,6 +43,11 @@ LAYOUT_CALLS = {
     "dirichlet": ["dirichlet", "--domain", "builtin:interval:40", "--p", "3"],
     "oracle": ["oracle", "brute-force-1d", "3", "1", "2", "200"],
     "mesh": ["mesh", "--domain", "builtin:disk:0.25"],
+    # the structured builders: mesh.pmesh holds every node and cell
+    "mesh_disk_fine": ["mesh", "--domain", "builtin:disk:0.025"],
+    "mesh_disk": ["mesh", "--domain", "builtin:disk:0.1"],
+    "mesh_square_fine": ["mesh", "--domain", "builtin:square:0.025"],
+    "mesh_square": ["mesh", "--domain", "builtin:square:0.25"],
 }
 
 

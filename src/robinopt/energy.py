@@ -242,7 +242,8 @@ class PowerTerm:
     @cached_property
     def k0(self):
         """c_eq L_q^T L_q, shape (E, Q, k, k): the fixed part of the Hessian blocks,
-        computed on the first Hessian (the mass term never needs it)."""
+        computed on the first call of blocks (for the mass term, the first
+        bordered Newton step of eigenpair_newton)."""
         return self.c[:, :, None, None] * np.matmul(np.swapaxes(self._L4, -1, -2), self._L4)
 
     def blocks(self, u, p, eps=0.0):

@@ -330,7 +330,7 @@ class ConvexPEnergyProblem:
                     gc = self.gradient(cand, b)
                     if float(np.max(np.abs(gc[self.free]))) < gn:
                         log.debug("roundoff regime: full Newton step accepted at |grad|=%.3e", gn)
-                        step = (cand, 1.0, None)
+                        step, g0 = (cand, 1.0, None), gc  # the next step's gradient
             if step is None:
                 log.debug("gradient-descent fallback at |grad|=%.3e (step %.3e)", gn, fallback_step)
                 d = -g[self.free_idx]
@@ -339,8 +339,9 @@ class ConvexPEnergyProblem:
                     break
                 fallback_step = 2.0 * step[1]
             w, _, j = step
-        g = self.gradient(w, b)
-        gn = float(np.max(np.abs(g[self.free])))
+        else:  # _MAX_NEWTON steps taken; a break leaves g and gn at w
+            g = self.gradient(w, b) if g0 is None else g0
+            gn = float(np.max(np.abs(g[self.free])))
         if gn <= max(gtol, gtol_soft):
             if gn > gtol:
                 log.debug("inner Newton stalled at |grad|=%.3e (target %.1e); "

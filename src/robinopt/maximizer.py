@@ -109,10 +109,11 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     """The auxiliary problem at parameter xi: one direct solve at p = 2, else
     a monotone Picard iteration.
 
-    At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes, and
-    v is the pinned problem's linear_solve at shift xi; v0 does not apply.
-    Its free-node residual is checked against _TOL_DIRECT relative to the
-    scale of the residual's terms.
+    At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes: v
+    is the pinned problem's linear_solve at shift xi (LinAlgError when
+    K - xi M is not positive definite), v0 does not apply, and picard_iters
+    is 0. The free-node residual of v is checked against _TOL_DIRECT
+    relative to the scale of the residual's terms.
 
     Otherwise, starting from v0 = 0 (or a known subsolution for a smaller
     xi), each Picard step solves the solver's Dirichlet-pinned convex problem
@@ -120,74 +121,65 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     nondecreasing nodewise, which is asserted at runtime; the iteration stops
     at a relative step below _TOL_AUX and gives up after _MAX_PICARD steps.
 
-    Either way the returned solution and dual load form a consistent pair:
-    the interior residual is at solver level, so the recovered boundary flux
+    Either way F and the dual load come from the right-hand side of the last
+    solve, so the returned solution and load form a consistent pair: the
+    interior residual is at solver level, and the recovered boundary flux
     reproduces F(xi) exactly.
     """
-    mesh, p, lam_dirichlet = solver.mesh, solver.params.p, solver.lam_dirichlet
+    mesh, p, lam_dirichlet, problem = solver.mesh, solver.params.p, solver.lam_dirichlet, solver.problem
     if not (0.0 < xi < lam_dirichlet):
         raise ConfigError(
             f"xi={xi} rejected: the auxiliary iteration requires 0 < xi < "
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
     if p == 2.0:
-        return _solve_linear_aux(solver, xi)
-    scale = xi ** (1.0 / (p - 1.0))
-    v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
-    for it in range(1, _MAX_PICARD + 1):
-        rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0)  # at the cell Gauss points
+        it, v = 0, problem.linear_solve(solver._unit_load, xi)
+        rhs = xi * en.gauss_values(mesh, v) + 1.0
         load = en.assemble_load(mesh, rhs)
-        gtol = 1e-13 * (1.0 + float(np.max(np.abs(load))))
-        v_new = solver.problem.solve(load, w0=v, gtol=gtol, gtol_soft=30.0 * gtol)
-        if np.min(v_new - v) < -_PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))):
+        worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
+        # a backward-stable solve leaves a few eps of the residual's terms, |load|
+        # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
+        if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + solver._k_scale * float(np.max(np.abs(v)))):
             raise InvariantViolationError(
-                f"Picard iterate decreased at step {it} (xi={xi})"
+                f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
             )
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if delta < _TOL_AUX * (1.0 + float(np.max(np.abs(v)))):
-            # F from the load of this step, whose rhs is frozen at the iterate before it
-            sol = AuxSolution(
-                xi=float(xi), u_xi=NodalField(mesh, v),
-                F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=it, load=load,
+    else:
+        scale = xi ** (1.0 / (p - 1.0))
+        v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
+        for it in range(1, _MAX_PICARD + 1):
+            rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0)  # at the cell Gauss points
+            load = en.assemble_load(mesh, rhs)
+            gtol = 1e-13 * (1.0 + float(np.max(np.abs(load))))
+            v_new = problem.solve(load, w0=v, gtol=gtol, gtol_soft=30.0 * gtol)
+            if np.min(v_new - v) < -_PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))):
+                raise InvariantViolationError(
+                    f"Picard iterate decreased at step {it} (xi={xi})"
+                )
+            delta = float(np.max(np.abs(v_new - v)))
+            v = v_new
+            if delta < _TOL_AUX * (1.0 + float(np.max(np.abs(v)))):
+                break
+        else:
+            raise ConvergenceError(
+                f"auxiliary Picard iteration exceeded {_MAX_PICARD} steps at xi={xi}",
+                diagnostics={"xi": xi, "lam_dirichlet": lam_dirichlet, "last_delta": delta},
             )
-            return sol.validate()
-    raise ConvergenceError(
-        f"auxiliary Picard iteration exceeded {_MAX_PICARD} steps at xi={xi}",
-        diagnostics={"xi": xi, "lam_dirichlet": lam_dirichlet, "last_delta": delta},
-    )
-
-
-def _solve_linear_aux(solver, xi):
-    """p = 2: v from the problem's linear_solve at shift xi (LinAlgError when
-    K - xi M is not positive definite), F and the load from v itself."""
-    mesh, problem = solver.mesh, solver.problem
-    v = problem.linear_solve(solver._unit_load, xi)
-    rhs = xi * en.gauss_values(mesh, v) + 1.0
-    load = en.assemble_load(mesh, rhs)
-    worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
-    # a backward-stable solve leaves a few eps of the residual's terms, |load|
-    # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
-    if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + solver._k_scale * float(np.max(np.abs(v)))):
-        raise InvariantViolationError(
-            f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
-        )
-    sol = AuxSolution(
+    return AuxSolution(
         xi=float(xi), u_xi=NodalField(mesh, v),
-        F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=0, load=load,
-    )
-    return sol.validate()
+        F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=it, load=load,
+    ).validate()
 
 
 class FSolver:
     """F evaluations and their inversion on one mesh, shared across masses.
 
-    Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem. At
-    p = 2 it also holds the load M 1 and max K_ii, the scale of the direct
-    solve's residual check (for a positive semidefinite K the largest stored
-    entry is the largest diagonal one). At p != 2 every Picard step reuses
-    the problem, and the computed auxiliary solutions are kept sorted by xi:
-    each evaluation starts from the largest known subsolution below its xi.
+    Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem that
+    every F evaluation, `solve_aux`, solves: once at p = 2, once per Picard
+    step otherwise. At p = 2 it also holds the direct solve's load M 1 and
+    max K_ii, the scale of its residual check (for a positive semidefinite K
+    the largest stored entry is the largest diagonal one). At p != 2 the
+    computed auxiliary solutions are kept sorted by xi: each evaluation
+    starts from the largest known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):

@@ -27,6 +27,11 @@ Conventions
 * Every cell has positive area, so every 2D boundary facet, kept as its cell
   orients it, runs counter-clockwise; the boundary loop follows the facets
   from the lowest boundary node, first towards its lower neighbour.
+* Every polygon test (self-intersection, ear clipping, convexity for the
+  inradius) asks one orientation predicate `_orient`, whether three points
+  turn left, right or neither. Its tolerance is relative, |cross| <=
+  _GEOM_TOL |b - a| |c - a|, so whether a polygon meshes does not depend on
+  its length scale (cf. Shewchuk, Discrete Comput. Geom. 18, 1997).
 """
 
 from __future__ import annotations
@@ -245,11 +250,12 @@ def _inradius(dim, nodes, loop):
     pts = nodes[loop]
     if _signed_area(pts) < 0:
         pts = pts[::-1]
-    e = np.roll(pts, -1, axis=0) - pts  # edge i runs from vertex i to i + 1
-    turn = np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0]
-    if np.any(turn < -_GEOM_TOL):
+    turn = _orient(np.roll(pts, 1, axis=0), pts, np.roll(pts, -1, axis=0))
+    if np.any(turn < 0):
         return None
-    pts = pts[turn > _GEOM_TOL]  # a collinear run becomes one edge
+    pts = pts[turn > 0]  # a collinear run becomes one edge
+    if len(pts) < 3:  # a sliver below the tolerance has no corners left
+        return None
     e = np.roll(pts, -1, axis=0) - pts
     n = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.linalg.norm(e, axis=1)[:, None]
     c, n, m = np.einsum("ij,ij->i", n, pts).tolist(), n.tolist(), len(pts)
@@ -286,10 +292,11 @@ def build_interval(n_cells: int) -> Mesh:
 
     Parameters
     ----------
-    n_cells : number of cells, at least 2.
+    n_cells : number of cells, an integer at least 2.
     """
-    if n_cells < 2:
-        raise ConfigError("build_interval requires n_cells >= 2")
+    if not (2 <= n_cells < np.inf and n_cells == int(n_cells)):
+        raise ConfigError(f"build_interval requires an integer n_cells >= 2, got {n_cells!r}")
+    n_cells = int(n_cells)
     nodes = np.linspace(0.0, 1.0, n_cells + 1)[:, None]
     cells = np.stack([np.arange(n_cells), np.arange(1, n_cells + 1)], axis=1)
     return _build_mesh(1, nodes, cells)
@@ -308,34 +315,24 @@ def build_disk(h: float) -> Mesh:
     if not (0.0 < h < 1.0):
         raise ConfigError("build_disk requires 0 < h < 1")
     K = max(1, int(round(1.0 / h)))
-    nodes = [np.zeros((1, 2))]
-    ring_start = [0]
-    for k in range(1, K + 1):
-        nk = 6 * k
-        th = 2.0 * np.pi * np.arange(nk) / nk
-        r = k / K
-        ring_start.append(ring_start[-1] + (6 * (k - 1) if k > 1 else 1))
-        nodes.append(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
-    nodes = np.concatenate(nodes, axis=0)
+    k = np.repeat(np.arange(1, K + 1), 6 * np.arange(1, K + 1))  # the ring of nodes 1, 2, ...
+    th = 2.0 * np.pi * (np.arange(len(k)) - 3 * k * (k - 1)) / (6 * k)
+    nodes = np.concatenate([np.zeros((1, 2)), (k / K)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)])
 
+    # ring k (from node 1 + 3k(k - 1)) joins ring k - 1 (the center for k = 1)
+    # sector by sector, so the mesh is exactly 6-fold symmetric: sector s of
+    # ring k spans k edges, ring k - 1 spans k - 1, and its cells alternate
+    # (inner t, outer t, outer t+1), (inner t, outer t+1, inner t+1)
     cells = []
-    # fan around the center
-    s1 = ring_start[1]
-    for j in range(6):
-        cells.append([0, s1 + j, s1 + (j + 1) % 6])
-    # ring-to-ring merge, sector by sector so the mesh is exactly 6-fold
-    # symmetric: sector s of ring k spans k edges, ring k-1 spans k-1
-    for k in range(2, K + 1):
-        n_in, n_out = 6 * (k - 1), 6 * k
-        si, so = ring_start[k - 1], ring_start[k]
-        for s in range(6):
-            inner = [si + (s * (k - 1) + t) % n_in for t in range(k)]
-            outer = [so + (s * k + t) % n_out for t in range(k + 1)]
-            for t in range(k):
-                cells.append([inner[t], outer[t], outer[t + 1]])
-                if t < k - 1:
-                    cells.append([inner[t], outer[t + 1], inner[t + 1]])
-    return _build_mesh(2, nodes, np.asarray(cells))
+    for k in range(1, K + 1):
+        s, t = np.arange(6)[:, None], np.arange(k + 1)
+        inner = (1 + 3 * (k - 1) * (k - 2) + (s * (k - 1) + t) % (6 * (k - 1)) if k > 1
+                 else np.zeros((6, k + 1), dtype=np.int64))
+        outer = 1 + 3 * k * (k - 1) + (s * k + t) % (6 * k)
+        ring = np.stack([inner[:, :-1], outer[:, :-1], outer[:, 1:],
+                         inner[:, :-1], outer[:, 1:], inner[:, 1:]], axis=2)
+        cells.append(ring.reshape(6, 2 * k, 3)[:, :-1].reshape(-1, 3))
+    return _build_mesh(2, nodes, np.concatenate(cells))
 
 
 def build_square(h: float) -> Mesh:
@@ -356,18 +353,13 @@ def build_square(h: float) -> Mesh:
     centers = np.stack([mx.ravel(), my.ravel()], axis=1)
     nodes = np.concatenate([grid, centers], axis=0)
 
-    def gid(i, j):
-        return i * (n + 1) + j
-
-    nc0 = (n + 1) ** 2
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            c = nc0 + i * n + j
-            a, b = gid(i, j), gid(i + 1, j)
-            d, e = gid(i + 1, j + 1), gid(i, j + 1)
-            cells += [[a, b, c], [b, d, c], [d, e, c], [e, a, c]]
-    return _build_mesh(2, nodes, np.asarray(cells))
+    # grid cell (i, j) has corners a, b = a + n + 1, d = b + 1, e = a + 1 and
+    # center c: cells (a, b, c), (b, d, c), (d, e, c), (e, a, c), row by row
+    i, j = np.divmod(np.arange(n * n), n)
+    a = i * (n + 1) + j
+    b, c = a + n + 1, (n + 1) ** 2 + i * n + j
+    cells = np.stack([a, b, c, b, b + 1, c, b + 1, a + 1, c, a + 1, a, c], axis=1)
+    return _build_mesh(2, nodes, cells)
 
 
 def build_polygon(vertices, h: float) -> Mesh:
@@ -403,70 +395,56 @@ def build_polygon(vertices, h: float) -> Mesh:
     return mesh
 
 
+def _orient(a, b, c):
+    """Sign of (b - a) x (c - a), broadcast over leading axes: 1 when a, b, c
+    turn left, -1 when they turn right, 0 when |(b - a) x (c - a)| <=
+    _GEOM_TOL |b - a| |c - a|, that is the sine of the angle at a is at most
+    _GEOM_TOL."""
+    u, v = np.subtract(b, a), np.subtract(c, a)
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    tol = _GEOM_TOL * np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    return np.where(np.abs(cross) > tol, np.sign(cross), 0.0)
+
+
 def _signed_area(v):
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_intersect(p, q, r, s):
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) <= _GEOM_TOL else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    return o1 != o2 and o3 != o4
-
-
 def _self_intersects(v):
+    """Whether two sides that share no vertex cross or touch, by the signs of
+    each side's ends about the other's line."""
     m = len(v)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            if _segments_intersect(v[i], v[(i + 1) % m], v[j], v[(j + 1) % m]):
-                return True
+    w = np.roll(v, -1, axis=0)  # side i runs from v[i] to w[i]
+    for i in range(m - 2):
+        later = slice(i + 2, m - 1 if i == 0 else m)  # side m - 1 ends at v[0]
+        r, s = v[later], w[later]
+        if np.any((_orient(v[i], w[i], r) != _orient(v[i], w[i], s))
+                  & (_orient(r, s, v[i]) != _orient(r, s, w[i]))):
+            return True
     return False
 
 
 def _ear_clip(verts):
-    idx = list(range(len(verts)))
-    tris = []
-
-    def is_ear(k):
-        a, b, c = verts[idx[k - 1]], verts[idx[k]], verts[idx[(k + 1) % len(idx)]]
-        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cr <= _GEOM_TOL:
-            return False
-        for j in idx:
-            if j in (idx[k - 1], idx[k], idx[(k + 1) % len(idx)]):
-                continue
-            if _point_in_tri(verts[j], a, b, c):
-                return False
-        return True
-
-    guard = 0
+    """Triangles of the polygon: each pass cuts the first ear, a convex corner
+    whose triangle holds no other remaining vertex, not even on its sides."""
+    idx, tris = list(range(len(verts))), []
     while len(idx) > 3:
-        guard += 1
-        if guard > 10 * len(verts) ** 2:
-            raise ConfigError("ear clipping failed; polygon may be degenerate")
-        for k in range(len(idx)):
-            if is_ear(k):
-                tris.append([idx[k - 1], idx[k], idx[(k + 1) % len(idx)]])
+        pts, n = verts[idx], len(idx)
+        for k in range(n):
+            ear = [(k - 1) % n, k, (k + 1) % n]
+            tri = pts[ear]
+            if _orient(*tri) <= 0:
+                continue
+            side = _orient(tri[:, None], np.roll(tri, -1, axis=0)[:, None], np.delete(pts, ear, axis=0))
+            if np.all(np.any(side < 0, axis=0) & np.any(side > 0, axis=0)):
+                tris.append([idx[e] for e in ear])
                 del idx[k]
                 break
-    tris.append(list(idx))
+        else:
+            raise ConfigError("ear clipping failed; polygon may be degenerate")
+    tris.append(idx)
     return tris
-
-
-def _point_in_tri(p, a, b, c):
-    def half(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-
-    d1, d2, d3 = half(a, b, p), half(b, c, p), half(c, a, p)
-    neg = (d1 < -_GEOM_TOL) or (d2 < -_GEOM_TOL) or (d3 < -_GEOM_TOL)
-    pos = (d1 > _GEOM_TOL) or (d2 > _GEOM_TOL) or (d3 > _GEOM_TOL)
-    return not (neg and pos)
 
 
 def _max_edge(mesh):

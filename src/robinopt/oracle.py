@@ -60,8 +60,8 @@ def interval_robin_p2(sigma_left: float, sigma_right: float) -> float:
     case sR = 0 to mu tan(mu) = sL. There is exactly one root in (0, pi).
     """
     sl, sr = float(sigma_left), float(sigma_right)
-    if sl < 0 or sr < 0 or sl + sr <= 0:
-        raise ConfigError("need nonnegative weights with positive sum")
+    if not (0 <= sl < np.inf and 0 <= sr < np.inf and sl + sr > 0):
+        raise ConfigError("need finite nonnegative weights with positive sum")
 
     def g(mu):
         return -(mu**2) * np.sin(mu) + mu * (sl + sr) * np.cos(mu) + sl * sr * np.sin(mu)
@@ -116,8 +116,8 @@ def disk_robin_p2_const(sigma: float) -> float:
     mu^2 where mu solves mu J1(mu) = sigma J0(mu); the root lies below the
     first zero of J0 (~2.40483) for every finite sigma > 0.
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ConfigError("sigma must be positive and finite")
 
     def f(mu):
         return mu * besselj1(mu) - sigma * besselj0(mu)
@@ -152,10 +152,12 @@ def brute_force_1d(
     """
     if not (16 <= n_grid < np.inf and n_grid == int(n_grid)):
         raise ConfigError(f"n_grid must be an integer >= 16, got {n_grid!r}")
+    sl, sr = float(sigma_left), float(sigma_right)
+    if not np.all(np.isfinite([p, sl, sr])):
+        raise ConfigError(f"p and the weights must be finite, got {p!r}, {sl!r}, {sr!r}")
     n = int(n_grid)
     h = 1.0 / n
     free = np.ones(n + 1, dtype=bool)
-    sl, sr = float(sigma_left), float(sigma_right)
     if mode == "dirichlet":
         free[0] = free[-1] = False
         sl = sr = 0.0

@@ -35,8 +35,14 @@ def test_minimize_refused_exit_code(capsys):
     assert "exactly 0" in capsys.readouterr().err
 
 
-def test_bad_domain_exit_code(capsys):
-    assert run(["dirichlet", "--domain", "builtin:torus:3"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["dirichlet", "--domain", "builtin:torus:3"],
+    ["dirichlet"],  # no --domain at all
+    ["dirichlet", "--domain", "foo:bar"],
+])
+def test_bad_domain_exit_code(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -45,6 +51,11 @@ def test_bad_domain_exit_code(capsys):
     ["robin", "--domain", "builtin:interval:10", "--sigma", "const:"],
     ["robin", "--domain", "builtin:interval:10", "--sigma", "dirac:"],
     ["sweep", "--domain", "builtin:interval:10", "--m-list", "log:1:2"],
+    ["sweep", "--domain", "builtin:interval:10", "--m-list", "log:0:1:3"],
+    ["sweep", "--domain", "builtin:interval:10", "--m-list", "lin:1:2:0"],
+    ["sweep", "--domain", "builtin:interval:10", "--m-list", "2,1"],  # not increasing
+    ["robin", "--domain", "builtin:disk:0.5", "--sigma", "dirac:1,0,0:1"],  # a 3D point
+    ["robin", "--domain", "builtin:interval:10", "--sigma", "foo:1"],
     # every number on the command line must be finite
     ["concentrate", "--p", "1.5", "--m", "nan", "--j-list", "100,1000"],
     ["concentrate", "--p", "1.5", "--m", "inf", "--j-list", "100,1000"],
@@ -395,6 +406,24 @@ def test_concentrate_command(tmp_path):
     assert rep["monotone_tail"]
     lines = (out / "concentrate.csv").read_text().splitlines()
     assert lines[0] == "j,alpha,Q,bound"
+
+
+def test_concentrate_on_a_mesh_reports_its_area(capsys):
+    # the log profile on a disk mesh: the volume is that of its inscribed 12-gon
+    assert run(["concentrate", "--p", "2", "--m", "2", "--j-list", "10,100",
+                "--domain", "builtin:disk:0.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["profile"] == "log"
+    assert out["volume"] == pytest.approx(3.0, rel=1e-14)
+
+
+def test_robin_reports_the_snap_distance_of_a_dirac_point(capsys):
+    # (0.3, 0) lies between the boundary nodes (0, 0) and (0.5, 0) of square 0.5
+    assert run(["robin", "--domain", "builtin:square:0.5", "--p", "3",
+                "--sigma", "dirac:0.3,0:1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["snap_distance"] == pytest.approx(0.2, rel=1e-14)
+    assert out["sigma_mass"] == 1.0
 
 
 def test_concentrate_j_list_rounds_near_integers(tmp_path):

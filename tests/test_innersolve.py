@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import robinopt.energy as en
 import robinopt.innersolve as ins
-from robinopt import BoundaryWeight, ConfigError, SolverParams, build_disk, build_interval, build_square
+from robinopt import BoundaryWeight, ConfigError, ConvergenceError, SolverParams, build_disk, build_interval, build_square
 from robinopt.innersolve import ConvexPEnergyProblem
 
 MESHES = {
@@ -248,6 +248,24 @@ def test_given_first_gradient_is_not_recomputed(square4, p3, monkeypatch):
     n_ref = len(calls)
     assert np.array_equal(problem.solve(b, w0=w0, g0=g0), ref)
     assert len(calls) == 2 * n_ref - 1
+
+
+def test_stalled_newton_raises_with_its_best_iterate(square4, p3, monkeypatch):
+    # a target below roundoff: progress stops near 1e-17 and the solve raises,
+    # carrying its best iterate. On the way the roundoff regime accepts full
+    # Newton steps by their gradient, which the next step then reuses, and the
+    # stall is judged by the last step's gradient: no point's is evaluated twice
+    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=square4.boundary_nodes())
+    b = en.mass_action(square4, np.ones(square4.n_nodes), 3.0)
+    points, gradient = [], problem.gradient
+    monkeypatch.setattr(problem, "gradient", lambda w, b: points.append(w.copy()) or gradient(w, b))
+    with pytest.raises(ConvergenceError, match="inner Newton stalled") as exc:
+        problem.solve(b, gtol=1e-30)
+    best, diag = exc.value.best, exc.value.diagnostics
+    assert diag["gtol"] == 1e-30 and 1e-30 < diag["gnorm"] < 1e-12
+    assert best.shape == (square4.n_nodes,) and np.all(best[~problem.free] == 0.0)
+    assert float(np.max(np.abs(gradient(best, b)[problem.free]))) == diag["gnorm"]
+    assert not any(np.array_equal(u, v) for k, u in enumerate(points) for v in points[:k])
 
 
 def _dense_assembly(mesh, blocks, elems):

@@ -25,6 +25,13 @@ def test_interval_rejects_single_cell():
         build_interval(1)
 
 
+@pytest.mark.parametrize("n_cells", [np.nan, np.inf, 2.5])
+def test_interval_refuses_a_count_that_is_not_an_integer(n_cells):
+    with pytest.raises(ConfigError):
+        build_interval(n_cells)
+    assert build_interval(np.int64(10)).n_cells == 10
+
+
 def test_disk_volume_and_boundary():
     d = build_disk(0.1)
     assert abs(d.volume - np.pi) / np.pi < 0.01
@@ -44,6 +51,43 @@ def test_disk_rejects_bad_h(h):
         build_disk(h)
 
 
+def _disk_by_loops(K):
+    """Nodes and cells of build_disk(1 / K), ring by ring and cell by cell."""
+    nodes, start = [np.zeros((1, 2))], [0, 1]
+    for k in range(1, K + 1):
+        th = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+        nodes.append(np.stack([k / K * np.cos(th), k / K * np.sin(th)], axis=1))
+        start.append(start[-1] + 6 * k)
+    cells = [[0, 1 + j, 1 + (j + 1) % 6] for j in range(6)]
+    for k in range(2, K + 1):
+        for s in range(6):
+            inner = [start[k - 1] + (s * (k - 1) + t) % (6 * (k - 1)) for t in range(k)]
+            outer = [start[k] + (s * k + t) % (6 * k) for t in range(k + 1)]
+            for t in range(k):
+                cells.append([inner[t], outer[t], outer[t + 1]])
+                if t < k - 1:
+                    cells.append([inner[t], outer[t + 1], inner[t + 1]])
+    return np.concatenate(nodes), np.array(cells)
+
+
+def _square_cells_by_loops(n):
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c = i * (n + 1) + j, (i + 1) * (n + 1) + j, (n + 1) ** 2 + i * n + j
+            cells += [[a, b, c], [b, b + 1, c], [b + 1, a + 1, c], [a + 1, a, c]]
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 10])
+def test_structured_builders_match_their_loop_construction(K):
+    nodes, cells = _disk_by_loops(K)
+    d = build_disk(1.0 / K if K > 1 else 0.9)
+    assert d.nodes.tobytes() == nodes.tobytes()
+    assert np.array_equal(d.cells, cells)
+    assert np.array_equal(build_square(1.0 / K).cells, _square_cells_by_loops(K))
+
+
 def test_square_exact_measures():
     s = build_square(0.125)
     assert abs(s.volume - 1.0) < 1e-12
@@ -57,6 +101,12 @@ def test_square_exact_measures():
     ([(0, 0), (3.5, 0), (3.6, 0.3), (0, 3)], 1.0),  # its corner cut clear of the incircle
     ([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)], 0.5),  # 2 x 1, collinear runs
     ([(0, 0), (10, 0), (10.5, 0.3), (0.2, 0.3)], 0.15),  # thin: half its width
+    # orientation is judged relative to the side lengths, so scale does not matter
+    ([(0, 0), (1e-6, 0), (1e-6, 1e-6), (0, 1e-6)], 5e-7),
+    ([(0, 0), (1e-9, 0), (1e-9, 1e-9), (0, 1e-9)], 5e-10),
+    # slivers whose corners the relative tolerance still sees
+    ([(0, 0), (1, 0), (0.5, 1e-12)], 5e-13),
+    ([(0, 0), (1, 0), (0.5, 3e-12)], 1.5e-12),
 ])
 def test_convex_polygon_inradius_is_exact(vertices, inradius):
     m = build_polygon(vertices, 2.0)
@@ -69,6 +119,15 @@ def test_nonconvex_polygon_has_no_inradius():
     assert L.inradius is None
     assert refine(L).inradius is None
     assert abs(L.volume - 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-13])
+def test_sliver_below_the_tolerance_has_no_inradius(tmp_path, eps):
+    # every corner turns by less than the tolerance: no polygon is left
+    m = build_polygon([(0, 0), (1, 0), (0.5, eps)], 0.5)
+    assert m.inradius is None
+    write_mesh(m, tmp_path / "m.pmesh")
+    assert read_mesh(tmp_path / "m.pmesh").inradius is None
 
 
 def test_polygon_rejects_self_intersection():

@@ -42,6 +42,26 @@ def test_rejects_zero_weights():
         interval_robin_p2(0.0, 0.0)
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_interval_robin_refuses_non_finite_weights(weights):
+    with pytest.raises(ConfigError):
+        interval_robin_p2(*weights)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_disk_robin_refuses_non_finite_weight(sigma):
+    with pytest.raises(ConfigError):
+        disk_robin_p2_const(sigma)
+
+
+@pytest.mark.parametrize("args", [(3.0, np.nan, 1.0), (3.0, 1.0, np.inf), (np.nan, 1.0, 1.0)])
+def test_brute_force_refuses_non_finite_input(args):
+    with pytest.raises(ConfigError):
+        brute_force_1d(*args, n_grid=100)
+    # an integer type of numpy is an integer grid size
+    assert brute_force_1d(3.0, 1.0, 1.0, n_grid=np.int64(100)) > 0
+
+
 def test_dirichlet_closed_form():
     assert interval_dirichlet_p(2.0) == pytest.approx(np.pi**2, rel=1e-14)
     assert interval_dirichlet_p(3.0) == pytest.approx(28.28876197600255, rel=1e-12)
