@@ -118,10 +118,9 @@ def _parse_sigma(mesh, spec):
     if kind == "dirac":
         where, mass = _fields(spec, 2)
         point = [_num(float, v, spec) for v in where.split(",")]
-        if len(point) not in (1, mesh.dim):
-            raise ConfigError(f"malformed spec {spec!r}: the point needs 1 or {mesh.dim} coordinates")
-        return BoundaryWeight.dirac(mesh, point if len(point) > 1 else point[0] * np.ones(mesh.dim),
-                                    _num(float, mass, spec))
+        if len(point) != mesh.dim:
+            raise ConfigError(f"malformed spec {spec!r}: the point needs {mesh.dim} coordinates")
+        return BoundaryWeight.dirac(mesh, point, _num(float, mass, spec))
     raise ConfigError(f"bad sigma spec {spec!r}")
 
 

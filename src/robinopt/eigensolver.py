@@ -213,7 +213,7 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams,
     zero capacity, the continuum value is exactly 0 and a discrete value
     would be a mesh artifact, so the request is refused.
     """
-    node = int(node)
+    node = en._node_index(node)
     if not (0 <= node < mesh.n_nodes and mesh.node_is_boundary[node]):
         raise ConfigError(f"node {node} is not a boundary node")
     if params.p <= mesh.dim:
@@ -229,8 +229,8 @@ def solve_dirac(mesh: Mesh, node: int, mass: float, params: SolverParams,
                 start: EigenResult | None = None) -> EigenResult:
     """Robin solve with all the (positive) boundary mass at one node; `start`
     as in solve_point."""
-    w = BoundaryWeight.dirac(mesh, int(node), mass)
-    return _minimize(mesh, w, f"dirac:{int(node)}:{mass}", params, start=start)
+    w = BoundaryWeight.dirac(mesh, node, mass)
+    return _minimize(mesh, w, f"dirac:{w.atoms[0][0]}:{mass}", params, start=start)
 
 
 def verify_weak_residual(result: EigenResult):

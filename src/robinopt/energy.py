@@ -94,6 +94,14 @@ class SolverParams:
             raise ConfigError("max_outer must be at least 1")
 
 
+def _node_index(node):
+    """`node` as a node index: ConfigError unless it is a finite integer (the
+    caller checks the range)."""
+    if not (np.isfinite(node) and float(node).is_integer()):
+        raise ConfigError(f"node {node!r} is not a finite integer")
+    return int(node)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryWeight:
     """A nonnegative boundary weight of fixed total mass.
@@ -155,9 +163,7 @@ class BoundaryWeight:
     def dirac(cls, mesh, where, mass):
         """Dirac mass at a boundary node; `where` is a node index or a point."""
         if np.ndim(where) == 0:
-            if not (np.isfinite(where) and float(where).is_integer()):
-                raise ConfigError(f"Dirac node {where!r} is not a finite integer")
-            node, snap = int(where), 0.0
+            node, snap = _node_index(where), 0.0
         else:
             node, snap = mesh.nearest_boundary_node(where)
         return cls(mesh, atoms=[(node, float(mass))], snap_distance=snap)

@@ -12,8 +12,9 @@ Strategy: up to _MAX_NEWTON Newton steps on the (eps-regularized for p < 2)
 system with a Levenberg ridge when the Hessian is rank-deficient (p > 2 at
 flat iterates), Armijo backtracking (factor 0.5, slope 1e-4), and a plain
 gradient-descent fallback when the Newton direction fails the descent test.
-For p = 2 the problem is quadratic: linear_solve keeps one factorization per
-problem, refreshed only when its shift changes, so each solve is one pair of
+For p = 2 the problem is quadratic: linear_solve factors the pencil H - shift M
+at every shift, 0 included, and keeps one factorization per problem,
+refreshed only when its shift changes, so each solve is one pair of
 triangular solves, with no refinement (in working precision it lowers the
 residual, not the cond * eps error).
 
@@ -30,7 +31,8 @@ Newton on (u, lambda), bordered by the constraint on integral |u|^p (Keller's
 bordering algorithm; Govaerts, Numerical Methods for Bifurcations of Dynamical
 Equilibria, SIAM 2000). Its matrix H_N - lambda H_D, with H_D the mass term's
 cell blocks scattered into the same pattern, is indefinite in general, so
-each step is one banded LU (LAPACK dgbtrf, kl = ku = kd) in a second work band.
+each step is one banded LU (LAPACK dgbtrf, kl = ku = kd) in a second work band,
+filled from the same stored entries as the Cholesky band.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ class _Pattern:
     go to the extra slot `size`. `diag` holds the diagonal's stored entries.
 
     An indefinite matrix of the same pattern is factored by banded LU in
-    LAPACK general band storage instead (`lu`).
+    LAPACK general band storage instead (`lu`): a Fortran-ordered
+    (3 kd + 1, n) array with ab[2 kd + i - j, j] = H[i, j], whose top kd rows
+    are left free for the pivoting's fill-in. Its stored entries sit at
+    band_pos shifted 2 kd rows down, and its upper band is the mirror of the
+    lower.
     """
 
     def __init__(self, n_nodes, elems, free_idx):
@@ -119,20 +125,6 @@ class _Pattern:
         # more in page faults than dpbtrf)
         self._flat = None
         self._gb_flat = None  # the same for lu, in general band storage
-
-    @cached_property
-    def _general_band(self):
-        """Flat positions in general band storage, a Fortran-ordered
-        (3 kd + 1, n) array ab with ab[2 kd + i - j, j] = H[i, j] and kd rows
-        left free for the pivoting's fill-in, of every stored entry and of the
-        mirror of every off-diagonal one, and the stored entry each takes."""
-        col, off = np.divmod(self.band_pos, self.kd + 1)  # H[col + off, col]
-        ld = 3 * self.kd + 1
-        mirror = np.flatnonzero(off > 0)
-        pos = np.concatenate([col * ld + 2 * self.kd + off,
-                              (col + off)[mirror] * ld + 2 * self.kd - off[mirror]])
-        return pos, np.concatenate([np.arange(self.size), mirror])
-
     def lu(self, h):
         """A solve function for the symmetric, possibly indefinite matrix with
         stored entries h, by banded LU with partial pivoting (LAPACK dgbtrf,
@@ -142,12 +134,14 @@ class _Pattern:
         Raises np.linalg.LinAlgError when a pivot is zero.
         """
         kd = self.kd
-        pos, src = self._general_band
         if self._gb_flat is None:
             self._gb_flat = np.zeros((3 * kd + 1) * self.n)
         self._gb_flat[:] = 0.0
-        self._gb_flat[pos] = h[src]
+        # column j's lower band moves from ab[0:, j] to ab[2 kd:, j]
+        self._gb_flat[self.band_pos + 2 * kd * (self.band_pos // (kd + 1) + 1)] = h
         ab = self._gb_flat.reshape((3 * kd + 1, self.n), order="F")
+        for off in range(1, kd + 1):  # the upper band mirrors the lower
+            ab[2 * kd - off, off:] = ab[2 * kd + off, : self.n - off]
         lu, ipiv, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"banded LU failed at pivot {info}")
@@ -194,7 +188,7 @@ class ConvexPEnergyProblem:
 
     @cached_property
     def _pencil(self):
-        # p = 2 shifted solves: H (the same at every w) and M; unshifted ones keep neither
+        # p = 2 solves: the stored entries of H (the same at every w) and of M
         return self.hessian(np.zeros(self.mesh.n_nodes)), self.stored(en.mass_blocks(self.mesh))
 
     # -- functional pieces -------------------------------------------------
@@ -232,12 +226,9 @@ class ConvexPEnergyProblem:
             raise ConfigError(f"linear_solve needs p = 2, not p = {self.p}")
         if shift != self._shift:
             pattern = self._pattern  # built before H's element blocks: a lower peak RSS
-            if shift == 0.0:
-                h = self.hessian(np.zeros(self.mesh.n_nodes))
-            else:
-                h = self._pencil[0] - shift * self._pencil[1]
+            h, m = self._pencil
             self._shift = None  # the work band is rewritten below
-            self._factor = pattern.factor(h)
+            self._factor = pattern.factor(h - shift * m)
             self._shift = shift
         w = np.zeros(self.mesh.n_nodes)
         w[self.free_idx] = self._factor(np.asarray(b, dtype=float)[self.free_idx])

@@ -84,21 +84,13 @@ def interval_dirichlet_p(p: float) -> float:
 def _bessel_series(x, order, max_terms=80):
     """J_0 or J_1 by the alternating power series, valid for |x| < 20."""
     q = 0.25 * x * x
-    if order == 0:
-        term, total = 1.0, 1.0
-        for k in range(1, max_terms):
-            term *= -q / (k * k)
-            total += term
-            if abs(term) < 1e-18 * (1.0 + abs(total)):
-                return total
-    else:
-        term = 0.5 * x
-        total = term
-        for k in range(1, max_terms):
-            term *= -q / (k * (k + 1))
-            total += term
-            if abs(term) < 1e-18 * (1.0 + abs(total)):
-                return total
+    term = 1.0 if order == 0 else 0.5 * x
+    total = term
+    for k in range(1, max_terms):
+        term *= -q / (k * (k + order))
+        total += term
+        if abs(term) < 1e-18 * (1.0 + abs(total)):
+            return total
     raise ConvergenceError("Bessel series did not reach its truncation bound")
 
 
@@ -153,8 +145,9 @@ def brute_force_1d(
     if not (16 <= n_grid < np.inf and n_grid == int(n_grid)):
         raise ConfigError(f"n_grid must be an integer >= 16, got {n_grid!r}")
     sl, sr = float(sigma_left), float(sigma_right)
-    if not np.all(np.isfinite([p, sl, sr])):
-        raise ConfigError(f"p and the weights must be finite, got {p!r}, {sl!r}, {sr!r}")
+    if not (np.isfinite(p) and 0 <= sl < np.inf and 0 <= sr < np.inf):
+        raise ConfigError(f"p must be finite and the weights finite and nonnegative, "
+                          f"got {p!r}, {sl!r}, {sr!r}")
     n = int(n_grid)
     h = 1.0 / n
     free = np.ones(n + 1, dtype=bool)

@@ -62,6 +62,7 @@ def test_bad_domain_exit_code(argv, capsys):
     ["concentrate", "--p", "nan", "--j-list", "100"],
     ["mesh", "--domain", "builtin:square:nan"],
     ["mesh", "--domain", "builtin:square:inf"],
+    ["robin", "--domain", "builtin:disk:0.25", "--sigma", "dirac:0.5:1"],  # one coordinate in 2D
 ])
 def test_malformed_spec_exit_code(argv, capsys):
     assert run(argv) == 2
@@ -279,6 +280,7 @@ def test_unknown_oracle_exit_code(capsys):
     ["interval-robin-p2", "nan", "1"],
     ["interval-robin-p2", "inf", "1"],
     ["brute-force-1d", "2", "nan", "1", "100"],
+    ["brute-force-1d", "3", "-1", "2", "200"],
 ])
 def test_oracle_argument_error_exit_code(args, capsys):
     assert run(["oracle", *args]) == 2

@@ -112,11 +112,25 @@ def test_point_rejects_interior_node(interval200, p2):
         solve_point(interval200, interior, p2)
 
 
-@pytest.mark.parametrize("node", [-1, 99])
+@pytest.mark.parametrize("node", [-1, 99, 10.7])
 def test_point_rejects_node_outside_mesh(node):
-    # 11 nodes: -1 used to wrap to the last node, 99 raised IndexError
+    # 11 nodes: -1 used to wrap to the last node, 99 raised IndexError, 10.7
+    # was truncated to the boundary node 10
     with pytest.raises(ConfigError):
         solve_point(build_interval(10), node, SolverParams(p=3.0))
+
+
+def test_start_pair_from_another_mesh_is_refused():
+    params = SolverParams(p=3.0)
+    start = solve_point(build_interval(10), 0, params)
+    with pytest.raises(ConfigError, match="different mesh"):
+        solve_point(build_interval(10), 10, params, start=start)
+
+
+@pytest.mark.parametrize("node", [10.7, np.nan])
+def test_dirac_rejects_a_node_that_is_not_an_integer(node):
+    with pytest.raises(ConfigError):
+        solve_dirac(build_interval(10), node, 1.0, SolverParams(p=3.0))
 
 
 def test_zero_mass_weight_refused(interval200, p2):

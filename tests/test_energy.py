@@ -99,6 +99,23 @@ def test_rayleigh_closed_form_linear(mesh, sigma11):
 def test_rayleigh_rejects_zero_field(mesh, sigma11):
     with pytest.raises(ConfigError):
         rayleigh(NodalField.constant(mesh, 0.0), sigma11, 2.0)
+    with pytest.raises(ConfigError, match="undefined for u == 0"):
+        rayleigh_gradient(NodalField.constant(mesh, 0.0), sigma11, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones(16), "does not match node count"),  # 17 nodes
+    (np.r_[np.ones(16), np.nan], "non-finite"),
+    (np.r_[np.ones(16), np.inf], "non-finite"),
+], ids=["short", "nan", "inf"])
+def test_nodal_field_refuses_a_bad_vector(mesh, values, message):
+    with pytest.raises(ConfigError, match=message):
+        NodalField(mesh, values)
+
+
+def test_numerator_refuses_a_weight_from_another_mesh(mesh):
+    with pytest.raises(ConfigError, match="different mesh"):
+        en.numerator_terms(mesh, BoundaryWeight.constant(build_interval(16), 1.0))
 
 
 # -- gradient ----------------------------------------------------------------
@@ -263,6 +280,8 @@ def test_weight_validation(mesh):
         BoundaryWeight.from_facet_density(mesh, [-1.0, 1.0])
     with pytest.raises(ConfigError):
         BoundaryWeight.dirac(mesh, 3, 1.0)  # interior node
+    with pytest.raises(ConfigError, match="does not match facet count"):
+        BoundaryWeight.from_facet_density(mesh, [1.0, 1.0, 1.0])  # 2 facets
 
 
 @pytest.mark.parametrize("node", [-1, 99])
@@ -283,6 +302,15 @@ def test_read_weight_rejects_bad_records(tmp_path, record):
     path.write_text(f"bw 1 0.5\n{record}\n")
     with pytest.raises(ConfigError):
         read_weight(build_interval(10), path)  # 11 nodes, 2 boundary facets
+
+
+@pytest.mark.parametrize("text", ["", "bw 2 0.5\n", "bw 1\n", "pmesh 1 1\n"],
+                         ids=["empty", "version-2", "no-mass", "mesh-file"])
+def test_read_weight_refuses_a_file_that_is_not_bw1(tmp_path, text):
+    path = tmp_path / "w.bw"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="not a bw-1 file"):
+        read_weight(build_interval(10), path)
 
 
 def test_dirac_snaps_to_nearest_boundary_node():

@@ -153,6 +153,12 @@ def test_polygon_refuses_non_finite_input(h, vertex):
         build_polygon([(0, 0), (1, 0), (1, 1), vertex], h)
 
 
+@pytest.mark.parametrize("vertices", [[], [(0, 0)], [(0, 0), (1, 0)]])
+def test_polygon_needs_three_vertices(vertices):
+    with pytest.raises(ConfigError, match="at least 3 vertices"):
+        build_polygon(vertices, 0.5)
+
+
 def test_polygon_rejects_clockwise():
     with pytest.raises(ConfigError):
         build_polygon([(0, 0), (0, 1), (1, 1), (1, 0)], 0.5)
@@ -210,6 +216,9 @@ TOPOLOGY_MESHES = {
     "square": lambda: build_square(0.25),
     "triangle": lambda: build_polygon([(0, 0), (4, 0), (0, 3)], 1.0),
     "L-shape": lambda: build_polygon(L_SHAPE, 0.5),
+    # listed from its reflex corner: ear clipping skips that corner first
+    "L-shape-from-reflex": lambda: build_polygon(
+        [(0.5, 0.5), (0.5, 1), (0, 1), (0, 0), (1, 0), (1, 0.5)], 0.25),
 }
 
 
@@ -295,6 +304,8 @@ def test_text_format_round_trip(tmp_path, builder):
 @pytest.mark.parametrize("damage, message", [
     ("inverted cell", "degenerate or inverted cells"),
     ("dropped facet", "boundary facets do not match"),
+    ("wrong header", "not a pmesh-1 file"),
+    ("missing section", "expected section 'cells'"),
 ])
 def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
     path = tmp_path / "m.pmesh"
@@ -304,6 +315,11 @@ def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
         k = next(k for k, t in enumerate(lines) if t.startswith("cells")) + 1
         a, b, c = lines[k].split()
         lines[k] = f"{b} {a} {c}"
+    elif damage == "wrong header":
+        lines[0] = "pmesh 2 2"
+    elif damage == "missing section":  # cells renamed: the reader finds another tag
+        k = next(k for k, t in enumerate(lines) if t.startswith("cells"))
+        lines[k] = lines[k].replace("cells", "triangles")
     else:  # the last boundary facet goes, and its section count drops by one
         k = next(k for k, t in enumerate(lines) if t.startswith("bfacets"))
         lines[k] = f"bfacets {int(lines[k].split()[1]) - 1}"

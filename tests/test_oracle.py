@@ -62,6 +62,12 @@ def test_brute_force_refuses_non_finite_input(args):
     assert brute_force_1d(3.0, 1.0, 1.0, n_grid=np.int64(100)) > 0
 
 
+@pytest.mark.parametrize("weights", [(-1.0, 2.0), (2.0, -1e-3)])
+def test_brute_force_refuses_a_negative_weight(weights):
+    with pytest.raises(ConfigError):
+        brute_force_1d(3.0, *weights, n_grid=200)
+
+
 def test_dirichlet_closed_form():
     assert interval_dirichlet_p(2.0) == pytest.approx(np.pi**2, rel=1e-14)
     assert interval_dirichlet_p(3.0) == pytest.approx(28.28876197600255, rel=1e-12)
