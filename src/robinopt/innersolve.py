@@ -33,15 +33,22 @@ Equilibria, SIAM 2000). Its matrix H_N - lambda H_D, with H_D the mass term's
 cell blocks scattered into the same pattern, is indefinite in general, so
 each step is one banded LU (LAPACK dgbtrf, kl = ku = kd) in a second work band,
 filled from the same stored entries as the Cholesky band.
+
+The four LAPACK routines are scipy.linalg.lapack's compiled functions, loaded
+(or reused) from scipy's f2py extension file scipy/linalg/_flapack without
+importing the scipy.linalg package (about 300 modules); where that file cannot
+be loaded, they come from scipy.linalg.lapack, with one DEBUG event.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import sys
 from functools import cached_property
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from . import energy as en
 from .errors import ConfigError, ConvergenceError
@@ -52,6 +59,31 @@ _MAX_NEWTON = 200
 _MAX_BORDERED = 16
 
 log = logging.getLogger("robinopt")
+
+
+def _lapack(scipy_dir=None):
+    """(dgbtrf, dgbtrs, dpbtrf, dpbtrs) from the _flapack file under scipy_dir (default: scipy's)."""
+    names, name = ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"), "scipy.linalg._flapack"
+    try:
+        flapack = sys.modules.get(name)
+        if flapack is None:
+            base = os.path.join(scipy_dir or util.find_spec("scipy").submodule_search_locations[0],
+                                "linalg", "_flapack")
+            path = next(base + s for s in machinery.EXTENSION_SUFFIXES if os.path.isfile(base + s))
+            loader = machinery.ExtensionFileLoader(name, path)
+            flapack = util.module_from_spec(util.spec_from_loader(name, loader))
+            loader.exec_module(flapack)
+            # registered by f2py's single-phase init without its package; a later
+            # scipy.linalg import registers the same functions from the extension cache
+            sys.modules.pop(name, None)
+        return tuple(getattr(flapack, n) for n in names)
+    except Exception as exc:  # whatever the cause, the documented import path still works
+        log.debug("scipy's LAPACK extension file not loaded (%r); importing scipy.linalg.lapack", exc)
+        from scipy.linalg import lapack
+        return tuple(getattr(lapack, n) for n in names)
+
+
+dgbtrf, dgbtrs, dpbtrf, dpbtrs = _lapack()
 
 
 def _default_gtol(b):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import robinopt
 from robinopt import SolverParams, build_disk, build_interval, build_square
 
 # transcendental reference values, frozen from the closed-form solvers
@@ -10,6 +15,15 @@ LAM_ROBIN_ONESIDED = 0.740173884394967
 LAM_DISK_SIGMA1 = 1.576992730808607
 LAM_DISK_DIRICHLET = 5.783185962946785
 LAM_POINT_INTERVAL = (np.pi / 2.0) ** 2
+
+
+def run_fresh(code):
+    """The standard output of `code` run by a fresh interpreter that imports
+    robinopt from the same source tree as these tests."""
+    src = os.path.dirname(os.path.dirname(robinopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robinopt.cli import main
+from tests.conftest import run_fresh
 
 
 def run(args):
@@ -185,19 +186,12 @@ def test_failed_crosscheck_exit_code(command, monkeypatch):
 
 
 def test_cli_import_does_not_load_quadrature():
-    # scipy.integrate serves only the p = 2 profile of concentration_demo
-    import os
-    import subprocess
-    import sys
-
-    import robinopt
-
-    src = os.path.dirname(os.path.dirname(robinopt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, robinopt.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    # scipy.integrate serves only the p = 2 profile of concentration_demo, and
+    # innersolve loads scipy's LAPACK extension without the scipy.linalg
+    # package (which brings numpy.f2py with it)
+    names = ["scipy.integrate", "scipy.linalg", "numpy.f2py"]
+    out = run_fresh(f"import sys, robinopt.cli; print(*[name in sys.modules for name in {names!r}])")
+    assert out.split() == ["False", "False", "False"]
 
 
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import robinopt.energy as en
 import robinopt.innersolve as ins
 from robinopt import BoundaryWeight, ConfigError, ConvergenceError, SolverParams, build_disk, build_interval, build_square
 from robinopt.innersolve import ConvexPEnergyProblem
+from tests.conftest import run_fresh
 
 MESHES = {
     "interval": lambda: build_interval(12),
@@ -319,3 +321,58 @@ def test_eigenpair_newton_from_a_neighbours_pair(square4, p3):
     assert np.all(u[problem.free] > 0)
     assert abs(en.lp_norm_p(en.NodalField(square4, u), 3.0) - 1.0) <= 1e-12
     assert abs(lam - ref.lam) <= 1e-8 * ref.lam
+
+
+def _band_factors(problem, h, routines, monkeypatch):
+    """Copies of what dpbtrf and dgbtrf return on factor(h) and lu(h) of
+    problem's pattern when innersolve calls the given routines."""
+    out = []
+
+    def recording(routine):
+        def call(*args, **kwargs):
+            res = routine(*args, **kwargs)
+            out.append([np.copy(x) for x in res])
+            return res
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(ins, "dgbtrf", recording(routines[0]))
+        m.setattr(ins, "dpbtrf", recording(routines[2]))
+        problem._pattern.factor(h)
+        problem._pattern.lu(h)
+    return out
+
+
+def test_lapack_falls_back_to_scipy_linalg(square4, p3, tmp_path, monkeypatch, caplog):
+    # a directory without the extension file: the routines come from
+    # scipy.linalg.lapack, with one DEBUG event, and factor bit for bit like
+    # the ones loaded from the file
+    from scipy.linalg import lapack
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with caplog.at_level(logging.DEBUG, logger="robinopt"):
+        fallback = ins._lapack(str(tmp_path))
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        loaded = ins._lapack()  # from the installed file, which logs nothing
+    assert len(caplog.records) == 1
+    assert fallback == tuple(getattr(lapack, n) for n in ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"))
+    problem = ConvexPEnergyProblem(square4, p3)
+    h = problem.hessian(np.random.default_rng(6).uniform(0.5, 1.5, square4.n_nodes))
+    ours = _band_factors(problem, h, loaded, monkeypatch)
+    theirs = _band_factors(problem, h, fallback, monkeypatch)
+    assert len(ours) == len(theirs) == 2
+    for a, b in zip(ours, theirs):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_lapack_reuses_a_loaded_extension():
+    # either import order leaves one set of routines: with scipy.linalg first,
+    # innersolve takes the ones it holds; with robinopt first, scipy.linalg's
+    # own import of the extension (reachable as its _flapack attribute) finds
+    # the ones innersolve loaded
+    check = ("print(*[getattr(ins, n) is getattr(lapack, n) is getattr(linalg._flapack, n) "
+             "for n in ('dgbtrf', 'dgbtrs', 'dpbtrf', 'dpbtrs')])")
+    scipy_first = "import scipy.linalg as linalg, scipy.linalg.lapack as lapack; import robinopt.innersolve as ins"
+    robinopt_first = "import robinopt.innersolve as ins; import scipy.linalg as linalg, scipy.linalg.lapack as lapack"
+    for imports in (scipy_first, robinopt_first):
+        assert run_fresh(f"{imports}; {check}").split() == ["True"] * 4

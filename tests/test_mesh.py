@@ -3,6 +3,7 @@ import pytest
 
 from robinopt import ConfigError, build_disk, build_interval, build_polygon, build_square, read_mesh, refine, write_mesh
 from robinopt.mesh import _build_mesh
+from tests.conftest import run_fresh
 
 
 def test_interval_nodes_and_facets():
@@ -335,14 +336,6 @@ def test_mesh_arrays_write_protected(disk10):
 
 
 def test_building_meshes_does_not_import_scipy_optimize():
-    import os
-    import subprocess
-    import sys
-
-    import robinopt
-
-    src = os.path.dirname(os.path.dirname(robinopt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys\n"
         "from robinopt import build_polygon, build_square\n"
@@ -352,6 +345,4 @@ def test_building_meshes_does_not_import_scipy_optimize():
         "assert build_polygon([(0, 0), (4, 0), (0, 3)], 1.0).inradius is not None\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.split()[-1] == "False"
+    assert run_fresh(code).split()[-1] == "False"

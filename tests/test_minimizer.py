@@ -21,7 +21,7 @@ from robinopt import (
     scan_point_eigen,
     track_xm,
 )
-from tests.conftest import LAM_POINT_INTERVAL, LAM_ROBIN_ONESIDED
+from tests.conftest import LAM_POINT_INTERVAL, LAM_ROBIN_ONESIDED, run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -64,22 +64,17 @@ def test_disk_scan_symmetry_orbits(p3):
 
 
 def test_scans_run_in_the_calling_process(tmp_path):
-    # --workers is still accepted, but no scan starts a process pool
-    import os
-    import subprocess
-    import sys
-
-    import robinopt
-
-    src = os.path.dirname(os.path.dirname(robinopt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1",
-            "--workers", "2", "--out", str(tmp_path)]
-    code = (f"import sys; from robinopt import cli; code = cli.main({argv!r}); "
-            "print(code, 'multiprocessing' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.split() == ["0", "False"]
+    # --workers is still accepted, but no scan starts a process pool; and
+    # neither the p = 3 minimize (banded Cholesky and LU) nor the p = 2 sweep
+    # (linear_solve's triangular solves) imports the scipy.linalg package
+    minimize = ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1",
+                "--workers", "2", "--out", str(tmp_path)]
+    sweep = ["sweep", "--domain", "builtin:square:0.25", "--p", "2", "--m-list", "1",
+             "--out", str(tmp_path)]
+    code = (f"import sys; from robinopt import cli; code = cli.main({minimize!r}); "
+            "print(code, 'multiprocessing' in sys.modules, 'scipy.linalg' in sys.modules); "
+            f"print(cli.main({sweep!r}), 'scipy.linalg' in sys.modules)")
+    assert run_fresh(code).split() == ["0", "False", "False", "0", "False"]
 
 
 def test_scan_refused_when_points_have_no_capacity(square4, p2):
