@@ -3,10 +3,10 @@
 
 In 2D with p <= 2, concentrating the weight on a shrinking boundary patch
 while cutting the test function off near the patch drives the quotient to
-zero; no weight attains an infimum. The pairs below are evaluated by direct
-radial quadrature in a half-ball model near a flat boundary point, so the
-concentration index j can reach 1e6 - far beyond what any global mesh could
-resolve (the log-profile decay at p = 2 is only 1/log j).
+zero; no weight attains an infimum. The pairs below are evaluated in closed
+form in a half-ball model near a flat boundary point, so the concentration
+index j can reach 1e6 - far beyond what any global mesh could resolve (the
+log-profile decay at p = 2 is only 1/log j).
 """
 
 import math
@@ -29,4 +29,4 @@ for p, label in ((1.5, "linear ramp profile"), (2.0, "logarithmic profile")):
 
 print("Both sequences vanish and stay below their closed-form bounds;")
 print("the p = 2 profile decays only logarithmically, which is why the")
-print("demonstration is quadrature-based rather than finite-element-based.")
+print("demonstration is in closed form rather than finite-element-based.")

@@ -355,7 +355,7 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, solver=True, workers=False):
+    def common(sp, solver=True):
         sp.add_argument("--domain", help="builtin:interval:N | builtin:disk:H | builtin:square:H | file:PATH")
         if solver:
             sp.add_argument("--p", type=float, default=2.0)
@@ -364,10 +364,6 @@ def build_parser():
             sp.add_argument("--max-outer", type=int, dest="max_outer")
             sp.add_argument("--eps-reg", type=float, dest="eps_reg")
         sp.add_argument("--out", help="output directory (default: JSON to stdout)")
-        if workers:
-            sp.add_argument("--workers", type=int, default=1,
-                            help="selects nothing: every scan runs in this process "
-                                 "(kept for compatibility; must be at least 1)")
 
     sp = sub.add_parser("dirichlet", help="first Dirichlet eigenvalue")
     common(sp)
@@ -384,21 +380,23 @@ def build_parser():
     sp.set_defaults(fn=_cmd_maximize)
 
     sp = sub.add_parser("minimize", help="minimal Dirac eigenvalue at mass m (p > dim)")
-    common(sp, workers=True)
+    common(sp)
     sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--workers", type=int, default=1, help="selects nothing: every scan runs "
+                    "in this process (kept for compatibility; must be at least 1)")
     sp.set_defaults(fn=_cmd_minimize)
 
     sp = sub.add_parser("scan-lambda1", help="point-constrained eigenvalue per boundary node")
-    common(sp, workers=True)
+    common(sp)
     sp.set_defaults(fn=_cmd_scan)
 
     sp = sub.add_parser("bounds", help="verify the closed-form sandwiches over a mass grid")
-    common(sp, workers=True)
+    common(sp)
     sp.add_argument("--m-list", required=True, dest="m_list", help="log:A:B:K | lin:A:B:K | v1,v2,...")
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("sweep", help="Lambda(m), lambda(m) and all bounds over a mass grid")
-    common(sp, workers=True)
+    common(sp)
     sp.add_argument("--m-list", required=True, dest="m_list")
     sp.set_defaults(fn=_cmd_sweep)
 
@@ -430,8 +428,7 @@ def main(argv=None):
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} {value} is not finite")
-        # --workers selects nothing (every scan runs in this process), but a
-        # count below 1 is still refused
+        # minimize's --workers selects nothing, but a count below 1 is still refused
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"worker count {args.workers} (--workers) is below 1")
         if args.out:

@@ -219,7 +219,9 @@ def solve_point(mesh: Mesh, node: int, params: SolverParams,
     if params.p <= mesh.dim:
         raise MathRefusalError(
             f"solve_point requires p > dim (here p={params.p}, dim={mesh.dim}): "
-            "points have zero capacity, so the eigenvalue is exactly 0",
+            "points have zero W^{1,p} capacity, so the eigenvalue is exactly 0 and a "
+            "nodal value would be a mesh artifact; the infimum over boundary weights of "
+            "a fixed mass is 0 and not attained (concentration_demo gives the vanishing sequence)",
             exact_value=0.0,
         )
     return _minimize(mesh, None, f"point:{node}", params, pinned=(node,), start=start)

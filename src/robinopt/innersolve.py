@@ -343,7 +343,7 @@ class ConvexPEnergyProblem:
                 j = self.objective(w, b)
             d = self._newton_direction(w, g)
             step = None
-            if d is not None and float(np.dot(g[self.free_idx], d)) < 0:
+            if d is not None:  # a finite descent direction for this g
                 step = self._armijo(w, b, g, d, 1.0, j)
                 if step is None:
                     # terminal roundoff regime: objective comparisons are noise,

@@ -11,9 +11,9 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
   point x_m,
 * track_xm          - the trajectory of x_m over a mass sweep,
 * hoelder_check     - empirical Hoelder exponent of the point-eigenvalue map,
-* concentration_demo - the p <= dim = 2 vanishing sequence, evaluated by
-  direct radial quadrature near a flat boundary point (no FEM involved, so
-  concentration indices up to 1e6 are cheap).
+* concentration_demo - the p <= dim = 2 vanishing sequence, evaluated in
+  closed form near a flat boundary point (no FEM involved, so concentration
+  indices up to 1e6 are cheap).
 
 A scan walks the boundary loop in arcs, maximal runs of loop nodes joined by
 boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
@@ -130,22 +130,13 @@ class MinReport:
 
 
 def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
-    """Point-constrained eigenvalue at every boundary node (p > dim only).
+    """Point-constrained eigenvalue at every boundary node (p > dim only:
+    otherwise solve_point refuses the first node, before any solve).
 
     Individual solver failures are recorded per node and the scan continues.
     Ties at the minimum (within 1e-6 relative) are reported as a set; the
     argmin is the lowest node index among them.
     """
-    p, dim = params.p, mesh.dim
-    if p <= dim:
-        raise MathRefusalError(
-            f"scan_point_eigen requires p > dim (here p={p}, dim={dim}): for p <= dim "
-            "the infimum over boundary weights of any fixed mass is exactly 0 and "
-            "is not attained (point constraints carry no W^{1,p} capacity), so a "
-            "nodal scan would be a pure mesh artifact. Use concentration_demo "
-            "for the vanishing sequence.",
-            exact_value=0.0,
-        )
     nodes, values, failures = _scan(mesh, params)
     vmin, ties = _ties(nodes, values)
     return PointScan(
@@ -206,7 +197,7 @@ def track_xm(scan: PointScan, m_list) -> XmTrack:
 
 
 # ---------------------------------------------------------------------------
-# concentration demonstration (p <= n = 2), direct radial quadrature
+# concentration demonstration (p <= n = 2), in closed form
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -227,11 +218,20 @@ class ConcentrationRun:
         return list(zip(self.j_list, self.alpha, self.q, self.bound))
 
 
-def _quad01(f):
-    from scipy.integrate import quad
-
-    val, _ = quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+def _e2_scaled(z):
+    """e^z E_2(z), E_2(z) = int_1^inf e^{-zt} t^{-2} dt (Abramowitz and Stegun 5.1.4), by
+    its continued fraction (5.1.22) and modified Lentz: <= 67 terms for z >= 2 ln 2."""
+    b, c = z + 2.0, math.inf
+    h = d = 1.0 / b
+    for i in range(1, 200):
+        a = -i * (i + 1.0)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
+            break
+    return h
 
 
 def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> ConcentrationRun:
@@ -241,11 +241,11 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
     is constant on the boundary trace of the radius-2^{-j} ball (normalized to
     mass m) and the test function ramps from 0 at the point to 1 at radius
     1/j, linearly for p < 2 and with the log profile -log j / log r for
-    p = 2. All integrals reduce to 1D radial integrals on (0, 1]: exact for
-    the polynomial ones, quadratures for the two of the log profile, so j up
-    to 1e6 costs nothing. The quotient must stay below the closed-form bound
-    (gradient term with the full-ball measure plus the boundary term) and
-    decrease along the sequence.
+    p = 2. All integrals reduce to 1D radial integrals on (0, 1] with closed
+    forms: polynomial ones for the ramp, and for the log profile ones in the
+    exponential integral E_2, so j up to 1e6 costs nothing. The quotient must
+    stay below the closed-form bound (gradient term with the full-ball
+    measure plus the boundary term) and decrease along the sequence.
     """
     if not all(map(math.isfinite, (p, m, volume))):
         raise ConfigError(f"p, m and volume must be finite (got {p}, {m}, {volume})")
@@ -280,13 +280,12 @@ def concentration_demo(p: float, m: float, j_list, volume: float = 1.0) -> Conce
             bdry = m * amp / (p + 1.0)
             bound = (math.pi * j ** (p - 2.0) + amp * m) / volume
         else:
-            # |u'|^2 r integrates to ln^2 j / (3 ln^3 j) after r = exp(-lj/tau)
-            grad = math.pi * lj**2 * (1.0 / lj**3) / 3.0  # integral t^2 = 1/3
-            interior = (
-                math.pi / j**2
-                * _quad01(lambda s: s * (lj / (lj - math.log(s))) ** 2 if s > 0 else 0.0)
-            )
-            bdry = m * _quad01(lambda t: (lj / (j * ln2 - math.log(t))) ** 2 if t > 0 else 0.0)
+            # |u'|^2 r integrates to 1 / (3 ln j) after r = exp(-lj/tau); with s = t = e^{-x}
+            # the integrals over (0, 1] of s (lj / (lj - ln s))^2 and (lj / (a - ln t))^2,
+            # a = j ln 2, are lj g(2 lj) and (lj^2 / a) g(a), g(z) = e^z E_2(z) = _e2_scaled
+            grad = math.pi / (3.0 * lj)
+            interior = math.pi / j**2 * lj * _e2_scaled(2.0 * lj)
+            bdry = m * lj**2 / (j * ln2) * _e2_scaled(j * ln2)
             bound = (2.0 * math.pi / (3.0 * lj) + m * (lj / (j * ln2)) ** 2) / volume
 
         denom = volume - math.pi / (2.0 * j**2) + interior

@@ -72,14 +72,13 @@ def test_malformed_spec_exit_code(argv, capsys):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_flag_below_one_exit_code(workers, capsys):
-    argv = ["scan-lambda1", "--domain", "builtin:interval:10", "--p", "2", "--workers", workers]
+    argv = ["minimize", "--domain", "builtin:interval:10", "--p", "2", "--m", "1", "--workers", workers]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
     ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1"],
-    ["bounds", "--domain", "builtin:square:0.25", "--p", "3", "--m-list", "0.1,10"],
 ])
 def test_workers_flag_selects_nothing(tmp_path, argv):
     outs = [tmp_path / f"w{n}" for n in (1, 2)]
@@ -186,12 +185,48 @@ def test_failed_crosscheck_exit_code(command, monkeypatch):
 
 
 def test_cli_import_does_not_load_quadrature():
-    # scipy.integrate serves only the p = 2 profile of concentration_demo, and
-    # innersolve loads scipy's LAPACK extension without the scipy.linalg
-    # package (which brings numpy.f2py with it)
+    # no command imports scipy.integrate, and innersolve loads scipy's LAPACK
+    # extension without the scipy.linalg package (which brings numpy.f2py)
     names = ["scipy.integrate", "scipy.linalg", "numpy.f2py"]
     out = run_fresh(f"import sys, robinopt.cli; print(*[name in sys.modules for name in {names!r}])")
     assert out.split() == ["False", "False", "False"]
+
+
+def test_no_command_loads_heavy_imports():
+    # in one fresh interpreter, every subcommand in turn: none loads
+    # scipy.integrate, scipy.optimize, scipy.sparse or multiprocessing, and
+    # only the brute-force oracle (its solveh_banded preconditioner, run last)
+    # loads scipy.linalg and with it numpy.f2py
+    names = ["scipy.integrate", "scipy.linalg", "numpy.f2py", "scipy.optimize",
+             "scipy.sparse", "multiprocessing"]
+    commands = [
+        ["dirichlet", "--domain", "builtin:interval:20", "--p", "3"],
+        ["robin", "--domain", "builtin:interval:20", "--p", "3", "--sigma", "const:1"],
+        ["maximize", "--domain", "builtin:interval:20", "--p", "3", "--m", "1"],
+        ["minimize", "--domain", "builtin:square:0.5", "--p", "3", "--m", "1", "--workers", "2"],
+        ["scan-lambda1", "--domain", "builtin:interval:20", "--p", "3"],
+        ["bounds", "--domain", "builtin:interval:20", "--p", "3", "--m-list", "0.1,10"],
+        ["sweep", "--domain", "builtin:interval:20", "--m-list", "0.1,10"],
+        ["mesh", "--domain", "builtin:disk:0.25"],
+        ["concentrate", "--p", "2", "--m", "1", "--j-list", "2,100"],
+        ["concentrate", "--p", "1.5", "--m", "1", "--j-list", "2,100"],
+        ["oracle", "interval-robin-p2", "1", "1"],
+        ["oracle", "interval-dirichlet-p", "3"],
+        ["oracle", "disk-robin-p2", "1"],
+        ["oracle", "brute-force-1d", "3", "1", "2", "200"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from robinopt.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        f"    print(argv[0], code, *[n for n in {names!r} if n in sys.modules])\n"
+    )
+    lines = [line.split() for line in run_fresh(code).splitlines()]
+    assert [line[:2] for line in lines] == [[argv[0], "0"] for argv in commands]
+    assert all(len(line) == 2 for line in lines[:-1]), lines
+    assert set(lines[-1][2:]) <= {"scipy.linalg", "numpy.f2py"}
 
 
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
@@ -305,6 +340,8 @@ def test_invariant_violation_exit_code(monkeypatch, capsys):
     ["dirichlet", "--domain", "builtin:interval:10", "--seed", "0"],
     ["mesh", "--domain", "builtin:interval:10", "--p", "3"],
     ["maximize", "--domain", "builtin:interval:10", "--m", "2", "--workers", "1"],
+    # --workers is minimize's alone
+    ["bounds", "--domain", "builtin:square:0.25", "--p", "3", "--m-list", "0.1,10", "--workers", "2"],
 ])
 def test_flag_the_command_does_not_read_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -373,7 +410,7 @@ def test_sweep_lambda_column_nondecreasing(tmp_path):
     out = tmp_path / "run"
     code = run([
         "sweep", "--domain", "builtin:interval:100", "--m-list", "log:0.01:100:9",
-        "--out", str(out), "--workers", "1",
+        "--out", str(out),
     ])
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()

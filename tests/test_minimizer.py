@@ -64,7 +64,7 @@ def test_disk_scan_symmetry_orbits(p3):
 
 
 def test_scans_run_in_the_calling_process(tmp_path):
-    # --workers is still accepted, but no scan starts a process pool; and
+    # minimize still accepts --workers, but no scan starts a process pool; and
     # neither the p = 3 minimize (banded Cholesky and LU) nor the p = 2 sweep
     # (linear_solve's triangular solves) imports the scipy.linalg package
     minimize = ["minimize", "--domain", "builtin:square:0.25", "--p", "3", "--m", "1",
@@ -172,6 +172,28 @@ def test_concentration_log_gradient_term():
     assert run.q[0] > grad_exact  # quotient adds the boundary term
     assert run.q[0] < 0.2
     assert abs(run.q[0] * 1.0 - grad_exact) / grad_exact < 0.05
+
+
+def test_concentration_log_profile_matches_quadrature():
+    # scipy's adaptive quadrature of the two log-profile integrals over (0, 1]
+    # is the independent reference for the closed forms in E_2; j = 2 is the
+    # smallest argument of E_2's continued fraction
+    from scipy.integrate import quad
+
+    def integral(f):
+        return quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+    js = [2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6]
+    for m in (0.1, 1.0, 2.0, 100.0):
+        for volume in (1.0, 3.14):
+            run = concentration_demo(2.0, m, js, volume)
+            for j, q in zip(js, run.q):
+                lj, a = math.log(j), j * math.log(2.0)
+                interior = integral(lambda s: s * (lj / (lj - math.log(s))) ** 2)
+                bdry = integral(lambda t: (lj / (a - math.log(t))) ** 2)
+                ref = ((math.pi / (3.0 * lj) + m * bdry)
+                       / (volume - math.pi / (2.0 * j**2) + math.pi / j**2 * interior))
+                assert abs(q - ref) <= 1e-12 * ref, (m, volume, j)
 
 
 def test_concentration_bounds_and_monotonicity():
