@@ -9,9 +9,10 @@ over the free nodes (constrained nodes are pinned to zero). The functional
 is strictly convex for p > 1, so the minimizer is unique.
 
 Strategy: up to _MAX_NEWTON Newton steps on the (eps-regularized for p < 2)
-system with a Levenberg ridge when the Hessian is rank-deficient (p > 2 at
-flat iterates), Armijo backtracking (factor 0.5, slope 1e-4), and a plain
-gradient-descent fallback when the Newton direction fails the descent test.
+system, globalized by a Levenberg ridge tau I alone (Li, Fukushima, Qi and
+Yamashita, Comput. Optim. Appl. 28, 2004): tau = 0 first, escalated until
+Armijo backtracking (factor 0.5, slope 1e-4) or the roundoff regime accepts a
+step; as tau grows the direction tends to steepest descent.
 For p = 2 the problem is quadratic: linear_solve factors the pencil H - shift M
 at every shift, 0 included, and keeps one factorization per problem,
 refreshed only when its shift changes, so each solve is one pair of
@@ -331,37 +332,18 @@ class ConvexPEnergyProblem:
         w = np.zeros(self.mesh.n_nodes) if w0 is None else np.array(w0, dtype=float)
         w[~self.free] = 0.0
 
-        fallback_step = 1.0
-        j = None  # J(w), carried over from the accepted Armijo trial
+        j = None  # J(w), carried over from the accepted step
         for _ in range(_MAX_NEWTON):
             g = self.gradient(w, b) if g0 is None else g0
-            g0 = None
             gn = float(np.max(np.abs(g[self.free])))
             if gn <= gtol:
                 return w
             if j is None:
                 j = self.objective(w, b)
-            d = self._newton_direction(w, g)
-            step = None
-            if d is not None:  # a finite descent direction for this g
-                step = self._armijo(w, b, g, d, 1.0, j)
-                if step is None:
-                    # terminal roundoff regime: objective comparisons are noise,
-                    # accept the full Newton step if it shrinks the gradient
-                    cand = w.copy()
-                    cand[self.free_idx] = w[self.free_idx] + d
-                    gc = self.gradient(cand, b)
-                    if float(np.max(np.abs(gc[self.free]))) < gn:
-                        log.debug("roundoff regime: full Newton step accepted at |grad|=%.3e", gn)
-                        step, g0 = (cand, 1.0, None), gc  # the next step's gradient
+            step = self._newton_step(w, b, g, gn, j)
             if step is None:
-                log.debug("gradient-descent fallback at |grad|=%.3e (step %.3e)", gn, fallback_step)
-                d = -g[self.free_idx]
-                step = self._armijo(w, b, g, d, fallback_step, j)
-                if step is None:
-                    break
-                fallback_step = 2.0 * step[1]
-            w, _, j = step
+                break
+            w, j, g0 = step
         else:  # _MAX_NEWTON steps taken; a break leaves g and gn at w
             g = self.gradient(w, b) if g0 is None else g0
             gn = float(np.max(np.abs(g[self.free])))
@@ -376,39 +358,43 @@ class ConvexPEnergyProblem:
             diagnostics={"gnorm": gn, "gtol": gtol},
         )
 
-    def _newton_direction(self, w, g):
+    def _newton_step(self, w, b, g, gn, j0):
+        """One damped Newton step from w, with J(w) = j0 and gradient g of
+        free max-norm gn: (w_new, J(w_new) or None, its gradient or None), or
+        None when no ridge tau <= 1e12 max(dscale, gn) makes progress, dscale
+        the mean |diagonal| of the Hessian."""
         h = self.hessian(w)
         gf = g[self.free_idx]
         dscale = float(np.mean(np.abs(h[self._pattern.diag]))) + 1e-300
-        tau = 0.0
-        for _ in range(9):
+        resolution = 1e-15 * (1.0 + abs(j0))  # the float resolution of J
+        tau, cap = 0.0, 1e12 * max(dscale, gn)
+        while True:
             try:
                 d = self._pattern.factor(h, tau)(-gf)
             except np.linalg.LinAlgError as exc:
                 log.debug("Hessian factorization failed at tau=%.3e: %s", tau, exc)
                 d = None
-            if d is not None and np.all(np.isfinite(d)) and float(np.dot(gf, d)) < 0:
-                return d
-            tau = 1e-8 * dscale if tau == 0.0 else 100.0 * tau
-            if tau > 1e6 * dscale:
-                break
-            log.debug("Newton ridge escalated to tau=%.3e", tau)
-        return None
-
-    def _armijo(self, w, b, g, d, t0, j0):
-        """Backtrack from t0 along d; returns (w + t d, t, J(w + t d)) or None."""
-        slope = float(np.dot(g[self.free_idx], d))
-        resolution = 1e-15 * (1.0 + abs(j0))
-        t = t0
-        for _ in range(60):
-            if abs(t * slope) < resolution:
-                # predicted decrease below the float resolution of J: any
-                # acceptance here would be rounding noise, not progress
+            slope = float(np.dot(gf, d)) if d is not None and np.all(np.isfinite(d)) else 0.0
+            if slope < 0.0:  # a finite descent direction: Armijo backtracking from t = 1
+                for t in _ARMIJO_FACTOR ** np.arange(60):
+                    if abs(t * slope) < resolution:
+                        break  # an acceptance here would be rounding noise, not progress
+                    cand = w.copy()
+                    cand[self.free_idx] = w[self.free_idx] + t * d
+                    j = self.objective(cand, b)
+                    if j <= j0 + _ARMIJO_SLOPE * t * slope:
+                        return cand, j, None
+                # terminal roundoff regime: objective comparisons are noise,
+                # accept the full Newton step if it shrinks the gradient
+                cand = w.copy()
+                cand[self.free_idx] = w[self.free_idx] + d
+                gc = self.gradient(cand, b)
+                if float(np.max(np.abs(gc[self.free]))) < gn:
+                    log.debug("roundoff regime: full Newton step accepted at |grad|=%.3e", gn)
+                    return cand, None, gc
+                if abs(slope) < resolution:
+                    return None  # a larger ridge only shortens a step that changes nothing
+            tau = 100.0 * tau if tau else max(1e-8 * dscale, gn)
+            if tau > cap:
                 return None
-            cand = w.copy()
-            cand[self.free_idx] = w[self.free_idx] + t * d
-            j = self.objective(cand, b)
-            if j <= j0 + _ARMIJO_SLOPE * t * slope:
-                return cand, t, j
-            t *= _ARMIJO_FACTOR
-        return None
+            log.debug("Newton ridge escalated to tau=%.3e", tau)

@@ -145,9 +145,9 @@ def brute_force_1d(
     if not (16 <= n_grid < np.inf and n_grid == int(n_grid)):
         raise ConfigError(f"n_grid must be an integer >= 16, got {n_grid!r}")
     sl, sr = float(sigma_left), float(sigma_right)
-    if not (np.isfinite(p) and 0 <= sl < np.inf and 0 <= sr < np.inf):
-        raise ConfigError(f"p must be finite and the weights finite and nonnegative, "
-                          f"got {p!r}, {sl!r}, {sr!r}")
+    if not (1.1 <= p <= 10.0 and 0 <= sl < np.inf and 0 <= sr < np.inf):
+        raise ConfigError(f"p must lie in the supported range [1.1, 10] and the weights be "
+                          f"finite and nonnegative, got {p!r}, {sl!r}, {sr!r}")
     n = int(n_grid)
     h = 1.0 / n
     free = np.ones(n + 1, dtype=bool)

@@ -310,6 +310,8 @@ def test_unknown_oracle_exit_code(capsys):
     ["interval-robin-p2", "inf", "1"],
     ["brute-force-1d", "2", "nan", "1", "100"],
     ["brute-force-1d", "3", "-1", "2", "200"],
+    ["brute-force-1d", "0.5", "1", "1", "64"],
+    ["brute-force-1d", "1.0", "1", "1", "64"],
 ])
 def test_oracle_argument_error_exit_code(args, capsys):
     assert run(["oracle", *args]) == 2

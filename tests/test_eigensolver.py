@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from robinopt import (
     EigenResult,
     MathRefusalError,
     SolverParams,
+    build_disk,
     build_interval,
     refine,
     solve_dirac,
@@ -320,6 +323,34 @@ def test_large_exponent_with_scaled_tolerance():
     res = solve_dirichlet(mesh, SolverParams(p=10.0, tol_res=1e-4))
     exact = interval_dirichlet_p(10.0)
     assert abs(res.lam - exact) / exact < 0.005
+
+
+@pytest.fixture(scope="module")
+def disk05():
+    return build_disk(0.05)
+
+
+@pytest.mark.parametrize("mode, p, lam", [
+    ("robin", 6.0, 0.33915213743548), ("dirichlet", 6.0, 27.028634645501),
+    ("robin", 10.0, 0.047828438852748), ("dirichlet", 10.0, 62.061915593251),
+])
+def test_cold_large_exponent_solve_escalates_the_ridge(disk05, mode, p, lam, monkeypatch, caplog):
+    # at large p the stiffness Hessian nearly vanishes where the iterate is
+    # flat, so the plain Newton step is huge there: the escalated ridge
+    # shortens it to a step Armijo accepts, in few objective evaluations and
+    # with no inner solve stalling
+    calls, objective = [], ConvexPEnergyProblem.objective
+    monkeypatch.setattr(ConvexPEnergyProblem, "objective",
+                        lambda self, w, b: calls.append(1) or objective(self, w, b))
+    params = SolverParams(p=p)
+    with caplog.at_level(logging.DEBUG, logger="robinopt"):
+        if mode == "robin":
+            res = solve_robin(disk05, BoundaryWeight.constant(disk05, 2.0 * np.pi), params)
+        else:
+            res = solve_dirichlet(disk05, params)
+    assert len(calls) <= 1500
+    assert not any("inner Newton stalled" in r.getMessage() for r in caplog.records)
+    assert res.lam == pytest.approx(lam, rel=1e-10)
 
 
 def test_inner_stall_carries_best_iterate():

@@ -122,7 +122,8 @@ def test_hessian_matches_gradient_differences(mesh_name, p):
 
 @pytest.mark.parametrize("start", ["random", "constant"])
 def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
-    # the banded direction against a dense solve of the COO reference Hessian
+    # the first direction of a solve step, the banded solve with the first
+    # ridge that factors, against a dense solve of the COO reference Hessian
     # with the same ridge
     if start == "random":
         mesh = build_disk(0.25)
@@ -134,17 +135,31 @@ def test_dense_and_sparse_newton_directions_agree(start, monkeypatch):
         w = np.ones(mesh.n_nodes)
     weight = _weights(mesh)["mixed"]
     b = en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0)
-    taus = []
+
+    class FirstDirection(Exception):
+        pass
+
+    directions = []  # (tau, d) of the first factorization that succeeds
     factor = ins._Pattern.factor
-    monkeypatch.setattr(ins._Pattern, "factor",
-                        lambda pattern, h, tau=0.0: taus.append(tau) or factor(pattern, h, tau))
+
+    def factor_once(pattern, h, tau=0.0):
+        solve = factor(pattern, h, tau)  # a failure escalates the ridge
+
+        def first(r):
+            directions.append((tau, solve(r)))
+            raise FirstDirection
+        return first
+
+    monkeypatch.setattr(ins._Pattern, "factor", factor_once)
     problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=weight)
-    g = problem.gradient(w, b)
-    d = problem._newton_direction(w, g)
-    assert d is not None
-    assert (taus[-1] > 0) == (start == "constant")
-    h = _reference_hessian(problem, w) + taus[-1] * np.eye(len(problem.free_idx))
-    ref = np.linalg.solve(h, -g[problem.free_idx])
+    with pytest.raises(FirstDirection):
+        problem.solve(b, w0=w)
+    [(tau, d)] = directions
+    g = problem.gradient(w, b)[problem.free_idx]
+    assert np.all(np.isfinite(d)) and np.dot(g, d) < 0
+    assert (tau > 0) == (start == "constant")
+    h = _reference_hessian(problem, w) + tau * np.eye(len(problem.free_idx))
+    ref = np.linalg.solve(h, -g)
     assert np.max(np.abs(d - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 

@@ -62,6 +62,13 @@ def test_brute_force_refuses_non_finite_input(args):
     assert brute_force_1d(3.0, 1.0, 1.0, n_grid=np.int64(100)) > 0
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.09, 10.5, np.inf])
+def test_brute_force_refuses_p_outside_the_supported_range(p):
+    # the range SolverParams and interval_dirichlet_p accept
+    with pytest.raises(ConfigError, match=r"\[1\.1, 10\]"):
+        brute_force_1d(p, 1.0, 1.0, n_grid=64)
+
+
 @pytest.mark.parametrize("weights", [(-1.0, 2.0), (2.0, -1e-3)])
 def test_brute_force_refuses_a_negative_weight(weights):
     with pytest.raises(ConfigError):
