@@ -23,7 +23,7 @@ from .energy import SolverParams
 from .errors import ConfigError
 from .maximizer import FSolver, sigma_max
 from .mesh import Mesh
-from .minimizer import lambda_inf, scan_point_eigen
+from .minimizer import _lower_bound_form, lambda_inf, scan_point_eigen
 
 __all__ = ["belsup", "inflow", "inradius_bound", "check_all", "BoundsReport", "BoundsRow"]
 
@@ -32,10 +32,6 @@ _SLACK = 1e-3
 
 def _positive_finite(*values):
     return all(0 < v < math.inf for v in values)
-
-
-def _lower_bound_form(m, level, volume, p):
-    return m * level / ((volume * level) ** (1.0 / (p - 1.0)) + m ** (1.0 / (p - 1.0))) ** (p - 1.0)
 
 
 def belsup(m: float, lam_dirichlet: float, volume: float, p: float) -> float:
@@ -103,8 +99,11 @@ class BoundsReport:
 def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
     """Run the maximizer (and minimizer when p > dim) over a mass grid and
     verify both closed-form sandwiches at 1e-3 relative slack; a row also
-    fails when its maximizer's Robin cross-check does. One FSolver serves
-    every mass, and one point scan serves every Dirac scan."""
+    fails when its maximizer's Robin cross-check does, or when a node solve
+    of the point scan or of its Dirac scan failed. One FSolver serves every
+    mass, and one point scan serves every Dirac scan. Each Dirac scan is
+    pruned by the per-node inflow floor, and continues its nodes from the
+    previous mass's scan (lambda_inf with prune and previous)."""
     p = params.p
     solver = FSolver(mesh, params)
     lam_d = solver.lam_dirichlet
@@ -117,6 +116,7 @@ def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
 
     rows = []
     all_ok = True
+    low_rep = None
     for m in m_list:
         m = float(m)
         rep = sigma_max(solver, m)
@@ -132,10 +132,14 @@ def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
             ok = ok and (rb <= big * (1.0 + _SLACK))
         low = lam = up2 = None
         if scan is not None:
-            lam = lambda_inf(scan, m).lambda_inf
+            low_rep = lambda_inf(scan, m, prune=True, previous=low_rep)
+            lam = low_rep.lambda_inf
             low = inflow(m, lam1, mesh.volume, p)
             up2 = min(lam1, m / mesh.volume)
-            ok = ok and (low <= lam * (1.0 + _SLACK)) and (lam <= up2 * (1.0 + _SLACK))
+            # a failed node solve leaves lambda1(Omega) or lambda the minimum
+            # of a partial table, which proves nothing
+            ok = (ok and not scan.failures and not low_rep.failures
+                  and (low <= lam * (1.0 + _SLACK)) and (lam <= up2 * (1.0 + _SLACK)))
         all_ok = all_ok and ok
         rows.append(BoundsRow(
             m=m, belsup=bel, Lambda=big, upper=upper,

@@ -8,8 +8,9 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
   boundary minimum, a PointScan that keeps its mesh and params; the three
   functions below take it and read both from it,
 * lambda_inf        - the Dirac table, its minimum and the concentration
-  point x_m,
-* track_xm          - the trajectory of x_m over a mass sweep,
+  point x_m; the full table, or one pruned by the per-node lower bound,
+* track_xm          - the trajectory of x_m over a mass sweep of pruned
+  tables,
 * hoelder_check     - empirical Hoelder exponent of the point-eigenvalue map,
 * concentration_demo - the p <= dim = 2 vanishing sequence, evaluated in
   closed form near a flat boundary point (no FEM involved, so concentration
@@ -20,6 +21,18 @@ boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
 of an arc after the first starts from its predecessor's eigenpair, which
 Newton polishes (see eigensolver); the residual test then accepts it, mostly
 with no outer step. Every table comes back in ascending node order.
+
+The paper's lower bound holds node by node: inflow(m, lambda_point(x)) <=
+lambda_Dirac(x, m), the closed form of bounds.inflow with the point
+eigenvalue at x: for u of unit p-norm and t = u(x), u - t vanishes at x, so
+by Minkowski its energy is at least lambda_point(x) (1 - |t| |Omega|^{1/p})_+^p,
+and minimizing that plus m |t|^p over t gives the floor. A pruned Dirac scan (lambda_inf with
+`prune`, which check_all and track_xm use) visits the nodes in ascending
+point-eigenvalue order and stops once that floor of the next node exceeds
+the best Dirac value found times 1 + 2 _TIE_RTOL, so the nodes it leaves out
+can neither be the minimum nor tie with it. Its nodes are solved one by one,
+each continued in mass from its own pair in the previous mass's report, and
+cold at the first mass or where that report has no pair.
 
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
@@ -60,22 +73,39 @@ def _arcs(mesh):
     return [loop] if mesh.dim == 2 else [[n] for n in loop]
 
 
-def _scan(mesh, params, mass=None):
-    """Point (mass None) or Dirac eigenvalue per boundary node, in ascending
-    node order, and the failures. Each node of an arc starts from its
-    predecessor's pair; the first node of an arc, and one after a failure,
-    starts cold.
+def _lower_bound_form(m, level, volume, p):
+    """m L / ((|Omega| L)^{1/(p-1)} + m^{1/(p-1)})^{p-1}, increasing in the
+    eigenvalue L: bounds.belsup and bounds.inflow with L = Lambda_D or
+    lambda1(Omega), and the per-node Dirac floor with L = lambda_point(x).
+    Elementwise over an array of levels; a nan level gives nan."""
+    return m * level / ((volume * level) ** (1.0 / (p - 1.0)) + m ** (1.0 / (p - 1.0))) ** (p - 1.0)
+
+
+def _scan(mesh, params, mass=None, order=None, floor=None, starts=None):
+    """Point (mass None) or Dirac eigenvalue per visited boundary node, in
+    ascending node order, the failures and the node results.
+
+    Without `order` every node is visited, arc by arc: each node of an arc
+    starts from its predecessor's pair; the first node of an arc starts from
+    its own pair in `starts`, and one after a failure, or without such a
+    pair, starts cold. With `order` the nodes are visited one by one in that
+    order, each as an arc of its own, and the visit stops at the first node
+    whose `floor` (a lower bound on its value, aligned with `order`) exceeds
+    the best value so far times 1 + 2 _TIE_RTOL; a nan floor never stops it.
 
     A failed node solve is recorded and the scan goes on; only a scan in
-    which every node failed raises.
+    which every visited node failed raises.
     """
     nodes = mesh.boundary_nodes()
-    slot = {int(n): k for k, n in enumerate(nodes)}
-    values = np.full(len(nodes), math.nan)
-    failures = {}
-    for arc in _arcs(mesh):
-        prev = None
-        for node in arc:
+    runs = _arcs(mesh) if order is None else [[int(n)] for n in order]
+    starts = starts or {}
+    results, failures = {}, {}
+    best = math.inf
+    for k, run in enumerate(runs):
+        if floor is not None and floor[k] > best * (1 + 2 * _TIE_RTOL):
+            break
+        prev = starts.get(run[0])
+        for node in run:
             try:
                 if mass is None:
                     prev = solve_point(mesh, node, params, start=prev)
@@ -85,12 +115,15 @@ def _scan(mesh, params, mass=None):
                 prev = None
                 failures[node] = str(exc)
             else:
-                values[slot[node]] = prev.lam
+                results[node] = prev
+                best = min(best, prev.lam)
     failures = dict(sorted(failures.items()))
-    if not np.isfinite(values).any():
+    if not results:
         what = "point" if mass is None else "Dirac"
         raise ConvergenceError(f"every {what} solve failed", diagnostics=failures)
-    return nodes, values, failures
+    nodes = nodes[np.isin(nodes, [*results, *failures])]
+    values = np.array([results[n].lam if n in results else math.nan for n in nodes.tolist()])
+    return nodes, values, failures, results
 
 
 def _ties(nodes, values):
@@ -117,7 +150,9 @@ class PointScan:
 @dataclass
 class MinReport:
     """Dirac minimization table at one mass, beside the point scan it used.
-    The CLI's `minimize` command renders both."""
+    The CLI's `minimize` command renders both. A pruned table lists only
+    the visited nodes; `results` holds their eigenpairs, the starts of the
+    next mass's pruned table."""
 
     m: float
     scan: PointScan = field(repr=False)
@@ -127,6 +162,7 @@ class MinReport:
     x_m_node: int
     x_m: np.ndarray
     failures: dict = field(default_factory=dict)
+    results: dict = field(repr=False, default_factory=dict)
 
 
 def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
@@ -137,7 +173,7 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
     Ties at the minimum (within 1e-6 relative) are reported as a set; the
     argmin is the lowest node index among them.
     """
-    nodes, values, failures = _scan(mesh, params)
+    nodes, values, failures, _ = _scan(mesh, params)
     vmin, ties = _ties(nodes, values)
     return PointScan(
         mesh=mesh, params=params, nodes=nodes, values=values, lambda1_omega=vmin,
@@ -145,18 +181,33 @@ def scan_point_eigen(mesh: Mesh, params: SolverParams) -> PointScan:
     )
 
 
-def lambda_inf(scan: PointScan, m: float) -> MinReport:
+def lambda_inf(scan: PointScan, m: float, *, prune: bool = False,
+               previous: MinReport | None = None) -> MinReport:
     """Minimal Dirac eigenvalue over the boundary nodes at mass m, on the
-    scan's mesh and params (a point scan exists only for p > dim)."""
+    scan's mesh and params (a point scan exists only for p > dim).
+
+    By default every node is solved, arc by arc. With `prune` the visit is
+    pruned by the per-node floor (see the module docstring): lambda_inf, x_m
+    and the ties are those of the full table, and the report lists only the
+    solved nodes. `previous`, the report at another mass on this scan, gives
+    each node that starts a visit (with `prune`, every node; without, the
+    first of each arc) its own pair there as a start.
+    """
     if not 0 < m < np.inf:
         raise ConfigError(f"mass {m} must be positive and finite")
-    mesh = scan.mesh
-    nodes, values, failures = _scan(mesh, scan.params, float(m))
+    mesh, m = scan.mesh, float(m)
+    order = floor = None
+    if prune:
+        k = np.argsort(np.nan_to_num(scan.values, nan=-np.inf), kind="stable")
+        order = scan.nodes[k]
+        floor = _lower_bound_form(m, scan.values[k], mesh.volume, scan.params.p)
+    starts = previous.results if previous else None
+    nodes, values, failures, results = _scan(mesh, scan.params, m, order, floor, starts)
     lam, ties = _ties(nodes, values)
     return MinReport(
-        m=float(m), scan=scan, nodes=nodes, lambda_dirac=values,
+        m=m, scan=scan, nodes=nodes, lambda_dirac=values,
         lambda_inf=lam, x_m_node=ties[0], x_m=mesh.nodes[ties[0]],
-        failures=failures,
+        failures=failures, results=results,
     )
 
 
@@ -172,6 +223,8 @@ class XmTrack:
 
 def track_xm(scan: PointScan, m_list) -> XmTrack:
     """x_m over increasing masses and its distance to the scan's argmin set.
+    Each Dirac scan is pruned, and continued from the previous mass's, as in
+    lambda_inf with prune and previous.
 
     Raises unless the distances are nonincreasing over the largest decade
     of the sweep (the concentration points approach the minimizers of the
@@ -182,8 +235,9 @@ def track_xm(scan: PointScan, m_list) -> XmTrack:
         raise ConfigError("m_list must be strictly increasing")
     argmin_pts = scan.mesh.nodes[np.asarray(scan.tie_set, dtype=int)]
     reports, nodes, dist = [], [], []
+    rep = None
     for m in m_list:
-        rep = lambda_inf(scan, m)
+        rep = lambda_inf(scan, m, prune=True, previous=rep)
         reports.append(rep)
         nodes.append(rep.x_m_node)
         d = float(np.min(np.linalg.norm(argmin_pts - rep.x_m[None, :], axis=1)))

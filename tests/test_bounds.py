@@ -145,3 +145,29 @@ def test_lower_bound_gap_shrinks_for_large_mass(interval200):
         assert bel <= rep.Lambda * (1 + 1e-3)
         gaps.append((rep.Lambda - bel) / rep.Lambda)
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_check_all_row_over_a_failed_dirac_node_does_not_pass(square4, monkeypatch):
+    # the Dirac solve at the point-eigenvalue argmin fails: lambda is then the
+    # minimum of a partial table, and its row must not read ok
+    import robinopt.minimizer as mn
+    from robinopt import ConvergenceError
+
+    params = SolverParams(p=3.0)
+    good = check_all(square4, [1.0, 10.0], params)
+    assert good.all_pass
+    node = mn.scan_point_eigen(square4, params).argmin_node
+    solve = mn.solve_dirac
+
+    def failing(mesh, n, mass, params, start=None):
+        if n == node:
+            raise ConvergenceError("forced failure")
+        return solve(mesh, n, mass, params, start=start)
+
+    monkeypatch.setattr(mn, "solve_dirac", failing)
+    rep = check_all(square4, [1.0, 10.0], params)
+    assert not rep.all_pass
+    assert [row.ok for row in rep.rows] == [False, False]
+    for row, ref in zip(rep.rows, good.rows):
+        assert row.Lambda == ref.Lambda
+        assert row.inflow <= row.lam * (1 + 1e-3) and row.lam <= row.upper2 * (1 + 1e-3)

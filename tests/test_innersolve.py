@@ -185,6 +185,23 @@ def test_flat_start_on_disk_logs_ridge_escalation(caplog):
     _assert_flat_start_logs_ridge_escalation(build_disk(0.1), caplog)
 
 
+def test_first_ridge_is_floored_by_the_gradient_norm(caplog):
+    # after the failed factorization of a flat p = 3 start the ridge starts at
+    # tau_1 = max(1e-8 dscale, |g|inf), dscale the mean |diagonal| of the
+    # Hessian; here |g|inf is the larger, by more than six decades
+    mesh = build_disk(0.1)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), weight=BoundaryWeight.constant(mesh, 1.0))
+    b = en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0)
+    w0 = np.ones(mesh.n_nodes)
+    dscale = float(np.mean(np.abs(problem.hessian(w0)[problem._pattern.diag]))) + 1e-300
+    gn = float(np.max(np.abs(problem.gradient(w0, b)[problem.free])))
+    assert gn > 1e6 * (1e-8 * dscale)
+    with caplog.at_level(logging.DEBUG, logger="robinopt"):
+        problem.solve(b, w0=w0)
+    events = [r for r in caplog.records if r.getMessage().startswith("Newton ridge escalated")]
+    assert events and events[0].args == (max(1e-8 * dscale, gn),)
+
+
 def test_band_width_on_disk_is_order_sqrt_n():
     # 81 in Cuthill-McKee order at 4921 free nodes; the natural order gives 473
     mesh = build_disk(0.025)

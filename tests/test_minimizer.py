@@ -13,6 +13,8 @@ from robinopt import (
     SolverParams,
     brute_force_1d,
     build_disk,
+    build_interval,
+    build_polygon,
     build_square,
     concentration_demo,
     hoelder_check,
@@ -139,7 +141,7 @@ def test_track_xm_refuses_x_m_moving_away_over_the_top_decade(interval200, monke
     far = interval200.n_nodes - 1
     scan = SimpleNamespace(mesh=interval200, tie_set=[0])
 
-    def fake(scan, m):
+    def fake(scan, m, prune=False, previous=None):
         node = far if m >= 10.0 else 0
         return SimpleNamespace(x_m_node=node, x_m=interval200.nodes[node])
 
@@ -405,3 +407,84 @@ def test_interval_scan_is_bit_identical_to_cold_solves(interval200, p2, interval
     assert interval_scan.values.tolist() == [solve_point(interval200, n, p2).lam for n in nodes]
     rep = lambda_inf(interval_scan, 1.0)
     assert rep.lambda_dirac.tolist() == [solve_dirac(interval200, n, 1.0, p2).lam for n in nodes]
+
+
+# -- pruned scans ---------------------------------------------------------------
+
+def _tie_set(rep):
+    return [int(n) for n, v in zip(rep.nodes, rep.lambda_dirac)
+            if v <= rep.lambda_inf * (1 + 1e-6)]
+
+
+def _pruned_sweep(scan, masses):
+    reports, rep = [], None
+    for m in masses:
+        rep = lambda_inf(scan, m, prune=True, previous=rep)
+        reports.append(rep)
+    return reports
+
+
+@pytest.mark.parametrize("domain, p", [
+    ("square", 3.0), ("square", 6.0), ("disk", 3.0), ("polygon", 3.0), ("interval", 3.0),
+])
+def test_pruned_sweep_matches_full_tables(domain, p):
+    # the per-node floor inflow(m, lambda_point(x)) <= lambda_Dirac(x, m)
+    # prunes no node that could tie with the minimum; on the symmetric disk
+    # it prunes almost nothing, on the others most nodes
+    mesh = {"square": lambda: build_square(0.25), "disk": lambda: build_disk(0.1),
+            "polygon": lambda: build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], 0.25),
+            "interval": lambda: build_interval(200)}[domain]()
+    scan = scan_point_eigen(mesh, SolverParams(p=p))
+    masses = (0.01, 1.0, 100.0)
+    solved = 0
+    for m, rep in zip(masses, _pruned_sweep(scan, masses)):
+        full = lambda_inf(scan, m)
+        assert abs(rep.lambda_inf - full.lambda_inf) <= 1e-9 * full.lambda_inf, m
+        assert rep.x_m_node == full.x_m_node and _tie_set(rep) == _tie_set(full), m
+        assert rep.nodes.tolist() == sorted(rep.results) and not rep.failures
+        # a pruned report lists its solved nodes, in ascending order, and no other
+        assert set(rep.nodes.tolist()) <= set(full.nodes.tolist())
+        idx = np.searchsorted(full.nodes, rep.nodes)
+        assert np.allclose(rep.lambda_dirac, full.lambda_dirac[idx], rtol=1e-9, atol=0)
+        solved += len(rep.nodes)
+    total = len(masses) * len(scan.nodes)
+    if domain == "disk":
+        assert solved >= 0.9 * total
+    elif domain != "interval":
+        assert solved <= total / 2
+
+
+def test_pruned_sweep_solves_a_node_whose_point_solve_failed(square4, p3):
+    # a nan point eigenvalue gives no floor, so that node is always solved
+    import dataclasses
+
+    scan = scan_point_eigen(square4, p3)
+    masses = (0.01, 1.0, 100.0)
+    top = int(scan.nodes[np.argmax(scan.values)])
+    assert all(top not in rep.results for rep in _pruned_sweep(scan, masses))
+    values = scan.values.copy()
+    values[np.argmax(scan.values)] = np.nan
+    failed = dataclasses.replace(scan, values=values, failures={top: "forced failure"})
+    for m, rep in zip(masses, _pruned_sweep(failed, masses)):
+        full = lambda_inf(scan, m)
+        assert top in rep.nodes.tolist()
+        k, kf = rep.nodes.tolist().index(top), full.nodes.tolist().index(top)
+        assert abs(rep.lambda_dirac[k] - full.lambda_dirac[kf]) <= 1e-9 * full.lambda_dirac[kf]
+        assert rep.x_m_node == full.x_m_node and _tie_set(rep) == _tie_set(full)
+
+
+def test_check_all_headline_sweep_prunes_its_node_solves(square4, p3, monkeypatch):
+    # 16 point solves, then at most 44 Dirac solves over the 9 masses (a
+    # full table takes 16 per mass); each row's lambda is the full table's
+    from robinopt import check_all
+
+    masses = np.geomspace(0.01, 100, 9)
+    calls = _record_node_solves(monkeypatch)
+    rep = check_all(square4, masses, p3)
+    monkeypatch.undo()
+    assert rep.all_pass
+    assert len(calls) <= 60
+    scan = scan_point_eigen(square4, p3)
+    for row in rep.rows:
+        full = lambda_inf(scan, row.m).lambda_inf
+        assert abs(row.lam - full) <= 1e-9 * full, row.m
