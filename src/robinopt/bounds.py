@@ -78,6 +78,7 @@ class BoundsRow:
     ok: bool
     slack_used: float
     inradius_bound: float | None = None   # constant-weight bound, convex domains
+    failures: int = 0          # failed node solves, the point scan's and this mass's Dirac scan's
 
 
 @dataclass
@@ -100,10 +101,11 @@ def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
     """Run the maximizer (and minimizer when p > dim) over a mass grid and
     verify both closed-form sandwiches at 1e-3 relative slack; a row also
     fails when its maximizer's Robin cross-check does, or when a node solve
-    of the point scan or of its Dirac scan failed. One FSolver serves every
-    mass, and one point scan serves every Dirac scan. Each Dirac scan is
-    pruned by the per-node inflow floor, and continues its nodes from the
-    previous mass's scan (lambda_inf with prune and previous)."""
+    of the point scan or of its Dirac scan failed (the row's `failures`
+    counts them). One FSolver serves every mass, and one point scan serves
+    every Dirac scan. Each Dirac scan is pruned by the per-node inflow floor,
+    and continues its nodes from the previous mass's scan (lambda_inf with
+    prune and previous)."""
     p = params.p
     solver = FSolver(mesh, params)
     lam_d = solver.lam_dirichlet
@@ -131,6 +133,7 @@ def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
             rb = inradius_bound(m / mesh.boundary_measure, mesh.inradius, p)
             ok = ok and (rb <= big * (1.0 + _SLACK))
         low = lam = up2 = None
+        failures = 0
         if scan is not None:
             low_rep = lambda_inf(scan, m, prune=True, previous=low_rep)
             lam = low_rep.lambda_inf
@@ -138,13 +141,14 @@ def check_all(mesh: Mesh, m_list, params: SolverParams) -> BoundsReport:
             up2 = min(lam1, m / mesh.volume)
             # a failed node solve leaves lambda1(Omega) or lambda the minimum
             # of a partial table, which proves nothing
-            ok = (ok and not scan.failures and not low_rep.failures
+            failures = len(scan.failures) + len(low_rep.failures)
+            ok = (ok and not failures
                   and (low <= lam * (1.0 + _SLACK)) and (lam <= up2 * (1.0 + _SLACK)))
         all_ok = all_ok and ok
         rows.append(BoundsRow(
             m=m, belsup=bel, Lambda=big, upper=upper,
             inflow=low, lam=lam, upper2=up2, ok=ok, slack_used=_SLACK,
-            inradius_bound=rb,
+            inradius_bound=rb, failures=failures,
         ))
     return BoundsReport(
         p=p, dim=mesh.dim, volume=mesh.volume, lam_dirichlet=lam_d,

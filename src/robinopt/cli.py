@@ -287,7 +287,7 @@ def _cmd_bounds(args):
     rep = _mass_sweep(args)
     keys = ("p", "dim", "volume", "lam_dirichlet", "lambda1_omega", "inradius", "all_pass", "note")
     cols = ("m", "belsup", "Lambda", "upper", "inflow", "lambda", "upper2")
-    row_keys = (*cols, "ok", "slack_used", "inradius_bound")
+    row_keys = (*cols, "ok", "slack_used", "inradius_bound", "failures")
     report = {**_entries(rep, keys), "rows": [_entries(r, row_keys) for r in rep.rows]}
     table = [[*_entries(r, cols).values(), r.ok] for r in rep.rows]
     _emit(args, report, {"bounds.csv": _csv((*cols, "pass"), table)})

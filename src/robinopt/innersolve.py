@@ -23,9 +23,10 @@ J's energy is the Rayleigh numerator, the energy.numerator_terms PowerTerms,
 each built once with its c L^T L blocks. Each problem lays out a free-free
 Hessian pattern from their element arrays, with the free nodes in the mesh's
 Cuthill-McKee order, and each Hessian is one scatter of the element blocks
-into it. Every Newton direction and every p = 2 factor is one banded Cholesky
-factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes)
-in the problem's work band, which no other module sees.
+into it. Every Newton direction, every p = 2 factor and every `factor` call
+(the auxiliary problem's Newton steps) is one banded Cholesky factorization
+(LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes) in the
+problem's work band, which no other module sees.
 
 eigenpair_newton polishes a nearby eigenpair of the eigensolver's problem by
 Newton on (u, lambda), bordered by the constraint on integral |u|^p (Keller's
@@ -248,6 +249,15 @@ class ConvexPEnergyProblem:
                            minlength=pattern.size + 1)[: pattern.size]
 
     # -- solve --------------------------------------------------------------
+
+    def factor(self, h):
+        """A solve function for the free-free matrix with stored entries h (in
+        free_idx order), by banded Cholesky in the work band; valid until the
+        next factorization of this problem. Raises np.linalg.LinAlgError when
+        h is not positive definite.
+        """
+        self._shift = None  # the work band no longer holds the p = 2 factor
+        return self._pattern.factor(h)
 
     def linear_solve(self, b, shift=0.0):
         """p = 2 only: the full nodal w (pinned entries zero) with (H - shift M) w

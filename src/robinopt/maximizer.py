@@ -5,9 +5,10 @@ are produced constructively:
 
 1. solve the auxiliary semilinear problem for a spectral parameter xi below
    the discrete Dirichlet eigenvalue: at p = 2 it is linear, (K - xi M) v =
-   M 1, and one banded Cholesky factorization solves it; otherwise by a
-   monotone Picard iteration, each step a strictly convex minimization with
-   zero boundary values,
+   M 1, and one banded Cholesky factorization solves it; otherwise guarded
+   Newton steps on the discrete equation, one banded Cholesky factorization
+   each, reach the solution, and one step of the monotone Picard iteration
+   (a strictly convex minimization with zero boundary values) checks it,
 2. evaluate the strictly increasing function
    F(xi) = xi * integral (xi^{1/(p-1)} u_xi + 1)^{p-1},
 3. invert F(xi) = m on the bracket [0, lam_D], lam_D the Dirichlet
@@ -56,6 +57,7 @@ _TOL_AUX = 1e-9
 _TOL_DIRECT = 1e-13
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 _MAX_PICARD = 500_000
+_MAX_AUX_NEWTON = 30
 _CROSSCHECK_RTOL = 1e-3
 
 
@@ -67,6 +69,7 @@ class AuxSolution:
     u_xi: NodalField
     F_value: float
     picard_iters: int
+    newton_iters: int = 0
     load: np.ndarray = field(repr=False, default=None)  # consistent dual load
 
     def validate(self):
@@ -105,9 +108,65 @@ def dirichlet_ceiling(mesh: Mesh, params: SolverParams) -> float:
     return solve_dirichlet(mesh, params).lam
 
 
+def _aux_load(problem, scale, v):
+    """(rhs, load, gtol): rhs = (scale v + 1)^{p-1} at the cell Gauss points,
+    its load L(v) and the inner tolerance 1e-13 (1 + max |L(v)|)."""
+    mesh = problem.mesh
+    rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (problem.p - 1.0)
+    load = en.assemble_load(mesh, rhs)
+    return rhs, load, 1e-13 * (1.0 + float(np.max(np.abs(load))))
+
+
+def _aux_newton(problem, scale, v):
+    """Guarded Newton steps on the discrete auxiliary equation G(w) = A(w) -
+    L(w) = 0 on the free nodes, A the pinned problem's action and L the load
+    of (scale w + 1)^{p-1}, from the subsolution v: (an iterate, the steps
+    taken).
+
+    Each step solves with the Jacobian, the problem's Hessian less scale
+    times the mass term's blocks at scale w + 1, by one banded Cholesky. An
+    iterate is taken only when the factorization succeeds, the iterate is
+    finite and it lies nodewise at or above v up to _PICARD_SLACK.
+
+    Returns the first iterate with max |G| within the Picard step's inner
+    tolerance 1e-13 (1 + max |L|), or one whose step moved no node beyond the
+    Picard slack and did not lower max |G| (the roundoff floor). When a step
+    is not taken, or after _MAX_AUX_NEWTON steps, returns the last iterate
+    with G at most that tolerance nodewise (v when no other is): a
+    subsolution, from which Picard steps increase. The iterates after a
+    first step that overshoots lie above the solution, where a Picard step
+    would decrease.
+    """
+    mesh, free = problem.mesh, problem.free_idx
+    mass = en.mass_term(mesh)
+    floor = v - _PICARD_SLACK * (1.0 + float(np.max(np.abs(v))))
+    sub, last, moved = v, np.inf, np.inf
+    for steps in range(_MAX_AUX_NEWTON + 1):
+        _, load, gtol = _aux_load(problem, scale, v)
+        g = problem.gradient(v, load)[free]
+        gn = float(np.max(np.abs(g)))
+        if gn <= gtol or (moved <= _PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))) and not gn < last):
+            return v, steps
+        if np.max(g) <= gtol:
+            sub = v
+        if steps == _MAX_AUX_NEWTON:
+            break
+        jac = problem.hessian(v) - scale * problem.stored(mass.blocks(scale * v + 1.0, problem.p))
+        try:
+            d = problem.factor(jac)(-g)
+        except np.linalg.LinAlgError:
+            break
+        w = v.copy()
+        w[free] += d
+        if not (np.all(np.isfinite(w)) and np.all(w >= floor)):
+            break
+        v, last, moved = w, gn, float(np.max(np.abs(d)))
+    return sub, steps
+
+
 def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSolution:
     """The auxiliary problem at parameter xi: one direct solve at p = 2, else
-    a monotone Picard iteration.
+    guarded Newton steps closed by a monotone Picard step.
 
     At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes: v
     is the pinned problem's linear_solve at shift xi (LinAlgError when
@@ -120,6 +179,16 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     with the right-hand side frozen at the previous iterate. Iterates are
     nondecreasing nodewise, which is asserted at runtime; the iteration stops
     at a relative step below _TOL_AUX and gives up after _MAX_PICARD steps.
+    Before each Picard step, Newton steps on the discrete equation
+    (_aux_newton) move the iterate toward the solution, which is unique in
+    the continuum (Diaz and Saa, C. R. Acad. Sci. Paris 305, 1987), and stay
+    above the iterate they start from. Usually the first Newton call
+    converges, and the one Picard step that follows moves the iterate by
+    less than _TOL_AUX: it checks the Newton solution. Where a Jacobian does
+    not factor (at p > 2 the Hessian vanishes at v = 0, and a far warm start
+    can leave the Jacobian indefinite), the Picard steps go on and Newton is
+    retried before each. picard_iters counts the Picard steps and
+    newton_iters the Newton steps taken.
 
     Either way F and the dual load come from the right-hand side of the last
     solve, so the returned solution and load form a consistent pair: the
@@ -133,7 +202,7 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
     if p == 2.0:
-        it, v = 0, problem.linear_solve(solver._unit_load, xi)
+        it, newton, v = 0, 0, problem.linear_solve(solver._unit_load, xi)
         rhs = xi * en.gauss_values(mesh, v) + 1.0
         load = en.assemble_load(mesh, rhs)
         worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
@@ -146,10 +215,11 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     else:
         scale = xi ** (1.0 / (p - 1.0))
         v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
+        newton = 0
         for it in range(1, _MAX_PICARD + 1):
-            rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0)  # at the cell Gauss points
-            load = en.assemble_load(mesh, rhs)
-            gtol = 1e-13 * (1.0 + float(np.max(np.abs(load))))
+            v, steps = _aux_newton(problem, scale, v)
+            newton += steps
+            rhs, load, gtol = _aux_load(problem, scale, v)
             v_new = problem.solve(load, w0=v, gtol=gtol, gtol_soft=30.0 * gtol)
             if np.min(v_new - v) < -_PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))):
                 raise InvariantViolationError(
@@ -166,7 +236,7 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
             )
     return AuxSolution(
         xi=float(xi), u_xi=NodalField(mesh, v),
-        F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=it, load=load,
+        F_value=xi * en.integrate_gauss(mesh, rhs), picard_iters=it, newton_iters=newton, load=load,
     ).validate()
 
 
@@ -175,11 +245,12 @@ class FSolver:
 
     Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem that
     every F evaluation, `solve_aux`, solves: once at p = 2, once per Picard
-    step otherwise. At p = 2 it also holds the direct solve's load M 1 and
+    step otherwise, where the problem's work band also holds the Newton
+    steps' factors. At p = 2 it also holds the direct solve's load M 1 and
     max K_ii, the scale of its residual check (for a positive semidefinite K
     the largest stored entry is the largest diagonal one). At p != 2 the
     computed auxiliary solutions are kept sorted by xi: each evaluation
-    starts from the largest known subsolution below its xi.
+    starts its Newton steps from the largest known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):

@@ -156,6 +156,7 @@ def test_check_all_row_over_a_failed_dirac_node_does_not_pass(square4, monkeypat
     params = SolverParams(p=3.0)
     good = check_all(square4, [1.0, 10.0], params)
     assert good.all_pass
+    assert [row.failures for row in good.rows] == [0, 0]
     node = mn.scan_point_eigen(square4, params).argmin_node
     solve = mn.solve_dirac
 
@@ -168,6 +169,8 @@ def test_check_all_row_over_a_failed_dirac_node_does_not_pass(square4, monkeypat
     rep = check_all(square4, [1.0, 10.0], params)
     assert not rep.all_pass
     assert [row.ok for row in rep.rows] == [False, False]
+    # the row says why: the failed Dirac solve at the argmin node
+    assert all(row.failures >= 1 for row in rep.rows)
     for row, ref in zip(rep.rows, good.rows):
         assert row.Lambda == ref.Lambda
         assert row.inflow <= row.lam * (1 + 1e-3) and row.lam <= row.upper2 * (1 + 1e-3)

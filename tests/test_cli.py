@@ -430,7 +430,10 @@ def test_bounds_command(tmp_path):
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["all_pass"]
-    assert (out / "bounds.csv").read_text().startswith("m,belsup,Lambda,upper")
+    # each row counts its failed node solves; the CSV keeps its columns
+    assert [row["failures"] for row in rep["rows"]] == [0, 0, 0]
+    header = (out / "bounds.csv").read_text().splitlines()[0]
+    assert header == "m,belsup,Lambda,upper,inflow,lambda,upper2,pass"
 
 
 def test_concentrate_command(tmp_path):

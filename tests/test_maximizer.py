@@ -226,6 +226,109 @@ def test_picard_decrease_is_an_invariant_violation(interval200, p3, monkeypatch)
         solve_aux(solver, 1.0, v0=v0)
 
 
+def picard_reference(solver, xi):
+    """The auxiliary solution and F at xi by plain Picard steps from v = 0,
+    each one convex solve with the load frozen at the previous iterate, to a
+    relative step of 1e-12. A convex solve that stalls above its default
+    tolerance (interval 200 at p = 4 near the ceiling) returns its best
+    iterate: its gradient stays below 2e-10 of the load's max-norm, far below
+    the 1e-7 this reference is compared at."""
+    mesh, p, problem = solver.mesh, solver.params.p, solver.problem
+    scale = xi ** (1.0 / (p - 1.0))
+    v = np.zeros(mesh.n_nodes)
+    for _ in range(5000):
+        rhs = (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0)
+        v_new = problem.solve(en.assemble_load(mesh, rhs), w0=v, gtol_soft=np.inf)
+        step, v = np.max(np.abs(v_new - v)), v_new
+        if step < 1e-12 * (1.0 + np.max(np.abs(v))):
+            return v, xi * en.integrate_gauss(mesh, (scale * en.gauss_values(mesh, v) + 1.0) ** (p - 1.0))
+    raise AssertionError(f"reference Picard iteration did not converge at xi={xi}")
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("mesh", ["interval200", "square4"])
+def test_newton_solution_matches_plain_picard(mesh, p, frac, request):
+    mesh = request.getfixturevalue(mesh)
+    solver = FSolver(mesh, SolverParams(p=p))
+    xi = frac * solver.lam_dirichlet
+    sol = solve_aux(solver, xi)
+    assert sol.newton_iters >= 1
+    v, F = picard_reference(solver, xi)
+    assert abs(sol.F_value - F) <= 1e-7 * F
+    assert np.max(np.abs(sol.u_xi.values - v)) <= 1e-7 * np.max(v)
+
+
+def test_failed_jacobian_factorizations_leave_picard_alone(square4, p3, monkeypatch):
+    # Picard steps alone stop at a relative step below _TOL_AUX, and their F
+    # comes from the iterate before the last step: it agrees with the Newton
+    # solution's to a few _TOL_AUX (3.8e-9 relative here, 8.2e-9 at 0.5 lam_D)
+    solver = FSolver(square4, p3)
+    xi = 0.3 * solver.lam_dirichlet
+    newton = solve_aux(solver, xi)
+
+    def no_factor(problem, h):
+        raise np.linalg.LinAlgError("forced failure")
+
+    # the inner convex solves factor their Hessians in the work band directly
+    monkeypatch.setattr(ConvexPEnergyProblem, "factor", no_factor)
+    picard = solve_aux(solver, xi)
+    assert picard.newton_iters == 0 and picard.picard_iters > 2
+    assert newton.picard_iters < picard.picard_iters
+    assert abs(picard.F_value - newton.F_value) <= 10.0 * mx._TOL_AUX * newton.F_value
+
+
+def test_newton_stopped_above_the_solution_hands_back_a_subsolution(square4, p3, monkeypatch):
+    # at p = 3 the first Newton step from a subsolution overshoots, and the
+    # later iterates lie above the solution, where a Picard step would go
+    # down: when Newton stops there, the Picard steps start from the last
+    # iterate with G <= 0 up to the inner tolerance, here the warm start
+    solver = FSolver(square4, p3)
+    v0 = solver(0.3 * solver.lam_dirichlet).u_xi.values
+    xi = 0.5 * solver.lam_dirichlet
+    good = solve_aux(solver, xi, v0=v0)
+    factor, calls = ConvexPEnergyProblem.factor, []
+
+    def second_fails(problem, h):
+        calls.append(h)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced failure")
+        return factor(problem, h)
+
+    monkeypatch.setattr(ConvexPEnergyProblem, "factor", second_fails)
+    sol = solve_aux(solver, xi, v0=v0)
+    assert good.picard_iters == 1 and sol.picard_iters == 2
+    assert abs(sol.F_value - good.F_value) <= 1e-12 * good.F_value
+
+
+def test_warm_started_evaluations_end_in_one_or_two_picard_steps(interval200, p3, monkeypatch):
+    seen = []
+    solve = mx.solve_aux
+
+    def recording_solve(solver, xi, v0=None):
+        sol = solve(solver, xi, v0)
+        seen.append((v0 is not None, sol))
+        return sol
+
+    monkeypatch.setattr(mx, "solve_aux", recording_solve)
+    FSolver(interval200, p3).invert(5.0)
+    warm = [sol for started, sol in seen if started]
+    assert warm
+    assert all(sol.picard_iters <= 2 and sol.newton_iters >= 1 for sol in warm)
+
+
+def test_small_exponent_mass_near_the_ceiling_inverts():
+    # the inner Newton solves of plain Picard steps stall here at 3.8e-12
+    # against a target of 1.2e-13; Newton on the auxiliary equation reaches
+    # its solution, and the closing Picard step starts at it
+    from robinopt import build_interval
+
+    rep = sigma_max(FSolver(build_interval(100), SolverParams(p=1.5)), 100.0)
+    assert rep.crosscheck_ok
+    assert rep.F_residual <= 1e-10
+    assert abs(rep.sigma_mass - 100.0) <= 1e-9 * 100.0
+
+
 @pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
 @pytest.mark.parametrize("mesh", ["interval200", "disk10"])
 def test_direct_solution_is_a_picard_fixed_point(mesh, frac, p2, request):
