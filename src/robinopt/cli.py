@@ -216,7 +216,7 @@ def _cmd_dirichlet(args):
     res = solve_dirichlet(mesh, _params(args))
     check = verify_weak_residual(res)
     _emit(args, _eig_report(res, {"weak_residual_check": check}))
-    return EXIT_OK
+    return EXIT_OK if check["ok"] else EXIT_INVARIANT
 
 
 def _cmd_robin(args):

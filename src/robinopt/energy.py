@@ -90,8 +90,9 @@ class SolverParams:
             raise ConfigError(f"p={self.p} outside the supported range [1.1, 10]")
         if not (0 < self.tol_res < np.inf and 0 <= self.eps_reg < np.inf):
             raise ConfigError("tol_res must be positive and eps_reg nonnegative, both finite")
-        if self.max_outer < 1:
-            raise ConfigError("max_outer must be at least 1")
+        # the outer loop stops at it == max_outer: a fractional or non-finite cap never fires
+        if not (np.isfinite(self.max_outer) and float(self.max_outer).is_integer() and self.max_outer >= 1):
+            raise ConfigError(f"max_outer must be an integer of at least 1, not {self.max_outer!r}")
 
 
 def _node_index(node):

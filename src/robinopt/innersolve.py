@@ -23,10 +23,10 @@ J's energy is the Rayleigh numerator, the energy.numerator_terms PowerTerms,
 each built once with its c L^T L blocks. Each problem lays out a free-free
 Hessian pattern from their element arrays, with the free nodes in the mesh's
 Cuthill-McKee order, and each Hessian is one scatter of the element blocks
-into it. Every Newton direction, every p = 2 factor and every `factor` call
-(the auxiliary problem's Newton steps) is one banded Cholesky factorization
-(LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D meshes) in the
-problem's work band, which no other module sees.
+into it. Every Newton direction, every p = 2 factor and every linear_solve at
+p != 2 (the auxiliary problem's Newton steps) is one banded Cholesky
+factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D
+meshes) in the problem's work band, which no other module sees.
 
 eigenpair_newton polishes a nearby eigenpair of the eigensolver's problem by
 Newton on (u, lambda), bordered by the constraint on integral |u|^p (Keller's
@@ -53,7 +53,7 @@ from importlib import machinery, util
 import numpy as np
 
 from . import energy as en
-from .errors import ConfigError, ConvergenceError
+from .errors import ConvergenceError
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
@@ -250,32 +250,29 @@ class ConvexPEnergyProblem:
 
     # -- solve --------------------------------------------------------------
 
-    def factor(self, h):
-        """A solve function for the free-free matrix with stored entries h (in
-        free_idx order), by banded Cholesky in the work band; valid until the
-        next factorization of this problem. Raises np.linalg.LinAlgError when
-        h is not positive definite.
-        """
-        self._shift = None  # the work band no longer holds the p = 2 factor
-        return self._pattern.factor(h)
-
-    def linear_solve(self, b, shift=0.0):
-        """p = 2 only: the full nodal w (pinned entries zero) with (H - shift M) w
-        = b on the free nodes, H the constant Hessian of J and M the consistent
-        mass matrix. The factor is redone only when the shift changes; a failed
-        factorization (H - shift M not positive definite) raises LinAlgError.
+    def linear_solve(self, b, shift=0.0, w=None, z=None):
+        """The full nodal x (pinned entries zero) with (H(w) - shift M(z)) x = b
+        on the free nodes, H(w) the Hessian of J at w and M(z) the mass term's
+        Hessian at z, by one banded Cholesky factorization. At p = 2 these are
+        the constant H and the consistent mass matrix, w and z (required
+        otherwise) do not apply, and the factor is kept and redone only when
+        the shift changes. A failed factorization (the matrix not positive
+        definite) raises LinAlgError.
         """
         if self.p != 2.0:
-            raise ConfigError(f"linear_solve needs p = 2, not p = {self.p}")
-        if shift != self._shift:
-            pattern = self._pattern  # built before H's element blocks: a lower peak RSS
-            h, m = self._pencil
-            self._shift = None  # the work band is rewritten below
-            self._factor = pattern.factor(h - shift * m)
-            self._shift = shift
-        w = np.zeros(self.mesh.n_nodes)
-        w[self.free_idx] = self._factor(np.asarray(b, dtype=float)[self.free_idx])
-        return w
+            h = self.hessian(w) - shift * self.stored(en.mass_term(self.mesh).blocks(z, self.p))
+            solve = self._pattern.factor(h)
+        else:
+            if shift != self._shift:
+                pattern = self._pattern  # built before H's element blocks: a lower peak RSS
+                h, m = self._pencil
+                self._shift = None  # the work band is rewritten below
+                self._factor = pattern.factor(h - shift * m)
+                self._shift = shift
+            solve = self._factor
+        x = np.zeros(self.mesh.n_nodes)
+        x[self.free_idx] = solve(np.asarray(b, dtype=float)[self.free_idx])
+        return x
 
     def eigenpair_newton(self, u, lam):
         """Newton on the eigenpair (w, lam) from (u, lam): grad N(w) = lam

@@ -124,9 +124,10 @@ def _aux_newton(problem, scale, v):
     taken).
 
     Each step solves with the Jacobian, the problem's Hessian less scale
-    times the mass term's blocks at scale w + 1, by one banded Cholesky. An
-    iterate is taken only when the factorization succeeds, the iterate is
-    finite and it lies nodewise at or above v up to _PICARD_SLACK.
+    times the mass term's Hessian at scale w + 1, through the problem's
+    linear_solve (one banded Cholesky). An iterate is taken only when the
+    factorization succeeds, the iterate is finite and it lies nodewise at or
+    above v up to _PICARD_SLACK.
 
     Returns the first iterate with max |G| within the Picard step's inner
     tolerance 1e-13 (1 + max |L|), or one whose step moved no node beyond the
@@ -137,27 +138,24 @@ def _aux_newton(problem, scale, v):
     first step that overshoots lie above the solution, where a Picard step
     would decrease.
     """
-    mesh, free = problem.mesh, problem.free_idx
-    mass = en.mass_term(mesh)
+    free = problem.free
     floor = v - _PICARD_SLACK * (1.0 + float(np.max(np.abs(v))))
     sub, last, moved = v, np.inf, np.inf
     for steps in range(_MAX_AUX_NEWTON + 1):
         _, load, gtol = _aux_load(problem, scale, v)
-        g = problem.gradient(v, load)[free]
-        gn = float(np.max(np.abs(g)))
+        g = problem.gradient(v, load)
+        gn = float(np.max(np.abs(g[free])))
         if gn <= gtol or (moved <= _PICARD_SLACK * (1.0 + float(np.max(np.abs(v)))) and not gn < last):
             return v, steps
-        if np.max(g) <= gtol:
+        if np.max(g[free]) <= gtol:
             sub = v
         if steps == _MAX_AUX_NEWTON:
             break
-        jac = problem.hessian(v) - scale * problem.stored(mass.blocks(scale * v + 1.0, problem.p))
         try:
-            d = problem.factor(jac)(-g)
+            d = problem.linear_solve(-g, scale, v, scale * v + 1.0)
         except np.linalg.LinAlgError:
             break
-        w = v.copy()
-        w[free] += d
+        w = v + d
         if not (np.all(np.isfinite(w)) and np.all(w >= floor)):
             break
         v, last, moved = w, gn, float(np.max(np.abs(d)))
@@ -180,20 +178,21 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     nondecreasing nodewise, which is asserted at runtime; the iteration stops
     at a relative step below _TOL_AUX and gives up after _MAX_PICARD steps.
     Before each Picard step, Newton steps on the discrete equation
-    (_aux_newton) move the iterate toward the solution, which is unique in
-    the continuum (Diaz and Saa, C. R. Acad. Sci. Paris 305, 1987), and stay
-    above the iterate they start from. Usually the first Newton call
-    converges, and the one Picard step that follows moves the iterate by
-    less than _TOL_AUX: it checks the Newton solution. Where a Jacobian does
-    not factor (at p > 2 the Hessian vanishes at v = 0, and a far warm start
+    (_aux_newton, one linear_solve of the Jacobian each) move the iterate
+    toward the solution, which is unique in the continuum (Diaz and Saa,
+    C. R. Acad. Sci. Paris 305, 1987), and stay above the iterate they start
+    from. Usually the first Newton call converges, and the one Picard step
+    that follows moves the iterate by less than _TOL_AUX: it checks the
+    Newton solution. Where a Jacobian does not factor (at p > 2 the Hessian vanishes at v = 0, and a far warm start
     can leave the Jacobian indefinite), the Picard steps go on and Newton is
     retried before each. picard_iters counts the Picard steps and
     newton_iters the Newton steps taken.
 
     Either way F and the dual load come from the right-hand side of the last
-    solve, so the returned solution and load form a consistent pair: the
-    interior residual is at solver level, and the recovered boundary flux
-    reproduces F(xi) exactly.
+    solve (_aux_load; at p = 2 scale is xi and the power is 1), so the
+    returned solution and load form a consistent pair: the interior residual
+    is at solver level, and the recovered boundary flux reproduces F(xi)
+    exactly.
     """
     mesh, p, lam_dirichlet, problem = solver.mesh, solver.params.p, solver.lam_dirichlet, solver.problem
     if not (0.0 < xi < lam_dirichlet):
@@ -201,10 +200,10 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
             f"xi={xi} rejected: the auxiliary iteration requires 0 < xi < "
             f"{lam_dirichlet} (discrete Dirichlet eigenvalue of this mesh)"
         )
+    scale = xi ** (1.0 / (p - 1.0))
     if p == 2.0:
         it, newton, v = 0, 0, problem.linear_solve(solver._unit_load, xi)
-        rhs = xi * en.gauss_values(mesh, v) + 1.0
-        load = en.assemble_load(mesh, rhs)
+        rhs, load, _ = _aux_load(problem, scale, v)
         worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
         # a backward-stable solve leaves a few eps of the residual's terms, |load|
         # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
@@ -213,7 +212,6 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
                 f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
             )
     else:
-        scale = xi ** (1.0 / (p - 1.0))
         v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
         newton = 0
         for it in range(1, _MAX_PICARD + 1):
@@ -245,10 +243,10 @@ class FSolver:
 
     Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem that
     every F evaluation, `solve_aux`, solves: once at p = 2, once per Picard
-    step otherwise, where the problem's work band also holds the Newton
-    steps' factors. At p = 2 it also holds the direct solve's load M 1 and
-    max K_ii, the scale of its residual check (for a positive semidefinite K
-    the largest stored entry is the largest diagonal one). At p != 2 the
+    step and once per auxiliary Newton step (its Jacobian) otherwise. At
+    p = 2 it also holds the direct solve's load M 1 and max K_ii, the scale
+    of its residual check (for a positive semidefinite K the largest stored
+    entry is the largest diagonal one). At p != 2 the
     computed auxiliary solutions are kept sorted by xi: each evaluation
     starts its Newton steps from the largest known subsolution below its xi.
     """

@@ -318,6 +318,17 @@ def test_oracle_argument_error_exit_code(args, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["dirichlet"], ["robin", "--sigma", "const:1"]])
+def test_failed_weak_residual_check_exit_code(argv, monkeypatch, capsys):
+    # both eigenvalue commands fail on their weak-residual re-check, and
+    # still print the report that records it
+    import robinopt.cli as cli
+
+    monkeypatch.setattr(cli, "verify_weak_residual", lambda res: {"ok": False})
+    assert run([*argv, "--domain", "builtin:interval:20"]) == 5
+    assert json.loads(capsys.readouterr().out)["weak_residual_check"] == {"ok": False}
+
+
 def test_no_convergence_exit_code(capsys):
     argv = ["robin", "--domain", "builtin:disk:0.2", "--sigma", "const:1", "--p", "1.2",
             "--max-outer", "2"]

@@ -444,7 +444,8 @@ def test_solver_params_validation():
     with pytest.raises(ConfigError):
         SolverParams(p=2.0, tol_res=0.0)
     for bad in ({"tol_res": np.inf}, {"tol_res": np.nan}, {"eps_reg": -1e-10},
-                {"eps_reg": np.nan}, {"max_outer": 0}):
+                {"eps_reg": np.nan}, {"max_outer": 0}, {"max_outer": 2.5},
+                {"max_outer": np.inf}, {"max_outer": np.nan}):
         with pytest.raises(ConfigError):
             SolverParams(p=2.0, **bad)
     with pytest.raises(TypeError):  # the residual test is the only stopping test

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import robinopt.energy as en
 import robinopt.innersolve as ins
-from robinopt import BoundaryWeight, ConfigError, ConvergenceError, SolverParams, build_disk, build_interval, build_square
+from robinopt import BoundaryWeight, ConvergenceError, SolverParams, build_disk, build_interval, build_square
 from robinopt.innersolve import ConvexPEnergyProblem
 from tests.conftest import run_fresh
 
@@ -234,12 +234,6 @@ def test_quadratic_factor_survives_later_factorizations():
     assert np.max(np.abs(r[problem.free])) <= 1e-10 * np.max(np.abs(b))
 
 
-def test_linear_solve_needs_p2(square4, p3):
-    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=square4.boundary_nodes())
-    with pytest.raises(ConfigError, match="p = 2"):
-        problem.linear_solve(np.ones(square4.n_nodes))
-
-
 def test_quadratic_refinement_stops_at_roundoff_floor(interval200, monkeypatch):
     # a late p = 2 Picard step near the root of F = 1e4 on interval 200:
     # xi ~ lam_D - 8e-3 and an iterate ~ 160 sin(pi x), where the residual
@@ -322,6 +316,21 @@ def test_shifted_solve_on_a_weighted_problem():
     m = _dense_assembly(mesh, en.mass_blocks(mesh), mesh.cells)[problem.free_idx][:, problem.free_idx]
     ref = np.linalg.solve(kb - 0.5 * m, b[problem.free_idx])
     assert np.max(np.abs(w[problem.free_idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shifted_solve_at_p3_takes_the_hessians_at_w_and_z(square4, p3):
+    # at p != 2 linear_solve factors H(w) - shift M(z) afresh, the form of the
+    # auxiliary problem's Newton Jacobian, against a dense solve
+    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=square4.boundary_nodes())
+    rng = np.random.default_rng(6)
+    w, z = rng.uniform(0.5, 1.5, (2, square4.n_nodes))
+    b = rng.standard_normal(square4.n_nodes)
+    x = problem.linear_solve(b, 0.5, w, z)
+    free = problem.free_idx
+    m = _dense_assembly(square4, en.mass_term(square4).blocks(z, 3.0), square4.cells)[free][:, free]
+    ref = np.linalg.solve(_reference_hessian(problem, w, "dense") - 0.5 * m, b[free])
+    assert np.max(np.abs(x[free] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(x[~problem.free] == 0.0)
 
 
 def test_banded_lu_solves_an_indefinite_matrix(square4, p3):

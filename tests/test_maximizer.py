@@ -267,11 +267,12 @@ def test_failed_jacobian_factorizations_leave_picard_alone(square4, p3, monkeypa
     xi = 0.3 * solver.lam_dirichlet
     newton = solve_aux(solver, xi)
 
-    def no_factor(problem, h):
+    def failing_solve(problem, b, shift=0.0, w=None, z=None):
         raise np.linalg.LinAlgError("forced failure")
 
-    # the inner convex solves factor their Hessians in the work band directly
-    monkeypatch.setattr(ConvexPEnergyProblem, "factor", no_factor)
+    # the inner convex solves factor their Hessians in the work band directly:
+    # at p != 2 only the auxiliary Newton steps call linear_solve
+    monkeypatch.setattr(ConvexPEnergyProblem, "linear_solve", failing_solve)
     picard = solve_aux(solver, xi)
     assert picard.newton_iters == 0 and picard.picard_iters > 2
     assert newton.picard_iters < picard.picard_iters
@@ -287,15 +288,15 @@ def test_newton_stopped_above_the_solution_hands_back_a_subsolution(square4, p3,
     v0 = solver(0.3 * solver.lam_dirichlet).u_xi.values
     xi = 0.5 * solver.lam_dirichlet
     good = solve_aux(solver, xi, v0=v0)
-    factor, calls = ConvexPEnergyProblem.factor, []
+    linear_solve, calls = ConvexPEnergyProblem.linear_solve, []
 
-    def second_fails(problem, h):
-        calls.append(h)
+    def second_fails(problem, b, shift=0.0, w=None, z=None):
+        calls.append(b)
         if len(calls) == 2:
             raise np.linalg.LinAlgError("forced failure")
-        return factor(problem, h)
+        return linear_solve(problem, b, shift, w, z)
 
-    monkeypatch.setattr(ConvexPEnergyProblem, "factor", second_fails)
+    monkeypatch.setattr(ConvexPEnergyProblem, "linear_solve", second_fails)
     sol = solve_aux(solver, xi, v0=v0)
     assert good.picard_iters == 1 and sol.picard_iters == 2
     assert abs(sol.F_value - good.F_value) <= 1e-12 * good.F_value
