@@ -135,7 +135,7 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
     if start is not None:
         u0 = _continued(problem, start)
 
-    w = np.ones(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
+    w = np.ones(mesh.n_nodes) if u0 is None else np.array(NodalField(mesh, u0).values)
     w[~problem.free] = 0.0
     if not np.any(w > 0):
         raise ConfigError("initial guess vanishes on the free nodes")

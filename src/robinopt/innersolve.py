@@ -323,7 +323,9 @@ class ConvexPEnergyProblem:
         gtol, gtol_soft and g0 do not apply.
 
         Otherwise Newton converges from w0 to max-norm gradient gtol. When
-        progress stops above gtol, the best iterate is returned if its
+        progress stops above gtol (after _MAX_NEWTON steps, or when no ridge
+        is accepted: tau = 0, then 100-fold up to 1e12 max(dscale, |g|inf),
+        none when that cap is not finite), the best iterate is returned if its
         gradient is below gtol_soft (gtol_soft = inf leaves the judgment to
         the caller's own convergence test), else a ConvergenceError is raised.
         A caller that holds gradient(w0, b) (w0 zero on the pinned nodes)
@@ -340,20 +342,17 @@ class ConvexPEnergyProblem:
         w[~self.free] = 0.0
 
         j = None  # J(w), carried over from the accepted step
-        for _ in range(_MAX_NEWTON):
+        for steps in range(_MAX_NEWTON + 1):
             g = self.gradient(w, b) if g0 is None else g0
             gn = float(np.max(np.abs(g[self.free])))
-            if gn <= gtol:
-                return w
+            if gn <= gtol or steps == _MAX_NEWTON:
+                break
             if j is None:
                 j = self.objective(w, b)
             step = self._newton_step(w, b, g, gn, j)
             if step is None:
                 break
             w, j, g0 = step
-        else:  # _MAX_NEWTON steps taken; a break leaves g and gn at w
-            g = self.gradient(w, b) if g0 is None else g0
-            gn = float(np.max(np.abs(g[self.free])))
         if gn <= max(gtol, gtol_soft):
             if gn > gtol:
                 log.debug("inner Newton stalled at |grad|=%.3e (target %.1e); "
@@ -368,14 +367,17 @@ class ConvexPEnergyProblem:
     def _newton_step(self, w, b, g, gn, j0):
         """One damped Newton step from w, with J(w) = j0 and gradient g of
         free max-norm gn: (w_new, J(w_new) or None, its gradient or None), or
-        None when no ridge tau <= 1e12 max(dscale, gn) makes progress, dscale
-        the mean |diagonal| of the Hessian."""
+        None when no ridge makes progress: tau = 0, then max(1e-8 dscale, gn)
+        and 100-fold up to 1e12 max(dscale, gn), dscale the mean |diagonal|
+        of the Hessian; none when that cap is not finite (a NaN or infinite diagonal)."""
         h = self.hessian(w)
         gf = g[self.free_idx]
         dscale = float(np.mean(np.abs(h[self._pattern.diag]))) + 1e-300
         resolution = 1e-15 * (1.0 + abs(j0))  # the float resolution of J
         tau, cap = 0.0, 1e12 * max(dscale, gn)
-        while True:
+        while tau <= cap < np.inf:
+            if tau:
+                log.debug("Newton ridge escalated to tau=%.3e", tau)
             try:
                 d = self._pattern.factor(h, tau)(-gf)
             except np.linalg.LinAlgError as exc:
@@ -402,6 +404,4 @@ class ConvexPEnergyProblem:
                 if abs(slope) < resolution:
                     return None  # a larger ridge only shortens a step that changes nothing
             tau = 100.0 * tau if tau else max(1e-8 * dscale, gn)
-            if tau > cap:
-                return None
-            log.debug("Newton ridge escalated to tau=%.3e", tau)
+        return None

@@ -166,15 +166,16 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
     """The auxiliary problem at parameter xi: one direct solve at p = 2, else
     guarded Newton steps closed by a monotone Picard step.
 
-    At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes: v
-    is the pinned problem's linear_solve at shift xi (LinAlgError when
-    K - xi M is not positive definite), v0 does not apply, and picard_iters
-    is 0. The free-node residual of v is checked against _TOL_DIRECT
-    relative to the scale of the residual's terms.
+    At p = 2 the problem is linear, (K - xi M) v = M 1 on the free nodes, M 1
+    _aux_load's load at v = 0: v is the pinned problem's linear_solve at
+    shift xi (LinAlgError when K - xi M is not positive definite), v0 does
+    not apply, and picard_iters is 0. The free-node residual of v is checked
+    against _TOL_DIRECT relative to the scale of the residual's terms.
 
     Otherwise, starting from v0 = 0 (or a known subsolution for a smaller
-    xi), each Picard step solves the solver's Dirichlet-pinned convex problem
-    with the right-hand side frozen at the previous iterate. Iterates are
+    xi; ConfigError unless it is one finite value per node), each Picard
+    step solves the solver's Dirichlet-pinned convex problem with the
+    right-hand side frozen at the previous iterate. Iterates are
     nondecreasing nodewise, which is asserted at runtime; the iteration stops
     at a relative step below _TOL_AUX and gives up after _MAX_PICARD steps.
     Before each Picard step, Newton steps on the discrete equation
@@ -202,7 +203,7 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
         )
     scale = xi ** (1.0 / (p - 1.0))
     if p == 2.0:
-        it, newton, v = 0, 0, problem.linear_solve(solver._unit_load, xi)
+        it, newton, v = 0, 0, problem.linear_solve(_aux_load(problem, scale, np.zeros(mesh.n_nodes))[1], xi)
         rhs, load, _ = _aux_load(problem, scale, v)
         worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
         # a backward-stable solve leaves a few eps of the residual's terms, |load|
@@ -212,7 +213,7 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
                 f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
             )
     else:
-        v = np.zeros(mesh.n_nodes) if v0 is None else np.array(v0, dtype=float)
+        v = np.zeros(mesh.n_nodes) if v0 is None else NodalField(mesh, v0).values
         newton = 0
         for it in range(1, _MAX_PICARD + 1):
             v, steps = _aux_newton(problem, scale, v)
@@ -244,11 +245,11 @@ class FSolver:
     Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem that
     every F evaluation, `solve_aux`, solves: once at p = 2, once per Picard
     step and once per auxiliary Newton step (its Jacobian) otherwise. At
-    p = 2 it also holds the direct solve's load M 1 and max K_ii, the scale
-    of its residual check (for a positive semidefinite K the largest stored
-    entry is the largest diagonal one). At p != 2 the
-    computed auxiliary solutions are kept sorted by xi: each evaluation
-    starts its Newton steps from the largest known subsolution below its xi.
+    p = 2 it also holds max K_ii, the scale of the direct solve's residual
+    check (for a positive semidefinite K the largest stored entry is the
+    largest diagonal one). At p != 2 the computed auxiliary solutions are
+    kept sorted by xi: each evaluation starts its Newton steps from the
+    largest known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):
@@ -257,7 +258,6 @@ class FSolver:
         self.lam_dirichlet = dirichlet_ceiling(mesh, params)
         self.problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
         if params.p == 2.0:
-            self._unit_load = en.mass_action(mesh, np.ones(mesh.n_nodes), 2.0)
             self._k_scale = float(np.max(self.problem.hessian(np.zeros(mesh.n_nodes))))
         self.solutions = []  # (xi, values) sorted by xi, the Picard warm starts
         self.evals = 0

@@ -218,7 +218,6 @@ class XmTrack:
     m_list: list
     x_m_nodes: list
     distances: list            # distance of x_m to the point-eigenvalue argmin set
-    reports: list = field(repr=False, default_factory=list)
 
 
 def track_xm(scan: PointScan, m_list) -> XmTrack:
@@ -234,11 +233,10 @@ def track_xm(scan: PointScan, m_list) -> XmTrack:
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ConfigError("m_list must be strictly increasing")
     argmin_pts = scan.mesh.nodes[np.asarray(scan.tie_set, dtype=int)]
-    reports, nodes, dist = [], [], []
+    nodes, dist = [], []
     rep = None
     for m in m_list:
         rep = lambda_inf(scan, m, prune=True, previous=rep)
-        reports.append(rep)
         nodes.append(rep.x_m_node)
         d = float(np.min(np.linalg.norm(argmin_pts - rep.x_m[None, :], axis=1)))
         dist.append(d)
@@ -247,7 +245,7 @@ def track_xm(scan: PointScan, m_list) -> XmTrack:
         raise InvariantViolationError(
             f"x_m distances increased over the largest mass decade: {top}"
         )
-    return XmTrack(m_list=m_list, x_m_nodes=nodes, distances=dist, reports=reports)
+    return XmTrack(m_list=m_list, x_m_nodes=nodes, distances=dist)
 
 
 # ---------------------------------------------------------------------------

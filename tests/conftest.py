@@ -17,13 +17,14 @@ LAM_DISK_DIRICHLET = 5.783185962946785
 LAM_POINT_INTERVAL = (np.pi / 2.0) ** 2
 
 
-def run_fresh(code):
+def run_fresh(code, timeout=None):
     """The standard output of `code` run by a fresh interpreter that imports
-    robinopt from the same source tree as these tests."""
+    robinopt from the same source tree as these tests; a run longer than
+    `timeout` seconds is killed and raises subprocess.TimeoutExpired."""
     src = os.path.dirname(os.path.dirname(robinopt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env).stdout
+                          check=True, env=env, timeout=timeout).stdout
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,28 @@ def test_start_pair_from_another_mesh_is_refused():
         solve_point(build_interval(10), 10, params, start=start)
 
 
+@pytest.mark.parametrize("mode", ["robin", "dirichlet"])
+@pytest.mark.parametrize("u0, message", [
+    (np.ones(5), "length"), (np.full(41, np.nan), "non-finite"), (np.zeros(41), "vanishes on the free nodes"),
+])
+def test_bad_start_is_refused(mode, u0, message):
+    # a short start used to raise IndexError, and a non-finite one to run the
+    # inner Newton ridge forever
+    mesh, params = build_interval(40), SolverParams(p=3.0)
+    with pytest.raises(ConfigError, match=message):
+        if mode == "robin":
+            solve_robin(mesh, BoundaryWeight.constant(mesh, 1.0), params, u0=u0)
+        else:
+            solve_dirichlet(mesh, params, u0=u0)
+
+
+def test_start_is_not_written_to(p2):
+    mesh = build_interval(40)
+    u0 = np.ones(mesh.n_nodes)
+    solve_dirichlet(mesh, p2, u0=u0)
+    assert np.all(u0 == 1.0)
+
+
 @pytest.mark.parametrize("node", [10.7, np.nan])
 def test_dirac_rejects_a_node_that_is_not_an_integer(node):
     with pytest.raises(ConfigError):

@@ -282,6 +282,9 @@ def test_weight_validation(mesh):
         BoundaryWeight.dirac(mesh, 3, 1.0)  # interior node
     with pytest.raises(ConfigError, match="does not match facet count"):
         BoundaryWeight.from_facet_density(mesh, [1.0, 1.0, 1.0])  # 2 facets
+    for mass in (-1.0, np.inf):
+        with pytest.raises(ConfigError, match="atom masses"):
+            BoundaryWeight(mesh, atoms=[(0, mass)])
 
 
 @pytest.mark.parametrize("node", [-1, 99])
@@ -343,6 +346,8 @@ def test_weight_file_round_trip(tmp_path, mesh):
     write_weight(w, path)
     w2 = read_weight(mesh, path)
     assert w2.kind == "mixed"
+    assert BoundaryWeight.constant(mesh, 1.0).kind == "facet_density"
+    assert BoundaryWeight.dirac(mesh, 0, 1.0).kind == "dirac"
     assert np.array_equal(w2.facet_density, w.facet_density)
     assert w2.atoms == w.atoms
     assert w2.total_mass == w.total_mass

@@ -202,6 +202,37 @@ def test_first_ridge_is_floored_by_the_gradient_norm(caplog):
     assert events and events[0].args == (max(1e-8 * dscale, gn),)
 
 
+def test_nan_start_ends_the_ridge_ladder():
+    # a NaN entry makes the Hessian diagonal, and so the ridge cap, NaN: the
+    # ladder used to escalate forever, so the solve runs in a fresh
+    # interpreter that the timeout kills
+    out = run_fresh("""
+import numpy as np
+import robinopt.energy as en
+from robinopt import ConvergenceError, SolverParams, build_interval
+from robinopt.innersolve import ConvexPEnergyProblem
+mesh = build_interval(40)
+problem = ConvexPEnergyProblem(mesh, SolverParams(p=3), fixed_nodes=mesh.boundary_nodes())
+w0 = np.ones(mesh.n_nodes)
+w0[5] = np.nan
+try:
+    problem.solve(en.mass_action(mesh, np.ones(mesh.n_nodes), 3.0), w0=w0)
+except ConvergenceError as exc:
+    print(type(exc).__name__)
+""", timeout=60)
+    assert out.strip() == "ConvergenceError"
+
+
+def test_nan_load_climbs_to_the_ridge_cap_and_raises(caplog):
+    # the gradient is NaN but the Hessian at w = 0 is finite (zero at p = 3),
+    # so the cap is finite and the ladder stops at it
+    mesh = build_interval(40)
+    problem = ConvexPEnergyProblem(mesh, SolverParams(p=3.0), fixed_nodes=mesh.boundary_nodes())
+    with caplog.at_level(logging.DEBUG, logger="robinopt"), pytest.raises(ConvergenceError):
+        problem.solve(np.full(mesh.n_nodes, np.nan))
+    assert any(r.getMessage().startswith("Newton ridge escalated") for r in caplog.records)
+
+
 def test_band_width_on_disk_is_order_sqrt_n():
     # 81 in Cuthill-McKee order at 4921 free nodes; the natural order gives 473
     mesh = build_disk(0.025)

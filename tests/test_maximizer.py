@@ -9,6 +9,7 @@ from robinopt import (
     FSolver,
     InvariantViolationError,
     SolverParams,
+    build_interval,
     interval_robin_p2,
     random_weight,
     rayleigh,
@@ -226,6 +227,14 @@ def test_picard_decrease_is_an_invariant_violation(interval200, p3, monkeypatch)
         solve_aux(solver, 1.0, v0=v0)
 
 
+@pytest.mark.parametrize("v0, message", [(np.zeros(3), "length"), (np.full(41, np.nan), "non-finite")])
+def test_bad_start_of_the_auxiliary_iteration_is_refused(v0, message):
+    # a short start used to raise IndexError, and a NaN one to run the inner
+    # Newton ridge forever
+    with pytest.raises(ConfigError, match=message):
+        solve_aux(FSolver(build_interval(40), SolverParams(p=3.0)), 1.0, v0=v0)
+
+
 def picard_reference(solver, xi):
     """The auxiliary solution and F at xi by plain Picard steps from v = 0,
     each one convex solve with the load frozen at the previous iterate, to a
@@ -322,8 +331,6 @@ def test_small_exponent_mass_near_the_ceiling_inverts():
     # the inner Newton solves of plain Picard steps stall here at 3.8e-12
     # against a target of 1.2e-13; Newton on the auxiliary equation reaches
     # its solution, and the closing Picard step starts at it
-    from robinopt import build_interval
-
     rep = sigma_max(FSolver(build_interval(100), SolverParams(p=1.5)), 100.0)
     assert rep.crosscheck_ok
     assert rep.F_residual <= 1e-10
@@ -412,8 +419,6 @@ def test_flux_mass_mismatch_is_an_invariant_violation(interval200, p2, monkeypat
 
 
 def test_mass_inversion_second_order_in_h():
-    from robinopt import build_interval
-
     exact = closed_form_F_root(2.0)
     errs = []
     for n in (50, 100, 200):

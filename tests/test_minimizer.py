@@ -233,11 +233,30 @@ def test_concentration_refuses_non_finite_input(p, m, volume):
         concentration_demo(p, m, [100], volume=volume)
 
 
+@pytest.mark.parametrize("m, j_list, message", [
+    (0.0, [100], "positive"), (-1.0, [100], "positive"), (1.0, [1], "j >= 2"), (1.0, [100, 1], "j >= 2"),
+])
+def test_concentration_refuses_a_bad_mass_or_index(m, j_list, message):
+    with pytest.raises(ConfigError, match=message):
+        concentration_demo(1.5, m, j_list)
+
+
 # -- Hoelder continuity ----------------------------------------------------------
 
 def test_hoelder_interval_degenerate(interval_scan):
     rep = hoelder_check(interval_scan)
     assert rep["degenerate"]
+
+
+def test_hoelder_flat_map_is_at_noise_level(disk_coarse, p3):
+    # on the exact disk the point-eigenvalue map is constant: no pair differs
+    # above roundoff, so no slope is fitted
+    scan = scan_point_eigen(disk_coarse, p3)
+    scan.values = np.full(len(scan.values), float(np.mean(scan.values)))
+    rep = hoelder_check(scan)
+    assert not rep["degenerate"] and rep["n_pairs"] >= 3
+    assert math.isnan(rep["slope"]) and rep["max_ratio"] == 0.0
+    assert "noise level" in rep["note"]
 
 
 def test_hoelder_square_slope(square8):

@@ -67,12 +67,24 @@ def test_brute_force_refuses_p_outside_the_supported_range(p):
     # the range SolverParams and interval_dirichlet_p accept
     with pytest.raises(ConfigError, match=r"\[1\.1, 10\]"):
         brute_force_1d(p, 1.0, 1.0, n_grid=64)
+    with pytest.raises(ConfigError, match=r"\[1\.1, 10\]"):
+        interval_dirichlet_p(p)
 
 
 @pytest.mark.parametrize("weights", [(-1.0, 2.0), (2.0, -1e-3)])
 def test_brute_force_refuses_a_negative_weight(weights):
     with pytest.raises(ConfigError):
         brute_force_1d(3.0, *weights, n_grid=200)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "point"}, "pin_x"), ({"mode": "point", "pin_x": 0.5}, "pin_x"),
+    ({"mode": "robin", "sigma_left": 0.0, "sigma_right": 0.0}, "positive total weight"),
+    ({"mode": "neumann"}, "unknown mode"),
+])
+def test_brute_force_refuses_a_bad_mode(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        brute_force_1d(3.0, n_grid=64, **kwargs)
 
 
 def test_dirichlet_closed_form():
