@@ -41,7 +41,7 @@ LAYOUT_CALLS = {
     # a Dirac point off the mesh nodes: the report has a snap_distance
     "robin_snap": ["robin", "--domain", "builtin:square:0.5", "--p", "3", "--sigma", "dirac:0.3,0:1"],
     "dirichlet": ["dirichlet", "--domain", "builtin:interval:40", "--p", "3"],
-    "oracle": ["oracle", "brute-force-1d", "3", "1", "2", "200"],
+    "oracle": ["oracle", "interval-robin-p", "3", "1", "2"],
     "mesh": ["mesh", "--domain", "builtin:disk:0.25"],
     # the structured builders: mesh.pmesh holds every node and cell
     "mesh_disk_fine": ["mesh", "--domain", "builtin:disk:0.025"],

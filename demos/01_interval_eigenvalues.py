@@ -3,7 +3,9 @@
 
 The boundary of (0, 1) is just the two endpoints, so a boundary weight is a
 pair of nonnegative numbers. For p = 2 each eigenvalue solves a classical
-transcendental equation, which makes the interval the perfect smoke test.
+transcendental equation, and at any p it follows from the first integral
+(p-1)|u'|^p + lambda |u|^p = lambda max|u|^p of the eigenfunction, which
+makes the interval the perfect smoke test.
 """
 
 from robinopt import (
@@ -11,6 +13,7 @@ from robinopt import (
     SolverParams,
     build_interval,
     interval_dirichlet_p,
+    interval_robin_p,
     interval_robin_p2,
     solve_dirac,
     solve_dirichlet,
@@ -31,6 +34,17 @@ for sl, sr in cases:
     lam = solve_robin(mesh, w, params).lam
     ora = interval_robin_p2(sl, sr)
     print(f"({sl:4.1f},{sr:4.1f}) {lam:12.6f} {ora:12.6f} {abs(lam-ora)/ora:10.2e}")
+
+print()
+print("The same weights at p = 3, against the first-integral closed form:")
+params3 = SolverParams(p=3.0)
+print(f"{'sigma':>12} {'FEM':>12} {'oracle':>12} {'rel.err':>10}")
+for sl, sr in cases:
+    w = BoundaryWeight.from_facet_density(mesh, [sl, sr])
+    lam = solve_robin(mesh, w, params3).lam
+    ora = interval_robin_p(3.0, sl, sr)
+    print(f"({sl:4.1f},{sr:4.1f}) {lam:12.6f} {ora:12.6f} {abs(lam-ora)/ora:10.2e}")
+    assert abs(lam - ora) / ora < 1e-3
 
 print()
 print("A point mass at one endpoint (the relaxed weight class):")

@@ -53,7 +53,7 @@ from .minimizer import (
     scan_point_eigen,
     track_xm,
 )
-from .oracle import brute_force_1d, disk_robin_p2_const, interval_dirichlet_p, interval_robin_p2
+from .oracle import disk_robin_p2_const, interval_dirichlet_p, interval_robin_p, interval_robin_p2
 
 # everything imported above from the package's modules, and nothing else
 __all__ = sorted(

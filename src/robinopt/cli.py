@@ -316,12 +316,12 @@ def _cmd_concentrate(args):
     return EXIT_OK
 
 
-# oracle name -> (function, its argument names, how many of them are required)
+# oracle name -> (function, its argument names)
 _ORACLES = {
-    "interval-robin-p2": (orc.interval_robin_p2, ("SIGMA_LEFT", "SIGMA_RIGHT"), 2),
-    "interval-dirichlet-p": (orc.interval_dirichlet_p, ("P",), 1),
-    "disk-robin-p2": (orc.disk_robin_p2_const, ("SIGMA",), 1),
-    "brute-force-1d": (orc.brute_force_1d, ("P", "SIGMA_LEFT", "SIGMA_RIGHT", "N_GRID"), 3),
+    "interval-robin-p2": (orc.interval_robin_p2, ("SIGMA_LEFT", "SIGMA_RIGHT")),
+    "interval-robin-p": (orc.interval_robin_p, ("P", "SIGMA_LEFT", "SIGMA_RIGHT")),
+    "interval-dirichlet-p": (orc.interval_dirichlet_p, ("P",)),
+    "disk-robin-p2": (orc.disk_robin_p2_const, ("SIGMA",)),
 }
 
 
@@ -329,10 +329,9 @@ def _cmd_oracle(args):
     name = args.name
     if name not in _ORACLES:
         raise ConfigError(f"unknown oracle {name!r}; available: {', '.join(_ORACLES)}")
-    fn, names, required = _ORACLES[name]
-    if not required <= len(args.args) <= len(names):
-        usage = " ".join(names[:required] + tuple(f"[{n}]" for n in names[required:]))
-        raise ConfigError(f"oracle {name} takes {usage}; got {len(args.args)} argument(s)")
+    fn, names = _ORACLES[name]
+    if len(args.args) != len(names):
+        raise ConfigError(f"oracle {name} takes {' '.join(names)}; got {len(args.args)} argument(s)")
     vals = [_num(float, v, f"{name} {' '.join(args.args)}") for v in args.args]
     _emit(args, {"oracle": name, "args": vals, "value": fn(*vals)})
     return EXIT_OK
@@ -407,7 +406,7 @@ def build_parser():
     sp.add_argument("--j-list", required=True, dest="j_list")
     sp.set_defaults(fn=_cmd_concentrate)
 
-    sp = sub.add_parser("oracle", help="independent closed-form and brute-force values")
+    sp = sub.add_parser("oracle", help="independent closed-form values")
     sp.add_argument("name")
     sp.add_argument("args", nargs="*")
     sp.add_argument("--out")

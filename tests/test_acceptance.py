@@ -15,7 +15,6 @@ from robinopt import (
     BoundaryWeight,
     SolverParams,
     belsup,
-    brute_force_1d,
     build_disk,
     build_interval,
     build_square,
@@ -24,6 +23,7 @@ from robinopt import (
     disk_robin_p2_const,
     inflow,
     interval_dirichlet_p,
+    interval_robin_p,
     interval_robin_p2,
     lambda_inf,
     random_weight,
@@ -65,8 +65,8 @@ def test_criterion_1_dirichlet_1d():
         assert abs(exact3 - 28.29) < 0.01
         lam3 = solve_dirichlet(mesh, SolverParams(p=3.0)).lam
         assert abs(lam3 - exact3) / exact3 < 0.01
-        bf3 = brute_force_1d(3.0, mode="dirichlet", n_grid=10_000)
-        assert abs(lam3 - bf3) / bf3 < 0.01
+        pinned3 = interval_robin_p(3.0, np.inf, np.inf)
+        assert abs(lam3 - pinned3) / pinned3 < 0.01
 
 
 def test_criterion_2_robin_oracle_agreement():

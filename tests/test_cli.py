@@ -15,6 +15,9 @@ def test_oracle_command(capsys):
     assert run(["oracle", "interval-robin-p2", "1", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - 1.7070529755509227) < 1e-9
+    assert run(["oracle", "interval-robin-p", "2", "1", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["args"] == [2.0, 1.0, 1.0] and abs(out["value"] - 1.7070529755509227) < 1e-13
 
 
 def test_dirichlet_command(capsys):
@@ -185,18 +188,18 @@ def test_failed_crosscheck_exit_code(command, monkeypatch):
 
 
 def test_cli_import_does_not_load_quadrature():
-    # no command imports scipy.integrate, and innersolve loads scipy's LAPACK
-    # extension without the scipy.linalg package (which brings numpy.f2py)
-    names = ["scipy.integrate", "scipy.linalg", "numpy.f2py"]
+    # no command imports scipy.integrate, innersolve loads scipy's LAPACK
+    # extension without the scipy.linalg package (which brings numpy.f2py),
+    # and the oracle builds its Gauss rule (numpy.polynomial) on first use
+    names = ["scipy.integrate", "scipy.linalg", "numpy.f2py", "numpy.polynomial"]
     out = run_fresh(f"import sys, robinopt.cli; print(*[name in sys.modules for name in {names!r}])")
-    assert out.split() == ["False", "False", "False"]
+    assert out.split() == ["False", "False", "False", "False"]
 
 
 def test_no_command_loads_heavy_imports():
     # in one fresh interpreter, every subcommand in turn: none loads
-    # scipy.integrate, scipy.optimize, scipy.sparse or multiprocessing, and
-    # only the brute-force oracle (its solveh_banded preconditioner, run last)
-    # loads scipy.linalg and with it numpy.f2py
+    # scipy.integrate, scipy.linalg, numpy.f2py, scipy.optimize, scipy.sparse
+    # or multiprocessing
     names = ["scipy.integrate", "scipy.linalg", "numpy.f2py", "scipy.optimize",
              "scipy.sparse", "multiprocessing"]
     commands = [
@@ -213,7 +216,7 @@ def test_no_command_loads_heavy_imports():
         ["oracle", "interval-robin-p2", "1", "1"],
         ["oracle", "interval-dirichlet-p", "3"],
         ["oracle", "disk-robin-p2", "1"],
-        ["oracle", "brute-force-1d", "3", "1", "2", "200"],
+        ["oracle", "interval-robin-p", "3", "1", "2"],
     ]
     code = (
         "import contextlib, io, sys\n"
@@ -225,8 +228,7 @@ def test_no_command_loads_heavy_imports():
     )
     lines = [line.split() for line in run_fresh(code).splitlines()]
     assert [line[:2] for line in lines] == [[argv[0], "0"] for argv in commands]
-    assert all(len(line) == 2 for line in lines[:-1]), lines
-    assert set(lines[-1][2:]) <= {"scipy.linalg", "numpy.f2py"}
+    assert all(len(line) == 2 for line in lines), lines
 
 
 def test_weight_file_atom_outside_mesh_exit_code(tmp_path, capsys):
@@ -299,19 +301,19 @@ def test_unknown_oracle_exit_code(capsys):
 @pytest.mark.parametrize("args", [
     ["interval-robin-p2", "1"],
     ["interval-robin-p2", "x", "1"],
-    ["brute-force-1d", "2"],
-    ["brute-force-1d", "2", "1", "1", "nan"],
-    ["brute-force-1d", "2", "1", "1", "inf"],
-    ["brute-force-1d", "2", "1", "1", "50.5"],
+    ["interval-robin-p", "2", "1"],
+    ["interval-robin-p", "2", "1", "1", "200"],
+    ["interval-robin-p", "2", "1", "inf"],
+    ["interval-robin-p", "2", "0", "0"],
     ["interval-dirichlet-p"],
     ["disk-robin-p2", "1", "2"],
     ["disk-robin-p2", "nan"],
     ["interval-robin-p2", "nan", "1"],
     ["interval-robin-p2", "inf", "1"],
-    ["brute-force-1d", "2", "nan", "1", "100"],
-    ["brute-force-1d", "3", "-1", "2", "200"],
-    ["brute-force-1d", "0.5", "1", "1", "64"],
-    ["brute-force-1d", "1.0", "1", "1", "64"],
+    ["interval-robin-p", "2", "nan", "1"],
+    ["interval-robin-p", "3", "-1", "2"],
+    ["interval-robin-p", "0.5", "1", "1"],
+    ["interval-robin-p", "1.0", "1", "1"],
 ])
 def test_oracle_argument_error_exit_code(args, capsys):
     assert run(["oracle", *args]) == 2

@@ -11,13 +11,13 @@ from robinopt import (
     InvariantViolationError,
     MathRefusalError,
     SolverParams,
-    brute_force_1d,
     build_disk,
     build_interval,
     build_polygon,
     build_square,
     concentration_demo,
     hoelder_check,
+    interval_robin_p,
     lambda_inf,
     refine,
     scan_point_eigen,
@@ -38,10 +38,10 @@ def test_interval_scan_values_and_ties(interval_scan, interval200):
     assert not interval_scan.failures
 
 
-def test_interval_scan_p4_against_brute_force(interval200):
+def test_interval_scan_p4_against_closed_form(interval200):
     scan = scan_point_eigen(interval200, SolverParams(p=4.0))
-    ref = brute_force_1d(4.0, mode="point", pin_x=0.0, n_grid=2000)
-    assert abs(scan.lambda1_omega - ref) / ref < 0.01
+    ref = interval_robin_p(4.0, np.inf, 0.0)
+    assert abs(scan.lambda1_omega - ref) / ref < 1e-4
 
 
 def loop_ordered_values(mesh, scan):
