@@ -512,7 +512,7 @@ def read_mesh(path) -> Mesh:
             raise ConfigError(f"unsupported mesh dimension {dim} in {path}: pmesh 1 has dim 1 or 2")
         pos = 1
 
-        def section(name):
+        def section(name, width):
             nonlocal pos
             tag = toks[pos].split()
             if tag[0] != name:
@@ -520,11 +520,15 @@ def read_mesh(path) -> Mesh:
             count = int(tag[1])
             rows = [toks[pos + 1 + k].split() for k in range(count)]
             pos += 1 + count
+            if any(len(r) != width for r in rows):
+                raise ConfigError(f"each {name} row of {path} must hold {width} entries")
             return rows
 
-        nodes = np.asarray([[float(v) for v in r] for r in section("nodes")])
-        cells = np.asarray([[int(v) for v in r] for r in section("cells")], dtype=np.int64)
-        bfacets = np.asarray([[int(v) for v in r] for r in section("bfacets")], dtype=np.int64)
+        nodes = np.asarray([[float(v) for v in r] for r in section("nodes", dim)])
+        cells = np.asarray([[int(v) for v in r] for r in section("cells", dim + 1)], dtype=np.int64)
+        bfacets = np.asarray([[int(v) for v in r] for r in section("bfacets", dim)], dtype=np.int64)
+        if pos != len(toks):
+            raise ConfigError(f"records after the bfacets section of {path}")
         return _build_mesh(dim, nodes, cells, bfacets=bfacets)
     except (OSError, IndexError, ValueError) as exc:
         raise ConfigError(f"cannot read pmesh file {path}: {exc}") from None

@@ -16,11 +16,12 @@ smallest Dirac eigenvalue over the boundary nodes. The module provides
   closed form near a flat boundary point (no FEM involved, so concentration
   indices up to 1e6 are cheap).
 
-A scan walks the boundary loop in arcs, maximal runs of loop nodes joined by
-boundary facets (the whole loop in 2D, each end alone in 1D). Each node solve
-of an arc after the first starts from its predecessor's eigenpair, which
-Newton polishes (see eigensolver); the residual test then accepts it, mostly
-with no outer step. Every table comes back in ascending node order.
+A scan visits the boundary nodes one by one, in loop order or in the pruned
+order below. Each node starts from its own pair at the previous mass, else
+from a solved neighbour's along the loop (predecessor first; an interval's
+two ends have none), else cold. Newton polishes a start (see eigensolver) and
+the residual test accepts it, mostly with no outer step. Every table comes
+back in ascending node order.
 
 The paper's lower bound holds node by node: inflow(m, lambda_point(x)) <=
 lambda_Dirac(x, m), the closed form of bounds.inflow with the point
@@ -30,9 +31,8 @@ and minimizing that plus m |t|^p over t gives the floor. A pruned Dirac scan (la
 `prune`, which check_all and track_xm use) visits the nodes in ascending
 point-eigenvalue order and stops once that floor of the next node exceeds
 the best Dirac value found times 1 + 2 _TIE_RTOL, so the nodes it leaves out
-can neither be the minimum nor tie with it. Its nodes are solved one by one,
-each continued in mass from its own pair in the previous mass's report, and
-cold at the first mass or where that report has no pair.
+can neither be the minimum nor tie with it. At the first mass most of its
+nodes start from a solved neighbour.
 
 Requests that are answered exactly by theory (the infimum is 0 for p <= dim
 and is not attained) are refused with a MathRefusalError carrying that exact
@@ -66,13 +66,6 @@ __all__ = [
 _TIE_RTOL = 1e-6
 
 
-def _arcs(mesh):
-    """The boundary loop cut into arcs, maximal runs of loop nodes joined by
-    boundary facets: the whole loop in 2D, each end alone in 1D."""
-    loop = [int(n) for n in mesh.boundary_loop]
-    return [loop] if mesh.dim == 2 else [[n] for n in loop]
-
-
 def _lower_bound_form(m, level, volume, p):
     """m L / ((|Omega| L)^{1/(p-1)} + m^{1/(p-1)})^{p-1}, increasing in the
     eigenvalue L: bounds.belsup and bounds.inflow with L = Lambda_D or
@@ -85,42 +78,43 @@ def _scan(mesh, params, mass=None, order=None, floor=None, starts=None):
     """Point (mass None) or Dirac eigenvalue per visited boundary node, in
     ascending node order, the failures and the node results.
 
-    Without `order` every node is visited, arc by arc: each node of an arc
-    starts from its predecessor's pair; the first node of an arc starts from
-    its own pair in `starts`, and one after a failure, or without such a
-    pair, starts cold. With `order` the nodes are visited one by one in that
-    order, each as an arc of its own, and the visit stops at the first node
-    whose `floor` (a lower bound on its value, aligned with `order`) exceeds
-    the best value so far times 1 + 2 _TIE_RTOL; a nan floor never stops it.
+    The nodes are visited in `order`, by default the boundary loop, each
+    from its own pair in `starts`, else a solved loop neighbour's
+    (predecessor first; an interval's ends share no facet), else cold. With
+    `floor` (a lower bound on each node's value, aligned with `order`) the
+    visit stops at the first node whose floor exceeds the best value so far
+    times 1 + 2 _TIE_RTOL; a nan floor never stops it.
 
     A failed node solve is recorded and the scan goes on; only a scan in
     which every visited node failed raises.
     """
-    nodes = mesh.boundary_nodes()
-    runs = _arcs(mesh) if order is None else [[int(n)] for n in order]
+    loop = [int(n) for n in mesh.boundary_loop]
+    at = {n: i for i, n in enumerate(loop)} if mesh.dim == 2 else {}
     starts = starts or {}
     results, failures = {}, {}
     best = math.inf
-    for k, run in enumerate(runs):
+    for k, node in enumerate(loop if order is None else order.tolist()):
         if floor is not None and floor[k] > best * (1 + 2 * _TIE_RTOL):
             break
-        prev = starts.get(run[0])
-        for node in run:
-            try:
-                if mass is None:
-                    prev = solve_point(mesh, node, params, start=prev)
-                else:
-                    prev = solve_dirac(mesh, node, mass, params, start=prev)
-            except ConvergenceError as exc:
-                prev = None
-                failures[node] = str(exc)
+        start = starts.get(node)
+        if start is None and node in at:
+            near = (loop[at[node] - 1], loop[(at[node] + 1) % len(loop)])
+            start = next((results[n] for n in near if n in results), None)
+        try:
+            if mass is None:
+                res = solve_point(mesh, node, params, start=start)
             else:
-                results[node] = prev
-                best = min(best, prev.lam)
+                res = solve_dirac(mesh, node, mass, params, start=start)
+        except ConvergenceError as exc:
+            failures[node] = str(exc)
+        else:
+            results[node] = res
+            best = min(best, res.lam)
     failures = dict(sorted(failures.items()))
     if not results:
         what = "point" if mass is None else "Dirac"
         raise ConvergenceError(f"every {what} solve failed", diagnostics=failures)
+    nodes = mesh.boundary_nodes()
     nodes = nodes[np.isin(nodes, [*results, *failures])]
     values = np.array([results[n].lam if n in results else math.nan for n in nodes.tolist()])
     return nodes, values, failures, results
@@ -186,12 +180,11 @@ def lambda_inf(scan: PointScan, m: float, *, prune: bool = False,
     """Minimal Dirac eigenvalue over the boundary nodes at mass m, on the
     scan's mesh and params (a point scan exists only for p > dim).
 
-    By default every node is solved, arc by arc. With `prune` the visit is
-    pruned by the per-node floor (see the module docstring): lambda_inf, x_m
-    and the ties are those of the full table, and the report lists only the
-    solved nodes. `previous`, the report at another mass on this scan, gives
-    each node that starts a visit (with `prune`, every node; without, the
-    first of each arc) its own pair there as a start.
+    By default every node is solved, in loop order. With `prune` the visit
+    is pruned by the per-node floor (see the module docstring): lambda_inf,
+    x_m and the ties are those of the full table, and the report lists only
+    the solved nodes. `previous`, the report at another mass on this scan,
+    gives every node with a pair there that pair as its start.
     """
     if not 0 < m < np.inf:
         raise ConfigError(f"mass {m} must be positive and finite")

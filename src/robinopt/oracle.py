@@ -64,15 +64,16 @@ def interval_robin_p2(sigma_left: float, sigma_right: float) -> float:
     the shooting condition for u'(0) = sL u(0), -u'(1) = sR u(1). The
     symmetric case sL = sR = s reduces to mu tan(mu/2) = s and the one-sided
     case sR = 0 to mu tan(mu) = sL. There is exactly one root in (0, pi).
+    g(mu)/mu, unlike g, changes sign on [0, pi] however small the root.
     """
     sl, sr = float(sigma_left), float(sigma_right)
     if not (0 <= sl < np.inf and 0 <= sr < np.inf and sl + sr > 0):
         raise ConfigError("need finite nonnegative weights with positive sum")
 
-    def g(mu):
-        return -(mu**2) * np.sin(mu) + mu * (sl + sr) * np.cos(mu) + sl * sr * np.sin(mu)
+    def g_over_mu(mu):
+        return -mu * np.sin(mu) + (sl + sr) * np.cos(mu) + sl * sr * np.sinc(mu / np.pi)
 
-    mu = bisect_root(g, 1e-12, np.pi - 1e-12, rtol=1e-15)
+    mu = bisect_root(g_over_mu, 0.0, np.pi, rtol=1e-15)
     return float(mu * mu)
 
 
@@ -165,7 +166,8 @@ def disk_robin_p2_const(sigma: float) -> float:
     """Smallest Robin eigenvalue of -Laplace on the unit disk, constant weight.
 
     mu^2 where mu solves mu J1(mu) = sigma J0(mu); the root lies below the
-    first zero of J0 (~2.40483) for every finite sigma > 0.
+    first zero of J0 (~2.40483) for every finite sigma > 0, and above 0,
+    where mu J1(mu) - sigma J0(mu) is -sigma.
     """
     if not 0 < sigma < np.inf:
         raise ConfigError("sigma must be positive and finite")
@@ -173,5 +175,5 @@ def disk_robin_p2_const(sigma: float) -> float:
     def f(mu):
         return mu * besselj1(mu) - sigma * besselj0(mu)
 
-    mu = bisect_root(f, 1e-12, 2.4499, rtol=1e-15)
+    mu = bisect_root(f, 0.0, 2.4499, rtol=1e-15)
     return float(mu * mu)

@@ -307,12 +307,18 @@ def test_text_format_round_trip(tmp_path, builder):
     ("dropped facet", "boundary facets do not match"),
     ("wrong header", "not a pmesh-1 file"),
     ("missing section", "expected section 'cells'"),
+    ("trailing records", "records after the bfacets section"),
+    ("two coordinates in 1D", "each nodes row .* must hold 1 entries"),
 ])
 def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
     path = tmp_path / "m.pmesh"
-    write_mesh(build_square(0.5), path)
+    write_mesh(build_interval(4) if damage == "two coordinates in 1D" else build_square(0.5), path)
     lines = path.read_text().splitlines()
-    if damage == "inverted cell":
+    if damage == "trailing records":  # a section the reader does not know
+        lines += ["cells 1", "0 1", "garbage here"]
+    elif damage == "two coordinates in 1D":  # every node row gets a y
+        lines[2:7] = [f"{x} 0.0" for x in lines[2:7]]
+    elif damage == "inverted cell":
         k = next(k for k, t in enumerate(lines) if t.startswith("cells")) + 1
         a, b, c = lines[k].split()
         lines[k] = f"{b} {a} {c}"

@@ -342,7 +342,7 @@ def test_continued_scans_agree_with_cold_solves(domain, p, monkeypatch, caplog):
         assert np.max(np.abs(rep.lambda_dirac - cold) / cold) <= 1e-10, m
     assert not [r for r in caplog.records if "cold start" in r.getMessage()]
     assert len(calls) == 4 * len(nodes)
-    assert sum(start is None for start, _ in calls) == 4  # one cold start per arc
+    assert sum(start is None for start, _ in calls) == 4  # one cold start per scan
     for start, res in calls:
         assert all(b <= a + 1e-13 for a, b in zip(res.rq_history, res.rq_history[1:]))
         assert verify_weak_residual(res)["ok"]
@@ -419,7 +419,7 @@ def test_scan_in_which_every_node_solve_fails_raises(square4, p3, monkeypatch):
 
 
 def test_interval_scan_is_bit_identical_to_cold_solves(interval200, p2, interval_scan):
-    # each end of an interval is an arc of its own, so no node is continued
+    # the two ends of an interval share no facet, so neither starts from the other
     from robinopt import solve_dirac, solve_point
 
     nodes = [int(n) for n in interval200.boundary_nodes()]
@@ -471,6 +471,17 @@ def test_pruned_sweep_matches_full_tables(domain, p):
         assert solved >= 0.9 * total
     elif domain != "interval":
         assert solved <= total / 2
+
+
+def test_first_pruned_mass_starts_from_solved_neighbours():
+    # on the disk the floor prunes nothing, so the first mass, which has no
+    # previous report, visits all 60 nodes; a node started cold takes 4
+    # outer steps, one started from a solved neighbour none
+    scan = scan_point_eigen(build_disk(0.1), SolverParams(p=3.0))
+    rep, full = lambda_inf(scan, 0.1, prune=True), lambda_inf(scan, 0.1)
+    assert sum(res.outer_iters for res in rep.results.values()) <= 60
+    assert abs(rep.lambda_inf - full.lambda_inf) <= 1e-9 * full.lambda_inf
+    assert rep.x_m_node == full.x_m_node and _tie_set(rep) == _tie_set(full)
 
 
 def test_pruned_sweep_solves_a_node_whose_point_solve_failed(square4, p3):

@@ -142,6 +142,16 @@ def test_small_roots_keep_their_relative_accuracy():
     assert abs(interval_robin_p(1.1, 1e-40, 1e-40) - 2e-40) <= 1e-13 * 2e-40
 
 
+def test_p2_oracles_take_weights_below_their_old_bracket():
+    # roots below mu = 1e-12 (total weight under about 1e-24) used to fall
+    # outside the bisection bracket; lambda tends to 2 sigma on both domains
+    s = 1e-25
+    interval, disk = interval_robin_p2(s, s), disk_robin_p2_const(s)
+    assert abs(interval - 2.0 * s) <= 1e-12 * 2.0 * s
+    assert abs(disk - 2.0 * s) <= 1e-12 * 2.0 * s
+    assert abs(interval - interval_robin_p(2.0, s, s)) <= 1e-13 * interval
+
+
 def test_oracle_imports_nothing_of_the_solver_or_scipy():
     tree = ast.parse(Path(robinopt.oracle.__file__).read_text())
     imported = {node.module if isinstance(node, ast.ImportFrom) else alias.name
