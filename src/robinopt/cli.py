@@ -127,7 +127,7 @@ def _parse_sigma(mesh, spec):
 def _params(args):
     """SolverParams at --p with the knobs given on the command line; the
     others keep SolverParams' defaults."""
-    knobs = {k: getattr(args, k) for k in ("tol_res", "max_outer", "eps_reg")}
+    knobs = {k: getattr(args, k) for k in ("tol_res", "eps_reg")}
     return SolverParams(p=args.p, **{k: v for k, v in knobs.items() if v is not None})
 
 
@@ -360,7 +360,6 @@ def build_parser():
             sp.add_argument("--p", type=float, default=2.0)
             # unset knobs keep the SolverParams defaults
             sp.add_argument("--tol-res", type=float, dest="tol_res")
-            sp.add_argument("--max-outer", type=int, dest="max_outer")
             sp.add_argument("--eps-reg", type=float, dest="eps_reg")
         sp.add_argument("--out", help="output directory (default: JSON to stdout)")
 

@@ -12,7 +12,7 @@ the next iterate minimizes the strictly convex functional
 (1/p) R(w) - <m(u_k), w> where m(u_k) is the Gauss-point assembly of
 |u_k|^{p-2} u_k, and is then truncated to its positive part and renormalized.
 Each step provably does not increase the Rayleigh quotient, which the solver
-asserts at runtime (rq_history is nonincreasing up to 1e-13).
+asserts at runtime (rq_history is nonincreasing up to 1e-13 max(1, |q|)).
 
 The one acceptance test, before every step, is the weak residual of
 (Q[u_k], u_k) within params.tol_res (a start that passes takes no step); the
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _MONOTONE_SLACK = 1e-13
+_MAX_OUTER = 500
 
 log = logging.getLogger("robinopt")
 
@@ -159,7 +160,7 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
     b, g, resid = _load_and_residual(problem, u, q)
     it = 0
     while resid > params.tol_res:
-        if it == params.max_outer:
+        if it == _MAX_OUTER:
             raise failure(f"no convergence in {it} outer iterations "
                           f"(residual {resid:.3e}, target {params.tol_res:.1e})")
         it += 1
@@ -173,9 +174,9 @@ def _minimize(mesh, weight, mode, params, u0=None, pinned=(), start=None):
             )
         u_new = _normalize(mesh, w, p)
         q_new = en.rayleigh(NodalField(mesh, u_new), weight, p)
-        if q_new > q + _MONOTONE_SLACK:
-            # the quotient cannot be decreased further at the attainable inner
-            # accuracy, and the current iterate failed the residual test
+        if q_new > q + _MONOTONE_SLACK * max(1.0, abs(q)):
+            # the quotient cannot fall further at the attainable inner accuracy (the slack
+            # is a few hundred ulps of q), and the current iterate failed the residual test
             raise failure(f"quotient stalled at residual {resid:.3e} "
                           f"(target {params.tol_res:.1e}) at outer step {it}")
         history.append(q_new)

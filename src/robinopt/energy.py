@@ -82,7 +82,6 @@ class SolverParams:
 
     p: float
     tol_res: float = 1e-8      # weak-residual max-norm: the eigensolve's one acceptance test
-    max_outer: int = 500
     eps_reg: float = 1e-10     # derivative smoothing for p < 2
 
     def __post_init__(self):
@@ -90,9 +89,6 @@ class SolverParams:
             raise ConfigError(f"p={self.p} outside the supported range [1.1, 10]")
         if not (0 < self.tol_res < np.inf and 0 <= self.eps_reg < np.inf):
             raise ConfigError("tol_res must be positive and eps_reg nonnegative, both finite")
-        # the outer loop stops at it == max_outer: a fractional or non-finite cap never fires
-        if not (np.isfinite(self.max_outer) and float(self.max_outer).is_integer() and self.max_outer >= 1):
-            raise ConfigError(f"max_outer must be an integer of at least 1, not {self.max_outer!r}")
 
 
 def _node_index(node):
@@ -488,10 +484,13 @@ def write_field(u: NodalField, path):
 
 
 def read_field(mesh, path) -> NodalField:
-    """The field of a write_field CSV: a header, then one row per mesh node."""
+    """A write_field CSV: the header node,x0[,x1],value, then one row per mesh node."""
+    header = ["node"] + [f"x{d}" for d in range(mesh.dim)] + ["value"]
     try:
         with open(path) as fh:
             rows = [ln.split(",") for ln in fh.read().splitlines() if ln.strip()]
+        if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
+            raise ConfigError(f"{path} is not the header {','.join(header)} and rows of {len(header)} fields")
         nodes = np.array([int(row[0]) for row in rows[1:]], dtype=int)
         values = np.array([float(row[-1]) for row in rows[1:]])
     except (OSError, ValueError) as exc:

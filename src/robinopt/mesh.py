@@ -515,8 +515,8 @@ def read_mesh(path) -> Mesh:
         def section(name, width):
             nonlocal pos
             tag = toks[pos].split()
-            if tag[0] != name:
-                raise ConfigError(f"expected section {name!r} in {path}")
+            if len(tag) != 2 or tag[0] != name:
+                raise ConfigError(f"expected section {name!r} (the line '{name} <count>') in {path}")
             count = int(tag[1])
             rows = [toks[pos + 1 + k].split() for k in range(count)]
             pos += 1 + count

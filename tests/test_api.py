@@ -18,7 +18,7 @@ def test_public_signatures_have_no_private_parameters():
     assert bad == []
 
 
-_KNOBS = ("tol_res", "max_outer", "eps_reg")
+_KNOBS = ("tol_res", "eps_reg")
 
 
 def test_solver_knob_defaults_live_only_in_solver_params():

@@ -102,13 +102,14 @@ def test_workers_flag_selects_nothing(tmp_path, argv):
 ])
 def test_bad_solver_knob_exit_code(knob, capsys):
     argv = ["robin", "--domain", "builtin:interval:20", "--p", "1.5", "--sigma", "const:1", *knob]
-    if knob[0] == "--tol-rq":
-        # no such knob: the residual test is the only stopping test, and
-        # argparse refuses an unknown flag with its usage exit code
+    if knob[0] in ("--tol-rq", "--max-outer"):
+        # no such knobs: the residual test is the only stopping test, the
+        # outer cap is a module constant, and argparse refuses an unknown
+        # flag with its usage exit code
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --tol-rq" in capsys.readouterr().err
+        assert f"unrecognized arguments: {knob[0]}" in capsys.readouterr().err
     else:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -331,11 +332,18 @@ def test_failed_weak_residual_check_exit_code(argv, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["weak_residual_check"] == {"ok": False}
 
 
-def test_no_convergence_exit_code(capsys):
-    argv = ["robin", "--domain", "builtin:disk:0.2", "--sigma", "const:1", "--p", "1.2",
-            "--max-outer", "2"]
+def test_no_convergence_exit_code(monkeypatch, capsys):
+    import robinopt.eigensolver as es
+
+    monkeypatch.setattr(es, "_MAX_OUTER", 2)
+    argv = ["robin", "--domain", "builtin:disk:0.2", "--sigma", "const:1", "--p", "1.2"]
     assert run(argv) == 4
     assert capsys.readouterr().err.startswith("no convergence:")
+
+
+def test_maximize_at_large_p_with_default_settings():
+    # its Dirichlet ceiling, a quotient near 1.4e3, once stalled on roundoff
+    assert run(["maximize", "--domain", "builtin:square:0.0625", "--p", "6", "--m", "4"]) == 0
 
 
 def test_invariant_violation_exit_code(monkeypatch, capsys):

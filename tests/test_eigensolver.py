@@ -347,6 +347,20 @@ def test_large_exponent_with_scaled_tolerance():
     assert abs(res.lam - exact) / exact < 0.005
 
 
+@pytest.mark.parametrize("p", [6.0, 8.0])
+def test_large_exponent_dirichlet_with_default_settings(p, square4):
+    # the quotient is 4e2 to 1e4 here, where an absolute monotone slack of
+    # 1e-13 is a few ulps of q and roundoff ended each solve as "quotient
+    # stalled"; the slack scales with q, so these converge
+    from robinopt import interval_dirichlet_p
+
+    params = SolverParams(p=p)
+    res = solve_dirichlet(build_interval(100), params)
+    exact = interval_dirichlet_p(p)
+    assert res.residual <= params.tol_res and abs(res.lam - exact) / exact < 1e-3
+    assert solve_dirichlet(square4, params).residual <= params.tol_res
+
+
 @pytest.fixture(scope="module")
 def disk05():
     return build_disk(0.05)

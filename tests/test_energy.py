@@ -363,6 +363,7 @@ def test_field_csv_round_trip(tmp_path, mesh):
 
 @pytest.mark.parametrize("damage", [
     "node -1", "node 9", "duplicated node", "missing node", "non-numeric", "missing file",
+    "extra fields", "no coordinates", "wrong header",
 ])
 def test_read_field_rejects_bad_files(tmp_path, damage):
     mesh = build_interval(4)  # nodes 0..4
@@ -370,11 +371,14 @@ def test_read_field_rejects_bad_files(tmp_path, damage):
     write_field(NodalField(mesh, np.arange(5.0)), path)
     lines = path.read_text().splitlines()  # header, then the rows of nodes 0..4
     row = {"node -1": "-1,0.0,0.0", "node 9": "9,0.0,0.0", "duplicated node": "0,0.25,1.0",
-           "non-numeric": "1,0.25,x"}.get(damage)
+           "non-numeric": "1,0.25,x", "extra fields": "1,0.0,0.5,1.0,7.0",
+           "no coordinates": "1,1.0"}.get(damage)
     if row is not None:
         lines[2] = row
     elif damage == "missing node":
         del lines[-1]
+    elif damage == "wrong header":
+        lines[0] = "node,x,value"
     path.write_text("\n".join(lines) + "\n")
     if damage == "missing file":
         path = tmp_path / "absent.csv"
@@ -449,9 +453,10 @@ def test_solver_params_validation():
     with pytest.raises(ConfigError):
         SolverParams(p=2.0, tol_res=0.0)
     for bad in ({"tol_res": np.inf}, {"tol_res": np.nan}, {"eps_reg": -1e-10},
-                {"eps_reg": np.nan}, {"max_outer": 0}, {"max_outer": 2.5},
-                {"max_outer": np.inf}, {"max_outer": np.nan}):
+                {"eps_reg": np.nan}):
         with pytest.raises(ConfigError):
             SolverParams(p=2.0, **bad)
     with pytest.raises(TypeError):  # the residual test is the only stopping test
         SolverParams(p=2.0, tol_rq=1e-9)
+    with pytest.raises(TypeError):  # the outer loop stops at eigensolver._MAX_OUTER
+        SolverParams(p=2.0, max_outer=500)

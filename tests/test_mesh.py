@@ -309,6 +309,9 @@ def test_text_format_round_trip(tmp_path, builder):
     ("missing section", "expected section 'cells'"),
     ("trailing records", "records after the bfacets section"),
     ("two coordinates in 1D", "each nodes row .* must hold 1 entries"),
+    ("cells tag + 7 junk", "expected section 'cells'"),
+    ("nodes tag + extra", "expected section 'nodes'"),
+    ("bfacets tag + x", "expected section 'bfacets'"),
 ])
 def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
     path = tmp_path / "m.pmesh"
@@ -324,6 +327,10 @@ def test_read_mesh_refuses_a_damaged_file(tmp_path, damage, message):
         lines[k] = f"{b} {a} {c}"
     elif damage == "wrong header":
         lines[0] = "pmesh 2 2"
+    elif " tag + " in damage:  # tokens after a section's count
+        name, extra = damage.split(" tag + ")
+        k = next(k for k, t in enumerate(lines) if t.startswith(name))
+        lines[k] += f" {extra}"
     elif damage == "missing section":  # cells renamed: the reader finds another tag
         k = next(k for k, t in enumerate(lines) if t.startswith("cells"))
         lines[k] = lines[k].replace("cells", "triangles")
