@@ -94,7 +94,7 @@ class SolverParams:
 def _node_index(node):
     """`node` as a node index: ConfigError unless it is a finite integer (the
     caller checks the range)."""
-    if not (np.isfinite(node) and float(node).is_integer()):
+    if not (np.isfinite(x := float(node)) and x.is_integer()):
         raise ConfigError(f"node {node!r} is not a finite integer")
     return int(node)
 
@@ -123,7 +123,7 @@ class BoundaryWeight:
             if not np.all((dens >= 0) & np.isfinite(dens)):
                 raise ConfigError("facet densities must be finite and nonnegative")
             dens.setflags(write=False)
-        atoms = tuple((int(n), float(m)) for n, m in self.atoms)
+        atoms = tuple((_node_index(n), float(m)) for n, m in self.atoms)
         for n, m in atoms:
             if not 0 <= m < np.inf:
                 raise ConfigError("atom masses must be finite and nonnegative")

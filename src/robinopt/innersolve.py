@@ -14,17 +14,18 @@ Yamashita, Comput. Optim. Appl. 28, 2004): tau = 0 first, escalated until
 Armijo backtracking (factor 0.5, slope 1e-4) or the roundoff regime accepts a
 step; as tau grows the direction tends to steepest descent.
 For p = 2 the problem is quadratic: linear_solve factors the pencil H - shift M
-at every shift, 0 included, and keeps one factorization per problem,
-refreshed only when its shift changes, so each solve is one pair of
-triangular solves, with no refinement (in working precision it lowers the
-residual, not the cond * eps error).
+of the problem's constant H and M at every shift, 0 included, and keeps one
+factorization, refreshed only when its shift changes, so each solve is one
+pair of triangular solves, with no refinement (in working precision it lowers
+the residual, not the cond * eps error).
 
 J's energy is the Rayleigh numerator, the energy.numerator_terms PowerTerms,
 each built once with its c L^T L blocks. Each problem lays out a free-free
 Hessian pattern from their element arrays, with the free nodes in the mesh's
 Cuthill-McKee order, and each Hessian is one scatter of the element blocks
-into it. Every Newton direction, every p = 2 factor and every linear_solve at
-p != 2 (the auxiliary problem's Newton steps) is one banded Cholesky
+into it; shifted alone forms H(w) - s M(z), M(z) the mass term's Hessian: the
+p = 2 pencil, the auxiliary Newton Jacobian and eigenpair_newton's matrix.
+Every Newton direction and every linear_solve is one banded Cholesky
 factorization (LAPACK dpbtrf; the band is about 1.2 sqrt(n) wide on 2D
 meshes) in the problem's work band, which no other module sees.
 
@@ -214,7 +215,7 @@ class ConvexPEnergyProblem:
         # Cuthill-McKee order: the order of every free-node vector and Hessian row
         order = _node_order(mesh)
         self.free_idx = order[self.free[order]]
-        self._shift, self._factor = None, None  # the p = 2 factor in the work band and its shift
+        self._shift, self._factor = None, None  # linear_solve's last factor; at p = 2 its shift
 
     @cached_property
     def _pattern(self):
@@ -250,28 +251,28 @@ class ConvexPEnergyProblem:
 
     # -- solve --------------------------------------------------------------
 
+    def shifted(self, shift, w=None, z=None):
+        """Stored entries of H(w) - shift M(z), H(w) J's Hessian at w and M(z)
+        the mass term's at z. At p = 2 these are the problem's constant H and
+        consistent mass matrix, and w and z (required otherwise) do not apply."""
+        if self.p == 2.0:
+            h, m = self._pencil
+            return h - shift * m
+        return self.hessian(w) - shift * self.stored(en.mass_term(self.mesh).blocks(z, self.p))
+
     def linear_solve(self, b, shift=0.0, w=None, z=None):
-        """The full nodal x (pinned entries zero) with (H(w) - shift M(z)) x = b
-        on the free nodes, H(w) the Hessian of J at w and M(z) the mass term's
-        Hessian at z, by one banded Cholesky factorization. At p = 2 these are
-        the constant H and the consistent mass matrix, w and z (required
-        otherwise) do not apply, and the factor is kept and redone only when
-        the shift changes. A failed factorization (the matrix not positive
-        definite) raises LinAlgError.
+        """The full nodal x (pinned entries zero) with shifted(shift, w, z) x = b
+        on the free nodes, by one banded Cholesky factorization. At p = 2 the
+        factor is kept and redone only when the shift changes. A failed
+        factorization (the matrix not positive definite) raises LinAlgError.
         """
-        if self.p != 2.0:
-            h = self.hessian(w) - shift * self.stored(en.mass_term(self.mesh).blocks(z, self.p))
-            solve = self._pattern.factor(h)
-        else:
-            if shift != self._shift:
-                pattern = self._pattern  # built before H's element blocks: a lower peak RSS
-                h, m = self._pencil
-                self._shift = None  # the work band is rewritten below
-                self._factor = pattern.factor(h - shift * m)
-                self._shift = shift
-            solve = self._factor
+        if shift != self._shift:  # always at p != 2, where _shift stays None
+            pattern = self._pattern  # built before H's element blocks: a lower peak RSS
+            self._shift = None  # the work band is rewritten below
+            self._factor = pattern.factor(self.shifted(shift, w, z))
+            self._shift = shift if self.p == 2.0 else None
         x = np.zeros(self.mesh.n_nodes)
-        x[self.free_idx] = solve(np.asarray(b, dtype=float)[self.free_idx])
+        x[self.free_idx] = self._factor(np.asarray(b, dtype=float)[self.free_idx])
         return x
 
     def eigenpair_newton(self, u, lam):
@@ -279,12 +280,12 @@ class ConvexPEnergyProblem:
         grad D(w) on the free nodes and D(w) = 1/p, with N(w) = R(w)/p the
         energy of J, D(w) = integral |w|^p / p and w's pinned entries zero.
 
-        Each step is Keller's bordering: with A = H_N - lam H_D, g = grad D(w),
-        r the residual and c = D(w) - 1/p, one banded LU of A gives A z1 = -r
-        and A z2 = g, then dlam = (-c - g.z1) / (g.z2) and dw = z1 + dlam z2.
-        A is indefinite whenever lam lies above the first eigenvalue of the
-        linearization, so LU, not Cholesky. Returns (w, lam) once the residual
-        is within the gtol that solve(lam g) takes by default, so that the
+        Each step is Keller's bordering: with A = shifted(lam, w, w) = H_N -
+        lam H_D, g = grad D(w), r the residual and c = D(w) - 1/p, one banded
+        LU of A gives A z1 = -r and A z2 = g, then dlam = (-c - g.z1) / (g.z2)
+        and dw = z1 + dlam z2. A is indefinite whenever lam exceeds the first
+        eigenvalue of the linearization, so LU, not Cholesky. Returns (w, lam)
+        once the residual is within solve(lam g)'s default gtol, so that the
         eigensolver's outer residual test accepts w without a step.
 
         Raises np.linalg.LinAlgError when a factorization fails or a step is
@@ -303,8 +304,7 @@ class ConvexPEnergyProblem:
                 return w, lam
             if step == _MAX_BORDERED:
                 break
-            a = self.hessian(w) - lam * self.stored(mass.blocks(w, self.p))
-            z = self._pattern.lu(a)(np.column_stack([-r, g[free]]))
+            z = self._pattern.lu(self.shifted(lam, w, w))(np.column_stack([-r, g[free]]))
             c = (mass.value(w, self.p) - 1.0) / self.p
             dlam = (-c - g[free] @ z[:, 0]) / (g[free] @ z[:, 1])
             if not (np.isfinite(dlam) and np.all(np.isfinite(z))):

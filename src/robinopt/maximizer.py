@@ -206,9 +206,11 @@ def solve_aux(solver: FSolver, xi: float, v0: np.ndarray | None = None) -> AuxSo
         it, newton, v = 0, 0, problem.linear_solve(_aux_load(problem, scale, np.zeros(mesh.n_nodes))[1], xi)
         rhs, load, _ = _aux_load(problem, scale, v)
         worst = float(np.max(np.abs(problem.gradient(v, load)[problem.free])))
-        # a backward-stable solve leaves a few eps of the residual's terms, |load|
-        # and |K v| <= 2 max K_ii |v|; relative to |load| alone that floor grows like h^-2
-        if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + solver._k_scale * float(np.max(np.abs(v)))):
+        # a backward-stable solve leaves a few eps of the residual's terms, |load| and |K v|
+        # <= 2 max K_ii |v| (K's largest entry: K is positive semidefinite); relative to
+        # |load| alone that floor grows like h^-2
+        k_scale = float(np.max(problem.shifted(0.0)))
+        if not worst <= _TOL_DIRECT * (float(np.max(np.abs(load))) + k_scale * float(np.max(np.abs(v)))):
             raise InvariantViolationError(
                 f"direct auxiliary solve left a free-node residual {worst:.3e} (xi={xi})"
             )
@@ -244,12 +246,11 @@ class FSolver:
 
     Owns the Dirichlet ceiling and the Dirichlet-pinned convex problem that
     every F evaluation, `solve_aux`, solves: once at p = 2, once per Picard
-    step and once per auxiliary Newton step (its Jacobian) otherwise. At
-    p = 2 it also holds max K_ii, the scale of the direct solve's residual
-    check (for a positive semidefinite K the largest stored entry is the
-    largest diagonal one). At p != 2 the computed auxiliary solutions are
-    kept sorted by xi: each evaluation starts its Newton steps from the
-    largest known subsolution below its xi.
+    step and once per auxiliary Newton step (its Jacobian) otherwise; at
+    p = 2 the problem also gives max K_ii, the scale of the direct solve's
+    residual check. At p != 2 the computed auxiliary solutions are kept
+    sorted by xi: each evaluation starts its Newton steps from the largest
+    known subsolution below its xi.
     """
 
     def __init__(self, mesh: Mesh, params: SolverParams):
@@ -257,8 +258,6 @@ class FSolver:
         self.params = params
         self.lam_dirichlet = dirichlet_ceiling(mesh, params)
         self.problem = ConvexPEnergyProblem(mesh, params, fixed_nodes=mesh.boundary_nodes())
-        if params.p == 2.0:
-            self._k_scale = float(np.max(self.problem.hessian(np.zeros(mesh.n_nodes))))
         self.solutions = []  # (xi, values) sorted by xi, the Picard warm starts
         self.evals = 0
 

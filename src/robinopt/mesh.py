@@ -107,8 +107,10 @@ class Mesh:
         return np.flatnonzero(self.node_is_boundary)
 
     def nearest_boundary_node(self, point):
-        """Index of the boundary node closest to `point` and the snap distance."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
+        """Index of the boundary node closest to `point` (shape (dim,)) and the snap distance."""
+        pt = np.asarray(point, dtype=float)
+        if pt.shape != (self.dim,):
+            raise ConfigError(f"point {pt.tolist()} is not a point of the mesh's {self.dim}D domain")
         if not np.all(np.isfinite(pt)):
             raise ConfigError(f"point {pt.tolist()} is not finite")
         bnodes = self.boundary_nodes()

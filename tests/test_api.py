@@ -59,9 +59,11 @@ def test_owner_taking_callables_do_not_take_what_the_owner_holds():
 def test_band_storage_and_factor_stay_inside_innersolve():
     # innersolve owns the Hessian pattern, its work band and the factor's
     # lifetime; another module naming them could outlive or overwrite a
-    # factor, so other modules solve with the problem's matrix by linear_solve
+    # factor, so other modules solve with the problem's matrix by linear_solve;
+    # it alone assembles a Hessian, and other modules read one through shifted
     src = Path(robinopt.__file__).resolve().parent
-    names = ("_pattern", "_Pattern", "dpbtrf", "dpbtrs", "dgbtrf", "dgbtrs", ".factor(", ".stored(")
+    names = ("_pattern", "_Pattern", "dpbtrf", "dpbtrs", "dgbtrf", "dgbtrs",
+             ".factor(", ".stored(", ".hessian(")
     bad = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "innersolve.py"
            for name in names if name in path.read_text()]
     assert bad == []

@@ -287,7 +287,7 @@ def test_weight_validation(mesh):
             BoundaryWeight(mesh, atoms=[(0, mass)])
 
 
-@pytest.mark.parametrize("node", [-1, 99])
+@pytest.mark.parametrize("node", [-1, 99, 1.7, np.nan])
 def test_atom_node_outside_mesh_rejected(node):
     mesh = build_interval(10)  # 11 nodes
     with pytest.raises(ConfigError):
@@ -298,6 +298,7 @@ def test_atom_node_outside_mesh_rejected(node):
 
 @pytest.mark.parametrize("record", [
     "atom -1 0.5", "atom 99 0.5", "facet -1 0.5", "facet 2 0.5", "atom 0", "atom x 0.5",
+    "atom 1000000000000000000000000000000 0.5",  # no int64
     "facet 0 0.25\nfacet 0 0.5",  # a repeated facet, even with the declared mass met
 ])
 def test_read_weight_rejects_bad_records(tmp_path, record):
@@ -323,6 +324,16 @@ def test_dirac_snaps_to_nearest_boundary_node():
     assert s.node_is_boundary[node]
     assert np.allclose(s.nodes[node], [0.5, 0.0])
     assert abs(w.snap_distance - 0.01) < 1e-12
+
+
+@pytest.mark.parametrize("mesh, point", [
+    (build_square(0.25), [0.5]),  # one coordinate in 2D
+    (build_interval(10), [0.9, 0.2]),  # two in 1D
+    (build_square(0.25), [0.5, 0.0, 0.1]),  # three in 2D
+], ids=["1-in-2D", "2-in-1D", "3-in-2D"])
+def test_dirac_refuses_a_point_of_the_wrong_length(mesh, point):
+    with pytest.raises(ConfigError, match="not a point of the mesh's"):
+        BoundaryWeight.dirac(mesh, point, 1.0)
 
 
 @pytest.mark.parametrize("where", [np.nan, np.inf, 2.5, [np.nan, 0.0], [0.5, np.inf]],

@@ -370,7 +370,7 @@ def test_banded_lu_solves_an_indefinite_matrix(square4, p3):
     weight = _weights(square4)["mixed"]
     problem = ConvexPEnergyProblem(square4, p3, weight=weight, fixed_nodes=_pins(square4)["point"])
     w = np.random.default_rng(4).uniform(0.5, 1.5, square4.n_nodes)
-    h = problem.hessian(w) - 40.0 * problem.stored(en.mass_term(square4).blocks(w, 3.0))
+    h = problem.shifted(40.0, w, w)
     dense = _expand(problem, h)
     assert np.min(np.linalg.eigvalsh(dense)) < 0 < np.max(np.linalg.eigvalsh(dense))
     rhs = np.random.default_rng(5).standard_normal((problem._pattern.n, 2))
@@ -379,20 +379,34 @@ def test_banded_lu_solves_an_indefinite_matrix(square4, p3):
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_eigenpair_newton_from_a_neighbours_pair(square4, p3):
-    # the point eigenpair at one boundary node, started from the next node's:
-    # a positive pair whose residual is within the inner solve's tolerance
-    from robinopt import solve_point
+def test_eigenpair_newton_from_a_neighbours_pair(square4, p3, monkeypatch):
+    # the point eigenpair at one boundary node, started from the next node's,
+    # and at p = 2 the interval's Dirac pair at mass 1, started from the pair
+    # at mass 1.2, where every step factors the problem's one pencil: a
+    # positive pair whose residual is within the inner solve's tolerance
+    from robinopt import solve_dirac, solve_point
 
-    loop = square4.boundary_loop
-    ref = solve_point(square4, int(loop[1]), p3)
-    problem = ConvexPEnergyProblem(square4, p3, fixed_nodes=[int(loop[1])])
-    u, lam = problem.eigenpair_newton(solve_point(square4, int(loop[0]), p3).u.values, ref.lam * 1.1)
-    b = lam * en.mass_action(square4, u, 3.0)
-    assert np.max(np.abs(problem.gradient(u, b)[problem.free])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
-    assert np.all(u[problem.free] > 0)
-    assert abs(en.lp_norm_p(en.NodalField(square4, u), 3.0) - 1.0) <= 1e-12
-    assert abs(lam - ref.lam) <= 1e-8 * ref.lam
+    loop, interval, p2 = square4.boundary_loop, build_interval(20), SolverParams(p=2.0)
+    point = solve_point(square4, int(loop[1]), p3)
+    dirac, heavier = solve_dirac(interval, 0, 1.0, p2), solve_dirac(interval, 0, 1.2, p2)
+    cases = [
+        (ConvexPEnergyProblem(square4, p3, fixed_nodes=[int(loop[1])]), point,
+         solve_point(square4, int(loop[0]), p3).u.values, point.lam * 1.1),
+        (ConvexPEnergyProblem(interval, p2, weight=BoundaryWeight.dirac(interval, 0, 1.0)), dirac,
+         heavier.u.values, heavier.lam),
+    ]
+    hessians = []
+    hessian = ConvexPEnergyProblem.hessian
+    monkeypatch.setattr(ConvexPEnergyProblem, "hessian", lambda *a: hessians.append(1) or hessian(*a))
+    for problem, ref, u0, lam0 in cases:
+        hessians.clear()
+        u, lam = problem.eigenpair_newton(u0, lam0)
+        b = lam * en.mass_action(problem.mesh, u, problem.p)
+        assert np.max(np.abs(problem.gradient(u, b)[problem.free])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+        assert np.all(u[problem.free] > 0)
+        assert abs(en.lp_norm_p(en.NodalField(problem.mesh, u), problem.p) - 1.0) <= 1e-12
+        assert abs(lam - ref.lam) <= 1e-8 * ref.lam
+    assert len(hessians) == 1  # at p = 2, the pencil's H
 
 
 def _band_factors(problem, h, routines, monkeypatch):
